@@ -23,8 +23,8 @@
 // clock so they price the request path, not single-CPU collisions with
 // S devices' pickup timers (which real deployments spread across cores). Per-shard dispatch percentiles ride
 // in the server block's shards array. A shards4-xshard ablation pins all
-// ACs to shard 0's device instead, pricing the cross-shard mailbox round
-// trip per request.
+// ACs to shard 0's device instead, pricing requests against another
+// shard's device (its device lock) per request.
 //
 // Flags: --json out.json (machine-readable), --quick (N = 8 smoke for CI,
 // baseline and optimized only), --shards-smoke (4096 clients across 4

@@ -298,10 +298,12 @@ struct ServerSide {
   uint64_t gain_fused_writes = 0;
   uint64_t play_discarded_frames = 0;
   uint64_t silence_filled_frames = 0;
-  // Cross-shard totals (summed over shards; depth is the max high water).
+  // Cross-shard totals (summed over shards; depth is the max high water):
+  // inbox traffic, and device requests run against another shard's device.
   uint64_t cross_shard_posted = 0;
   uint64_t cross_shard_drained = 0;
   uint64_t mailbox_depth_hw = 0;
+  uint64_t cross_shard_plays = 0;
   std::vector<ShardSide> shards;  // empty on a single-shard server
 };
 
@@ -334,6 +336,7 @@ inline bool FetchServerSide(AFAudioConn& conn, ServerSide* out) {
   out->writev_calls = counter("writev_calls");
   out->writev_iovecs = counter("writev_iovecs");
   out->poller_backend = counter("poller_backend");
+  out->cross_shard_plays = counter("cross_shard_plays");
   out->watched_fds = counter("watched_fds");
   out->poll_wake_p50_us = HistogramQuantile(s.poll_wake.buckets, 0.50);
   out->poll_wake_p95_us = HistogramQuantile(s.poll_wake.buckets, 0.95);
@@ -466,7 +469,7 @@ class JsonReport {
                      "\"mix_fanin_hw\": %llu, \"gain_fused_writes\": %llu, "
                      "\"play_discarded_frames\": %llu, \"silence_filled_frames\": %llu, "
                      "\"cross_shard_posted\": %llu, \"cross_shard_drained\": %llu, "
-                     "\"mailbox_depth_hw\": %llu",
+                     "\"mailbox_depth_hw\": %llu, \"cross_shard_plays\": %llu",
                      static_cast<unsigned long long>(s.mixed_writes),
                      static_cast<unsigned long long>(s.preempt_writes),
                      static_cast<unsigned long long>(s.mix_shared_writes),
@@ -477,7 +480,8 @@ class JsonReport {
                      static_cast<unsigned long long>(s.silence_filled_frames),
                      static_cast<unsigned long long>(s.cross_shard_posted),
                      static_cast<unsigned long long>(s.cross_shard_drained),
-                     static_cast<unsigned long long>(s.mailbox_depth_hw));
+                     static_cast<unsigned long long>(s.mailbox_depth_hw),
+                     static_cast<unsigned long long>(s.cross_shard_plays));
         if (!s.shards.empty()) {
           std::fprintf(f, ", \"shards\": [");
           for (size_t j = 0; j < s.shards.size(); ++j) {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # CI pipeline: plain build + full suite, then a sanitizer build
-# (ASan/UBSan) of the same suite, then a deeper soak of just the
-# torture-labelled hostile-network tests under the sanitizers.
+# (ASan/UBSan) of the same suite with a deeper soak of the
+# torture-labelled hostile-network tests, then the full suite again under
+# TSan.
 #
 #   AF_TORTURE_ROUNDS   random-fault-walk rounds for the soak (default 64
 #                       here; the in-tree default is 24 for quick runs)
@@ -31,17 +32,18 @@ echo "== event-tracing suite =="
 ctest --test-dir build -L trace --output-on-failure
 
 echo "== sharding suite =="
-# shard_test (mailbox semantics, cross-shard dispatch/events, shard-thread
-# stop/restart, stats+trace aggregation over a 4-shard server) plus the
-# hostile-network suites re-run under AF_SHARDS=4 on both readiness
-# backends, so every fault and fuzz walk also crosses shard boundaries.
+# shard_test (inbox FIFO and no-loss, requests against another shard's
+# device, events across shards, shard-thread stop/restart, stats+trace
+# aggregation, concurrent fan-in under the device lock) plus the
+# hostile-network suites re-run under AF_SHARDS=4, so every fault and fuzz
+# walk also crosses shard boundaries.
 ctest --test-dir build -L shard --output-on-failure
 
 echo "== conference-bridge suite =="
 # bridge_test (fused gain+mix kernels, shared-device fan-in goldens, DTMF
 # arbitration, the abridge core end to end, kill-a-party torture) plain,
-# then re-run with the parties spread over four shards on both readiness
-# backends via the _shard4/_shard4_pollbackend ENVIRONMENT re-runs.
+# then re-run with the parties spread over four shards via the _shard4
+# ENVIRONMENT re-run.
 ctest --test-dir build -L bridge --output-on-failure
 
 echo "== failover suite =="
@@ -49,17 +51,15 @@ echo "== failover suite =="
 # the reconnect machine killed at every opcode boundary and in every
 # machine state, the connect-deadline and astat restart-detection
 # regressions) plain, then re-run with four shards - promotion posts must
-# cross shard mailboxes - on both readiness backends via the
-# _shard4/_shard4_pollbackend ENVIRONMENT re-runs.
+# cross shard inboxes - via the _shard4 ENVIRONMENT re-run.
 ctest --test-dir build -L failover --output-on-failure
 
 echo "== causal-tracing suite =="
-# causal_test (correlation IDs across cross-shard borrows, truncated
-# requests, reconnect replays and mailbox spill storms; the merged
+# causal_test (correlation IDs across requests against another shard's
+# device, truncated requests and reconnect replays; the merged
 # client+server timeline with its telescoping latency budget; the
 # allocation-free generation-gated ring; the flight-recorder dump format)
-# plain, plus the _shard4 ENVIRONMENT re-run so the single-shard suites
-# also cross mailboxes.
+# plain, plus the _shard4 ENVIRONMENT re-run.
 ctest --test-dir build -L causal --output-on-failure
 
 echo "== kill-the-primary smoke: measured gap is nonzero and bounded =="
@@ -125,7 +125,7 @@ phases = {e["ph"] for e in flows}
 assert {"s", "f"} <= phases, f"merge: flow phases incomplete: {phases}"
 rows = doc["otherData"]["latency_budget_us"]
 assert rows, "merge: empty latency budget"
-parts = ("client_queue", "wire", "poll_wake", "dispatch", "mailbox", "mix", "egress")
+parts = ("client_queue", "wire", "poll_wake", "dispatch", "egress")
 for row in rows:
     total = row["total"]
     sub = sum(row[p] for p in parts)
@@ -417,11 +417,11 @@ fi
 
 echo "== bridge fan-in smoke + committed-sweep acceptance =="
 # One live 256-party x 4-shard bench_bridge cell: the binary itself gates
-# the counter shape (fan-in high water, balanced mailboxes, zero lost
-# frames, arbitration ran). The full-sweep claims are then checked against
-# the committed BENCH_bridge.json - every shards{1,2,4} x N{1..1024} cell
-# present with the samples-lost and mailbox columns populated, and losses
-# zero across the whole grid.
+# the counter shape (fan-in high water, plays run against another shard's
+# device, zero lost samples, arbitration ran). The full-sweep claims are
+# then checked against the committed BENCH_bridge.json - every
+# shards{1,2,4} x N{1..1024} cell present with the samples-lost and
+# cross-shard columns populated, and losses zero across the whole grid.
 if command -v python3 >/dev/null 2>&1; then
     ./build/bench/bench_bridge --smoke --json build/bridge_smoke.json >/dev/null
     python3 - <<'EOF'
@@ -436,17 +436,16 @@ for shards in (1, 2, 4):
         s = server[cell]
         for key in ("mixed_writes", "mix_shared_writes", "mix_fanin_hw",
                     "gain_fused_writes", "play_discarded_frames",
-                    "play_underrun_samples", "cross_shard_posted",
-                    "cross_shard_drained", "mailbox_depth_hw"):
+                    "play_underrun_samples", "cross_shard_plays",
+                    "cross_shard_posted", "cross_shard_drained",
+                    "mailbox_depth_hw"):
             if key not in s:
                 sys.exit(f"committed bridge: {cell} lacks {key}")
         if s["play_discarded_frames"] != 0 or s["play_underrun_samples"] != 0:
             sys.exit(f"committed bridge: {cell} lost samples "
                      f"(discarded={s['play_discarded_frames']}, "
                      f"underrun={s['play_underrun_samples']})")
-        if s["cross_shard_posted"] != s["cross_shard_drained"]:
-            sys.exit(f"committed bridge: {cell} mailbox imbalance")
-        if shards > 1 and n >= 8 and s["cross_shard_posted"] == 0:
+        if shards > 1 and n >= 8 and s["cross_shard_plays"] == 0:
             sys.exit(f"committed bridge: {cell} never crossed a shard")
         if s["mix_fanin_hw"] < min(n, 2):
             sys.exit(f"committed bridge: {cell} fan-in high water "
@@ -457,7 +456,7 @@ for shards in (1, 2, 4):
         if row is None or row["p95_us"] <= 0:
             sys.exit(f"committed bridge: missing or empty latency row {cell}")
 print("committed bridge sweep OK: 15 cells, zero samples lost, "
-      "mailboxes balanced")
+      "plays crossed shards")
 EOF
 fi
 
@@ -501,35 +500,17 @@ echo "== causal-tracing suite (ASan/UBSan, incl. 4 shards) =="
 ctest --test-dir build-asan -L causal --output-on-failure
 
 echo "== sanitizer build (thread) =="
-# TSan is the load-bearing check for the cross-shard mailbox: the seeded
-# multi-producer soak in shard_test plus the 4-shard suite re-runs must
-# come back clean, or the lock-free publish/drain protocol has a race.
+# TSan is the load-bearing check for the device lock: any shard may call
+# any device, so every device call must hold the owner's lock. The whole
+# suite runs - shard_test's concurrent fan-in (one client thread per
+# shard mixing into one device while its update runs), the 4-shard
+# re-runs, the failover battery's backup reader and promotion posts, the
+# shared trace generation gate, and the in-process multi-server suites.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
       -DAF_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j"$JOBS"
 
-echo "== sharding suite (TSan, 4 shards) =="
-ctest --test-dir build-tsan -L shard --output-on-failure
-
-echo "== conference-bridge suite (TSan, incl. 4 shards) =="
-# Many parties mixing into one device across shard boundaries is the
-# mailbox's worst case; the bridge battery under TSan is what certifies
-# the shared-device mix path free of data races.
-ctest --test-dir build-tsan -L bridge --output-on-failure
-
-echo "== failover suite (TSan, incl. 4 shards) =="
-# Replication spans three threads: the primary's loop emitting, the
-# backup's reader applying into the shadow, and the promotion posts onto
-# owner shards. TSan over the failover battery certifies the link
-# handoff, the shadow maps, and the promotion latch free of data races.
-ctest --test-dir build-tsan -L failover --output-on-failure
-
-echo "== causal-tracing suite (TSan, incl. 4 shards) =="
-# The generation gate is one atomic shared by every shard's ring plus the
-# client's, flipped from whichever shard fields the GetTrace while the
-# others are mid-Record; TSan over the battery (and its 4-shard re-run)
-# certifies the gate protocol and the mailbox-hop timestamp handoff free
-# of data races.
-ctest --test-dir build-tsan -L causal --output-on-failure
+echo "== full suite (TSan) =="
+ctest --test-dir build-tsan --output-on-failure -j"$JOBS"
 
 echo "CI OK"

@@ -12,8 +12,8 @@
 // never touches sample data beyond generating it.
 //
 // This is the fan-in counterpart of bench_fanout's fan-out: many sources
-// into one device is the hard cross-shard case (plays forward to the
-// device owner's shard through the PR 6 mailboxes), and bench_bridge
+// into one device is the hard cross-shard case (every shard's parties
+// contend for the device owner's lock), and bench_bridge
 // drives this core across the parties x shards grid.
 #include <cstring>
 

@@ -83,7 +83,7 @@ void TableHistogramLine(std::string* out, const char* label,
 
 // The --shards breakdown: one row per shard with the load-balance and
 // cross-shard-traffic signals (who accepted what, how hot each dispatch
-// path runs, how deep the mailboxes got).
+// path runs, how deep the inboxes got).
 void TableShards(std::string* out, const ServerStatsWire& s) {
   if (s.shards.empty()) {
     *out += "\nshards: (server predates per-shard stats)\n";

@@ -155,7 +155,7 @@ void AppendTraceEventsJson(std::string* out, const TraceWire& trace, bool* first
 // spans, stepping through the spans in start order. When the chain begins
 // at the client reply span (which brackets the whole round trip) the flow
 // finishes back on it just before its end, closing the client -> server ->
-// owner shard -> client loop visually.
+// client loop visually.
 void AppendFlowEventsJson(std::string* out, const TraceWire& trace, bool* first) {
   struct Slice {
     uint64_t ts;
@@ -308,8 +308,6 @@ std::vector<LatencyBudgetRow> ComputeLatencyBudget(const TraceWire& merged) {
     const TraceEvent* enqueue = nullptr;
     const TraceEvent* reply = nullptr;
     const TraceEvent* request = nullptr;
-    const TraceEvent* hop = nullptr;
-    const TraceEvent* exec = nullptr;
   };
   std::map<uint64_t, Pieces> by_corr;
   std::vector<const TraceEvent*> flushes;
@@ -335,16 +333,6 @@ std::vector<LatencyBudgetRow> ComputeLatencyBudget(const TraceWire& merged) {
       case TraceKind::kRequest:
         if (ev.corr != 0 && by_corr[ev.corr].request == nullptr) {
           by_corr[ev.corr].request = &ev;
-        }
-        break;
-      case TraceKind::kMailboxHop:
-        if (ev.corr != 0 && by_corr[ev.corr].hop == nullptr) {
-          by_corr[ev.corr].hop = &ev;
-        }
-        break;
-      case TraceKind::kRemoteExec:
-        if (ev.corr != 0 && by_corr[ev.corr].exec == nullptr) {
-          by_corr[ev.corr].exec = &ev;
         }
         break;
       default:
@@ -391,21 +379,8 @@ std::vector<LatencyBudgetRow> ComputeLatencyBudget(const TraceWire& merged) {
     row.client_queue_us = t_flush - t_enq;
     row.wire_us = t_read - t_flush;
     row.poll_wake_us = s0 - t_read;
-    if (p.hop != nullptr && p.exec != nullptr) {
-      // Cross-shard: the home shard posted at hop.host_us - hop.value; the
-      // owner shard picked it up at hop.host_us (== exec start).
-      row.cross_shard = true;
-      const int64_t post =
-          static_cast<int64_t>(p.hop->host_us) - static_cast<int64_t>(p.hop->value);
-      const int64_t x1 = static_cast<int64_t>(p.exec->host_us) + p.exec->dur_us;
-      row.dispatch_us = post - s0;
-      row.mailbox_us = static_cast<int64_t>(p.hop->value);
-      row.mix_us = p.exec->dur_us;
-      row.egress_us = r1 - x1;
-    } else {
-      row.dispatch_us = s1 - s0;
-      row.egress_us = r1 - s1;
-    }
+    row.dispatch_us = s1 - s0;
+    row.egress_us = r1 - s1;
     row.total_us = r1 - t_enq;
     rows.push_back(row);
   }
@@ -431,12 +406,11 @@ std::string FormatLatencyBudget(const std::vector<LatencyBudgetRow>& rows) {
     return MedianOf(std::move(v));
   };
   Appendf(&out, "latency budget (%zu correlated round trips; median corr=0x%" PRIx64
-                " %s%s):\n",
+                " %s):\n",
           rows.size(), med.corr,
           med.opcode >= kMinOpcode && med.opcode <= kMaxOpcode
               ? OpcodeName(static_cast<Opcode>(med.opcode))
-              : "?",
-          med.cross_shard ? " cross-shard" : "");
+              : "?");
   Appendf(&out, "  %-14s %12s %12s\n", "component", "median_req", "p50_all");
   struct ComponentRow {
     const char* name;
@@ -447,8 +421,6 @@ std::string FormatLatencyBudget(const std::vector<LatencyBudgetRow>& rows) {
       {"wire", &LatencyBudgetRow::wire_us},
       {"poll-wake", &LatencyBudgetRow::poll_wake_us},
       {"dispatch", &LatencyBudgetRow::dispatch_us},
-      {"mailbox", &LatencyBudgetRow::mailbox_us},
-      {"mix", &LatencyBudgetRow::mix_us},
       {"egress", &LatencyBudgetRow::egress_us},
   };
   for (const ComponentRow& c : kComponents) {
@@ -474,14 +446,12 @@ std::string FormatMergedTraceJson(const TraceWire& merged,
   for (size_t i = 0; i < budget.size(); ++i) {
     const LatencyBudgetRow& r = budget[i];
     Appendf(&out,
-            "%s{\"corr\":\"0x%" PRIx64 "\",\"opcode\":%u,\"cross_shard\":%s"
+            "%s{\"corr\":\"0x%" PRIx64 "\",\"opcode\":%u"
             ",\"client_queue\":%" PRId64 ",\"wire\":%" PRId64 ",\"poll_wake\":%" PRId64,
-            i == 0 ? "" : ",", r.corr, r.opcode, r.cross_shard ? "true" : "false",
-            r.client_queue_us, r.wire_us, r.poll_wake_us);
-    Appendf(&out,
-            ",\"dispatch\":%" PRId64 ",\"mailbox\":%" PRId64 ",\"mix\":%" PRId64
-            ",\"egress\":%" PRId64 ",\"total\":%" PRId64 "}",
-            r.dispatch_us, r.mailbox_us, r.mix_us, r.egress_us, r.total_us);
+            i == 0 ? "" : ",", r.corr, r.opcode, r.client_queue_us, r.wire_us,
+            r.poll_wake_us);
+    Appendf(&out, ",\"dispatch\":%" PRId64 ",\"egress\":%" PRId64 ",\"total\":%" PRId64 "}",
+            r.dispatch_us, r.egress_us, r.total_us);
   }
   out += "]}}";
   return out;

@@ -214,7 +214,7 @@ Status WriteSpectrogramPgm(const std::vector<std::vector<float>>& rows,
 struct AstatOptions {
   bool json = false;  // --json: one machine-readable object instead of the table
   // --shards: append the per-shard breakdown (accepted connections,
-  // dispatch p95, mailbox depth high-water, cross-shard traffic). The
+  // dispatch p95, inbox depth high-water, cross-shard traffic). The
   // default view stays the aggregate the server always reported; a 1-shard
   // server shows a single row.
   bool shards = false;
@@ -273,9 +273,9 @@ struct AtraceOptions {
   // --merge: capture a window with client-side tracing live, run a small
   // correlated probe workload, then merge the client ring into the server
   // window on one clock and append the per-request latency-budget table
-  // (client-queue / wire / poll-wake / dispatch / mailbox / mix / egress).
-  // JSON output gains Perfetto flow-event arrows joining each correlation
-  // ID's spans across the wire and mailbox hops.
+  // (client-queue / wire / poll-wake / dispatch / egress). JSON output
+  // gains Perfetto flow-event arrows joining each correlation ID's spans
+  // across the wire.
   bool merge = false;
 };
 
@@ -284,7 +284,8 @@ std::string FormatTraceText(const TraceWire& trace);
 // Chrome trace_event JSON: request spans as "X" events on per-connection
 // tracks, device instants on per-device tracks, with thread_name metadata.
 // Client-side records (kClientEnqueue/kClientFlush/kClientReply) land on a
-// dedicated "client" track; kClientReply and kRemoteExec render as spans.
+// dedicated "client" track; kClientReply (and kRemoteExec from older
+// dumps) render as spans.
 std::string FormatTraceJson(const TraceWire& trace);
 
 // Drains the server's trace ring (polling for follow_seconds when set) and
@@ -312,13 +313,15 @@ int64_t MergeClientServerTrace(TraceWire* server, std::vector<TraceEvent> client
 struct LatencyBudgetRow {
   uint64_t corr = 0;
   uint8_t opcode = 0;
-  bool cross_shard = false;
   int64_t client_queue_us = 0;  // enqueue -> socket flush
   int64_t wire_us = 0;          // flush -> server read of those bytes
   int64_t poll_wake_us = 0;     // read -> dispatch start
-  int64_t dispatch_us = 0;      // dispatch start -> mailbox post (or reply staged)
-  int64_t mailbox_us = 0;       // dwell in the cross-shard mailbox
-  int64_t mix_us = 0;           // execution on the owner shard
+  int64_t dispatch_us = 0;      // dispatch start -> reply staged
+  // Retired components of the cross-shard borrow (mailbox dwell, owner
+  // shard execution): every request now runs on its home shard, so both
+  // read 0. Kept because the benchmark reports them.
+  int64_t mailbox_us = 0;
+  int64_t mix_us = 0;
   int64_t egress_us = 0;        // reply staged -> client saw the reply
   int64_t total_us = 0;         // sum of the above == reply seen - enqueue
 };
@@ -333,8 +336,8 @@ std::vector<LatencyBudgetRow> ComputeLatencyBudget(const TraceWire& merged);
 std::string FormatLatencyBudget(const std::vector<LatencyBudgetRow>& rows);
 
 // FormatTraceJson plus flow-event arrows (ph s/t/f, id = corr) joining
-// each correlation ID's spans — client reply span, ingress dispatch span,
-// owner-shard remote-exec span — and the latency budget rows embedded in
+// each correlation ID's spans — client reply span and server dispatch
+// span — and the latency budget rows embedded in
 // otherData.latency_budget_us.
 std::string FormatMergedTraceJson(const TraceWire& merged,
                                   const std::vector<LatencyBudgetRow>& budget);

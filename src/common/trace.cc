@@ -85,12 +85,12 @@ void TraceRing::Clear() {
 namespace {
 thread_local TraceRing* g_thread_ring = nullptr;
 thread_local uint64_t g_trace_corr = 0;
-}  // namespace
 
 TraceRing& ProcessTrace() {
   static TraceRing ring;
   return ring;
 }
+}  // namespace
 
 TraceRing& GlobalTrace() {
   return g_thread_ring != nullptr ? *g_thread_ring : ProcessTrace();

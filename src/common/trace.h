@@ -11,12 +11,13 @@
 // preallocated slot, and one relaxed load for overwrite detection. The
 // zero-allocation golden test runs with tracing live to enforce this.
 //
-// Threading: records are written by the server loop thread (dispatch,
-// device update tasks, and transport callbacks all run there); Drain()
-// must be called from the same thread (GetTrace is itself a dispatched
-// request, so this holds by construction). The sequence counter and the
-// enable flag are atomics so Enable()/dropped() from another thread
-// (bench, tests) are torn-free.
+// Threading: each ring has one writer thread. A server shard owns one
+// ring and records into it from its loop thread (dispatch, the device
+// calls it makes, update tasks, and transport callbacks all run there);
+// Drain() must be called from the same thread (GetTrace is itself a
+// dispatched request, and a multi-shard gather drains each ring on its
+// own shard). The sequence counter and the enable flag are atomics so
+// Enable()/dropped() from another thread (bench, tests) are torn-free.
 //
 // When the ring wraps before a drain, the oldest records are overwritten;
 // every overwrite of an undrained record increments dropped() and the
@@ -27,8 +28,8 @@
 // the client for the request that caused it, a ring sequence number (seq,
 // 1-based; 0 = recorded by a build that predates the field), and the index
 // of the shard that owns the ring. The correlation ID flows across the
-// wire (request aux trailer), across cross-shard mailbox posts, into
-// replication op-log records, and through reconnect replays, so one
+// wire (request aux trailer), into replication op-log records, and
+// through reconnect replays, so one
 // request's records can be joined into a single causal timeline no matter
 // which process or shard recorded them (atrace --merge).
 #ifndef AF_COMMON_TRACE_H_
@@ -75,8 +76,11 @@ enum class TraceKind : uint8_t {
   kClientEnqueue = 22, // client: request queued; arg = opcode, value = bytes
   kClientFlush = 23,   // client: buffered requests flushed; value = bytes
   kClientReply = 24,   // client span: enqueue..reply; arg = opcode
-  kMailboxHop = 25,    // cross-shard hop executed; value = mailbox micros
-  kRemoteExec = 26,    // span: forwarded request executing on the owner shard
+  // 25 and 26 timed the retired cross-shard borrow (mailbox dwell, then
+  // the owner shard's execution span). No longer recorded; reserved so
+  // older flight dumps still decode.
+  kMailboxHop = 25,
+  kRemoteExec = 26,
   kOplogEmit = 27,     // replication op-log record emitted; arg = record type
   kTraceGap = 28,      // synthetic (atrace --follow): value = events dropped
 };
@@ -140,10 +144,9 @@ class TraceRing {
   // the ring or be detached with nullptr. On the first Record() of a new
   // generation the ring self-records a kTraceStart instant carrying the
   // generation value, so drained windows can be proven to line up. The
-  // seen-generation mark resets on every attach: a ring that outlives its
-  // server (shard 0 shares the process ring across in-process servers)
-  // must re-stamp under a new gate even if the new gate's first generation
-  // repeats a value the old gate reached.
+  // seen-generation mark resets on every attach, so a ring moved to a new
+  // gate re-stamps even if that gate's first generation repeats a value
+  // the old one reached.
   void AttachGenerationGate(std::atomic<uint64_t>* gate) {
     gate_ = gate;
     last_gen_seen_ = 0;
@@ -217,21 +220,16 @@ class TraceRing {
   uint16_t shard_ = 0;
 };
 
-// The calling thread's trace ring. By default every thread records into
-// one process-wide ring — a process hosts one traced server in practice,
-// and tests that run several in-process servers share it (records carry
-// conn/device ids) or build private TraceRing instances. A sharded server
-// redirects each shard thread to its own ring with SetThreadTraceRing so
-// device and transport code keeps calling GlobalTrace() unchanged while
-// records land in the ring owned by the shard that produced them.
+// The calling thread's trace ring. Every server shard redirects its loop
+// thread to the shard's own ring with SetThreadTraceRing, so device and
+// transport code keeps calling GlobalTrace() unchanged while records land
+// in the ring of the shard that produced them. Any other thread records
+// into one process-wide default ring.
 TraceRing& GlobalTrace();
 
 // Redirects GlobalTrace() on the calling thread to *ring (nullptr restores
 // the process-wide default). The ring must outlive the thread's use of it.
 void SetThreadTraceRing(TraceRing* ring);
-
-// The process-wide default ring, regardless of any thread redirection.
-TraceRing& ProcessTrace();
 
 // The calling thread's current correlation ID (0 outside any request).
 // Dispatch sets it for the duration of a request so deep call sites — mix
@@ -241,7 +239,7 @@ uint64_t CurrentTraceCorr();
 void SetCurrentTraceCorr(uint64_t corr);
 
 // RAII: set the thread's correlation ID for a scope, restoring the
-// previous value on exit (forwarded requests nest inside gather drains).
+// previous value on exit.
 class ScopedTraceCorr {
  public:
   explicit ScopedTraceCorr(uint64_t corr) : prev_(CurrentTraceCorr()) {

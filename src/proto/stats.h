@@ -38,6 +38,10 @@ inline constexpr const char* kServerCounterNames[] = {
     // Appended in PR 6 (sharding). The first six are monotonic counters
     // (ServerMetrics::ExtraCounterList()); mailbox_depth_hw and shards are
     // gauges sampled at snapshot time like poller_backend/watched_fds.
+    // The cross_shard_posted/drained, mailbox_wakes and mailbox_depth_hw
+    // slots describe each shard's inbox, cross_shard_plays
+    // counts device requests run against another shard's device, and
+    // mailbox_spills is a retired slot that reads 0.
     "cross_shard_posted",  "cross_shard_drained", "cross_shard_events",
     "cross_shard_plays",   "mailbox_wakes",       "mailbox_spills",
     "mailbox_depth_hw",    "shards",

@@ -62,8 +62,7 @@ struct ServerAC {
   bool recording = false;
   // Fan-in tracking: the device's update-window epoch this AC last played
   // in (BufferedAudioDevice counts distinct sources per window with it).
-  // Touched only on the device owner's shard thread - plays on remote
-  // devices are forwarded there, so no synchronization is needed.
+  // Touched only under the device lock, like the rest of the device.
   uint64_t play_epoch = 0;
 };
 

@@ -7,6 +7,12 @@
 // (CRL 93/8 Section 7.3). AudioDevice is that boundary: the dispatcher
 // calls through it for time, play, record, telephony, and device control.
 //
+// Threading: a device is not thread-safe. In a sharded server any shard
+// may call it, so every caller holds the owning shard's device lock
+// (AFServer::device_mutex) - dispatch for the call plus the reply encode,
+// the owner's update task around Update(). Devices assert nothing about
+// the lock: standalone use (tests, benchmarks) needs none.
+//
 // BufferedAudioDevice implements the paper's buffering design (Section 7.2)
 // over an AudioHw - the hardware abstraction our simulated DAC/ADC rings
 // stand behind: a periodic update task keeps the hardware ring consistent
@@ -66,8 +72,8 @@ struct DeviceMetrics {
   Counter passthrough_plays;      // play conversions that were zero-copy
   Counter converted_plays;        // play conversions staged through the arena
   Counter updates;                // periodic Update() runs
-  // Fan-in accounting (PR 7, conference bridge). The device loop is
-  // single-threaded per shard, so the high-water counter can be maintained
+  // Fan-in accounting (PR 7, conference bridge). Every device call holds
+  // the owner's device lock, so the high-water counter can be maintained
   // by adding the delta whenever a window beats the previous maximum.
   Counter play_discarded_frames;  // play frames clipped to the past (never buffered)
   Counter mix_shared_writes;      // mixed writes with >= 2 sources in the window
@@ -127,8 +133,8 @@ class AudioDevice {
   // convenience to the client (Section 5.7). Record's data span aliases the
   // device's scratch arena (or its internal buffers) and stays valid until
   // the next play/record/update call on the same device - callers must
-  // serialize the bytes before issuing another request (the single-threaded
-  // dispatch loop does exactly that).
+  // serialize the bytes before releasing the device lock (dispatch encodes
+  // the reply under it).
   virtual Status Play(ServerAC& ac, ATime start, std::span<const uint8_t> client_bytes,
                       bool big_endian, PlayOutcome* out) = 0;
   virtual Status Record(ServerAC& ac, ATime start, size_t client_nbytes, bool big_endian,
@@ -312,7 +318,7 @@ class BufferedAudioDevice : public AudioDevice {
   bool lazy_silence_fill_ = true;
   bool fused_gain_ = true;
 
-  // Fan-in window state (owner-shard thread only, like everything else in
+  // Fan-in window state (under the device lock, like everything else in
   // the device). Update() opens a new window; each play compares its AC's
   // last-seen epoch to count distinct sources.
   uint64_t fanin_epoch_ = 1;

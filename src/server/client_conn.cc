@@ -105,7 +105,7 @@ bool ClientConn::ReadAvailable() {
         return true;
       case IoStatus::kClosed:
         // Half-close: requests buffered before the EOF are still valid and
-        // get served; the reap in AFServer::RunOnce retires the connection
+        // get served; the reap in Shard::RunOnce retires the connection
         // once no complete request and no pending output remain.
         saw_eof_ = true;
         return true;

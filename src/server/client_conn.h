@@ -7,16 +7,20 @@
 // when a record or play request must block - a suspended request that
 // freezes further input from this connection until a task resumes it
 // (the paper's "server blocks the client" semantics: only this client
-// stalls, everyone else keeps being served).
+// stalls, everyone else keeps being served). A multi-shard GetTrace parks
+// its requester the same way until every shard's window has landed.
+//
+// A connection belongs to its home shard: only that shard's loop thread
+// ever touches it.
 #ifndef AF_SERVER_CLIENT_CONN_H_
 #define AF_SERVER_CLIENT_CONN_H_
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
-#include "proto/events.h"
 #include "proto/requests.h"
 #include "proto/types.h"
 #include "proto/wire.h"
@@ -117,51 +121,9 @@ class ClientConn {
 
   // --- audio contexts owned by this client ------------------------------
 
-  // Maps AC id -> index of the shard whose acs_ map holds the entry (the
-  // shard owning the AC's device; always the client's own shard on a
-  // 1-shard server). Routing for Play/Record/FreeAC/ChangeACAttributes
-  // reads this map; RemoveClient uses it to free remote entries.
-  std::map<ACId, uint32_t>& acs() { return acs_; }
-
-  // --- cross-shard forwarding (PR 6) -------------------------------------
-  //
-  // While a request executes on another shard the connection is "borrowed":
-  // the home shard freezes it (no reads, no dispatch, no flush, no event
-  // encoding) so the executing shard has exclusive use of the buffers. The
-  // mailbox's release/acquire handoff orders the two shards' accesses.
-
-  bool borrowed() const { return borrowed_; }
-  // Home side, just before posting the request to `executor`. corr is the
-  // request's correlation ID (0 = untraced), carried through the borrow so
-  // the home shard's completion span links to the executor's records.
-  void BeginRemote(uint8_t opcode, uint64_t t0_us, uint64_t bytes,
-                   uint32_t home_shard, uint64_t corr = 0) {
-    borrowed_ = true;
-    remote_opcode_ = opcode;
-    remote_t0_us_ = t0_us;
-    remote_bytes_ = bytes;
-    borrow_home_ = home_shard;
-    remote_corr_ = corr;
-  }
-  struct RemoteOp {
-    uint8_t opcode = 0;
-    uint64_t t0_us = 0;
-    uint64_t bytes = 0;
-    uint64_t corr = 0;
-  };
-  // Home side, when the completion message arrives; unfreezes.
-  RemoteOp EndRemote() {
-    borrowed_ = false;
-    return RemoteOp{remote_opcode_, remote_t0_us_, remote_bytes_, remote_corr_};
-  }
-  // Executor side: which shard to send the completion to.
-  uint32_t borrow_home() const { return borrow_home_; }
-
-  // Events for a borrowed client are parked by the home shard and encoded
-  // after the connection returns (home-thread only; the executor never
-  // touches these).
-  void ParkEvent(const AEvent& event) { parked_events_.push_back(event); }
-  std::vector<AEvent> TakeParkedEvents() { return std::move(parked_events_); }
+  // The ids of this client's audio contexts (their ServerAC entries live
+  // in the home shard's table); RemoveClient frees them.
+  std::set<ACId>& acs() { return acs_; }
 
   // --- suspended (blocked) request ---------------------------------------
 
@@ -205,17 +167,8 @@ class ClientConn {
 
   uint16_t seq_ = 0;
   std::map<DeviceId, uint32_t> event_masks_;
-  std::map<ACId, uint32_t> acs_;  // AC id -> owning shard index
+  std::set<ACId> acs_;
   std::unique_ptr<Suspended> suspended_;
-
-  // Cross-shard borrow state (see the section comment above).
-  bool borrowed_ = false;
-  uint8_t remote_opcode_ = 0;
-  uint64_t remote_t0_us_ = 0;
-  uint64_t remote_bytes_ = 0;
-  uint64_t remote_corr_ = 0;
-  uint32_t borrow_home_ = 0;
-  std::vector<AEvent> parked_events_;
 };
 
 }  // namespace af

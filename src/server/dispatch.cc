@@ -1,7 +1,8 @@
 // The request dispatcher: the table of protocol request handlers the DIA
-// main loop indexes by opcode (CRL 93/8 Section 7.3.1). Runs per shard;
-// requests bound to a device or audio context another shard owns are
-// forwarded there (the borrow protocol in shard.h) before the switch runs.
+// main loop indexes by opcode (CRL 93/8 Section 7.3.1). Runs on the
+// client's home shard; a handler that touches a device holds the owning
+// shard's device lock (LockDevice) through the device call and the reply
+// encode.
 #include <mutex>
 #include <optional>
 
@@ -20,88 +21,7 @@ bool DecodeOrNull(std::span<const uint8_t> body, WireOrder order, Req* out) {
   return Req::Decode(r, out);
 }
 
-// Reads word `index` (0-based u32) of a request body; nullopt on a short
-// body. Routing peeks the leading resource id this way - every device- or
-// AC-bound request leads with it - without decoding the full request.
-std::optional<uint32_t> BodyWord(std::span<const uint8_t> body, WireOrder order,
-                                 size_t index) {
-  WireReader r(body, order);
-  uint32_t v = 0;
-  for (size_t i = 0; i <= index; ++i) {
-    v = r.U32();
-  }
-  if (!r.ok()) {
-    return std::nullopt;
-  }
-  return v;
-}
-
 }  // namespace
-
-uint32_t Shard::RouteTarget(Opcode op, std::span<const uint8_t> body, WireOrder order,
-                            ClientConn& client) const {
-  switch (op) {
-    // AC-bound: route to the shard holding the ServerAC (the AC's device's
-    // owner, recorded in the client's acs() map at CreateAC time). Unknown
-    // ids stay local so the ordinary path reports BadAC.
-    case Opcode::kChangeACAttributes:
-    case Opcode::kFreeAC:
-    case Opcode::kPlaySamples:
-    case Opcode::kRecordSamples: {
-      const std::optional<uint32_t> ac = BodyWord(body, order, 0);
-      if (!ac.has_value()) {
-        return index_;
-      }
-      const auto it = client.acs().find(*ac);
-      return it == client.acs().end() ? index_ : it->second;
-    }
-
-    // CreateAC leads with the new AC id; the device is the second word.
-    case Opcode::kCreateAC: {
-      const std::optional<uint32_t> dev = BodyWord(body, order, 1);
-      if (!dev.has_value() || *dev >= devices_.size()) {
-        return index_;  // BadLength / BadDevice reported locally
-      }
-      return server_.device_owner(*dev);
-    }
-
-    // Device-bound: every one of these leads with the device id
-    // (PassThrough routes by device_a; the handler rejects cross-shard
-    // pairs). Invalid ids stay local for the ordinary error path.
-    case Opcode::kGetTime:
-    case Opcode::kResyncTime:
-    case Opcode::kQueryPhone:
-    case Opcode::kEnablePassThrough:
-    case Opcode::kDisablePassThrough:
-    case Opcode::kHookSwitch:
-    case Opcode::kFlashHook:
-    case Opcode::kEnableGainControl:
-    case Opcode::kDisableGainControl:
-    case Opcode::kSetInputGain:
-    case Opcode::kSetOutputGain:
-    case Opcode::kQueryInputGain:
-    case Opcode::kQueryOutputGain:
-    case Opcode::kEnableInput:
-    case Opcode::kEnableOutput:
-    case Opcode::kDisableInput:
-    case Opcode::kDisableOutput:
-    case Opcode::kChangeProperty:
-    case Opcode::kDeleteProperty:
-    case Opcode::kGetProperty:
-    case Opcode::kListProperties: {
-      const std::optional<uint32_t> dev = BodyWord(body, order, 0);
-      if (!dev.has_value() || *dev >= devices_.size()) {
-        return index_;
-      }
-      return server_.device_owner(*dev);
-    }
-
-    // Everything else (events selection, atoms, hosts, stats, trace,
-    // no-ops) is client- or server-global state and executes at home.
-    default:
-      return index_;
-  }
-}
 
 void Shard::SendError(ClientConn& client, AfError code, Opcode opcode, uint32_t value) {
   ErrorPacket pkt;
@@ -120,16 +40,6 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
   ClientConn& c = *client;
   const WireOrder order = c.order();
   const Opcode op = header.opcode;
-
-  // Requests owned by another shard execute there; the connection travels
-  // along (borrow protocol). Resumed requests already sit on the owning
-  // shard, and a borrowed connection is already at its destination.
-  if (resumed == nullptr && !c.borrowed() && server_.num_shards() > 1) {
-    const uint32_t target = RouteTarget(op, body, order, c);
-    if (target != index_) {
-      return ForwardRequest(client, header, body, target);
-    }
-  }
 
   switch (op) {
     case Opcode::kSelectEvents: {
@@ -162,6 +72,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
         return SendError(c, AfError::kBadIDChoice, op, req.ac);
       }
       AudioDevice* dev = devices_[req.device].get();
+      const auto lock = LockDevice(req.device);
       ServerAC ac;
       ac.id = req.ac;
       ac.device = dev;
@@ -204,9 +115,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
       rec.value_mask = req.value_mask;
       rec.attrs = ac.attrs;
       acs_.emplace(req.ac, std::move(ac));
-      // Record which shard holds the entry so later AC-bound requests (and
-      // the reap path) route straight to it.
-      c.acs().emplace(req.ac, index_);
+      c.acs().insert(req.ac);
       EmitOplog(rec);
       return;
     }
@@ -241,6 +150,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
       }
       if (req.value_mask & (kACEncodingType | kACChannels)) {
         ACOps ops;
+        const auto lock = LockDevice(ac->device->id());
         const Status s = ac->device->MakeACOps(attrs, &ops);
         if (!s.ok()) {
           return SendError(c, s.code(), op);
@@ -271,6 +181,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
         return SendError(c, AfError::kBadAC, op, req.ac);
       }
       if (it->second.recording) {
+        const auto lock = LockDevice(it->second.device->id());
         it->second.device->ReleaseRecordRef();
       }
       acs_.erase(it);
@@ -292,6 +203,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
       if (ac == nullptr) {
         return SendError(c, AfError::kBadAC, op, req.ac);
       }
+      const auto lock = LockDevice(ac->device->id());
       const size_t progress = resumed != nullptr ? resumed->play_progress : 0;
       const ATime adj_start =
           req.start_time + static_cast<ATime>(ac->ops.client_bytes_to_frames(progress));
@@ -338,8 +250,9 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
       }
       const bool no_block = (req.flags & kRecordNoBlock) != 0;
       const bool big_endian = (req.flags & kRecordBigEndianData) != 0;
-      // The span aliases the device's scratch arena; it is serialized into
-      // the connection's output buffer before any other device call runs.
+      // The span aliases the device's scratch arena; the lock stays held
+      // until it is serialized into the connection's output buffer.
+      const auto lock = LockDevice(ac->device->id());
       std::span<const uint8_t> data;
       RecordOutcome outcome;
       const Status s = ac->device->Record(*ac, req.start_time, req.nbytes, big_endian,
@@ -371,6 +284,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
       if (req.device >= devices_.size()) {
         return SendError(c, AfError::kBadDevice, op, req.device);
       }
+      const auto lock = LockDevice(req.device);
       GetTimeReply reply;
       reply.time = devices_[req.device]->GetTime();
       reply.Encode(c.out(), c.seq());
@@ -398,6 +312,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
         return SendError(c, AfError::kBadDevice, op, req.device);
       }
       metrics_.resyncs.Add();
+      const auto lock = LockDevice(req.device);
       ResyncTimeReply reply;
       reply.server_time = devices_[req.device]->GetTime();
       reply.promoted_watermark = server_.promoted_watermark(req.device);
@@ -408,7 +323,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
         gap = static_cast<uint64_t>(
             TimeDelta(reply.server_time, req.client_watermark));
       }
-      if (trace_->enabled()) {
+      if (trace_.enabled()) {
         TraceEvent ev;
         ev.kind = static_cast<uint8_t>(TraceKind::kResync);
         ev.arg = static_cast<uint8_t>(req.device);
@@ -418,7 +333,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
         // A replayed resync keeps the correlation ID the client minted
         // before the failover, tying the re-anchor to the original request.
         ev.corr = CurrentTraceCorr();
-        trace_->Record(ev);
+        trace_.Record(ev);
       }
       reply.Encode(c.out(), c.seq());
       return;
@@ -434,6 +349,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
       }
       bool off_hook = false;
       bool loop = false;
+      const auto lock = LockDevice(req.device);
       const Status s = devices_[req.device]->QueryPhone(&off_hook, &loop);
       if (!s.ok()) {
         return SendError(c, s.code(), op);
@@ -455,11 +371,12 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
         return SendError(c, AfError::kBadDevice, op);
       }
       // Pass-through wires two devices' update paths together; both must
-      // live on the same shard's loop thread.
+      // share an owner, so one device lock covers the pair.
       if (server_.device_owner(req.device_a) != server_.device_owner(req.device_b)) {
         return SendError(c, AfError::kBadMatch, op, req.device_b);
       }
       const bool enable = op == Opcode::kEnablePassThrough;
+      const auto lock = LockDevice(req.device_a);
       const Status s =
           devices_[req.device_a]->SetPassThrough(devices_[req.device_b].get(), enable);
       if (!s.ok()) {
@@ -476,6 +393,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
       if (req.device >= devices_.size()) {
         return SendError(c, AfError::kBadDevice, op, req.device);
       }
+      const auto lock = LockDevice(req.device);
       const Status s = devices_[req.device]->HookSwitch(req.off_hook != 0);
       if (!s.ok()) {
         return SendError(c, s.code(), op);
@@ -491,6 +409,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
       if (req.device >= devices_.size()) {
         return SendError(c, AfError::kBadDevice, op, req.device);
       }
+      const auto lock = LockDevice(req.device);
       const Status s = devices_[req.device]->FlashHook(req.duration_ms);
       if (!s.ok()) {
         return SendError(c, s.code(), op);
@@ -507,6 +426,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
       if (req.device >= devices_.size()) {
         return SendError(c, AfError::kBadDevice, op, req.device);
       }
+      const auto lock = LockDevice(req.device);
       const Status s =
           devices_[req.device]->SetGainControl(op == Opcode::kEnableGainControl);
       if (!s.ok()) {
@@ -531,6 +451,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
       }
       AudioDevice* dev = devices_[req.device].get();
       const bool input = op == Opcode::kSetInputGain;
+      const auto lock = LockDevice(req.device);
       const Status s = input ? dev->SetInputGain(req.gain_db)
                              : dev->SetOutputGain(req.gain_db);
       if (!s.ok()) {
@@ -558,6 +479,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
       if (req.device >= devices_.size()) {
         return SendError(c, AfError::kBadDevice, op, req.device);
       }
+      const auto lock = LockDevice(req.device);
       QueryGainReply reply;
       reply.gain_db = op == Opcode::kQueryInputGain ? devices_[req.device]->input_gain_db()
                                                     : devices_[req.device]->output_gain_db();
@@ -579,6 +501,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
         return SendError(c, AfError::kBadDevice, op, req.device);
       }
       AudioDevice* dev = devices_[req.device].get();
+      const auto lock = LockDevice(req.device);
       Status s;
       switch (op) {
         case Opcode::kEnableInput:
@@ -700,6 +623,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
       if (!atoms_ok) {
         return SendError(c, AfError::kBadAtom, op, req.property);
       }
+      const auto lock = LockDevice(req.device);
       const Status s = properties_[req.device]->Change(req.property, req.type, req.format,
                                                        req.mode, std::move(req.data));
       if (!s.ok()) {
@@ -716,6 +640,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
       if (req.device >= devices_.size()) {
         return SendError(c, AfError::kBadDevice, op, req.device);
       }
+      const auto lock = LockDevice(req.device);
       const Status s = properties_[req.device]->Delete(req.property);
       if (!s.ok()) {
         return SendError(c, s.code(), op);
@@ -732,6 +657,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
         return SendError(c, AfError::kBadDevice, op, req.device);
       }
       GetPropertyReply reply;
+      const auto lock = LockDevice(req.device);
       const Status s = properties_[req.device]->Get(req.property, req.type, req.long_offset,
                                                     req.long_length, req.do_delete != 0,
                                                     &reply);
@@ -750,6 +676,7 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
       if (req.device >= devices_.size()) {
         return SendError(c, AfError::kBadDevice, op, req.device);
       }
+      const auto lock = LockDevice(req.device);
       ListPropertiesReply reply;
       reply.atoms = properties_[req.device]->List();
       reply.Encode(c.out(), c.seq());
@@ -788,11 +715,10 @@ void Shard::DispatchRequest(const std::shared_ptr<ClientConn>& client,
         trace.Encode(c.out(), c.seq());
         return;
       }
-      // Every shard's window must drain on its own thread; freeze the
-      // connection and gather asynchronously. The reply encodes when the
-      // last window lands (FinishTraceGather).
-      c.BeginRemote(static_cast<uint8_t>(op), HostMicros(), header.TotalBytes(),
-                    index_, CurrentTraceCorr());
+      // Every shard's window must drain on its own thread: park the
+      // requester like a blocked play and gather asynchronously. The reply
+      // encodes when the last window lands (FinishTraceGather).
+      c.Suspend(header, body, 0, CurrentTraceCorr());
       StartTraceGather(client, req.flags);
       return;
     }

@@ -249,7 +249,8 @@ void ReplicationBackup::Apply(const OplogRecord& rec) {
 
 void ReplicationBackup::Promote() {
   // Snapshot the shadow, then replay it onto this server's devices from
-  // their owner shards' loop threads.
+  // their owner shards' loop threads, under the device lock (other shards
+  // may be serving requests against the same devices).
   std::unordered_map<uint32_t, DeviceShadow> devices;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -282,7 +283,9 @@ void ReplicationBackup::Promote() {
       ++latch->outstanding;
     }
     DeviceShadow copy = shadow;
-    server_.PostToShard(server_.device_owner(id), [dev, copy, latch] {
+    std::mutex* device_mu = &server_.device_mutex(id);
+    server_.PostToShard(server_.device_owner(id), [dev, device_mu, copy, latch] {
+      std::lock_guard<std::mutex> device_lock(*device_mu);
       if (copy.has_input_gain) {
         (void)dev->SetInputGain(copy.input_gain_db);
       }

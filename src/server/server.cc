@@ -79,12 +79,19 @@ DeviceId AFServer::AddDeviceOnShard(std::unique_ptr<AudioDevice> device,
   const DeviceId id = static_cast<DeviceId>(devices_.size());
   Shard* owner = shards_[shard].get();
   device->set_id(id);
-  device->SetEventSink([owner](AEvent event) { owner->PostEvent(std::move(event)); });
+  // Events fan out from the shard that called the device: its own clients
+  // hear them directly, every other shard through its inbox. A call from
+  // any other thread fans out from the owner.
+  const auto raiser = [this, owner] {
+    Shard* running = Shard::Running();
+    return running != nullptr && &running->server_ == this ? running : owner;
+  };
+  device->SetEventSink([raiser](AEvent event) { raiser()->PostEvent(std::move(event)); });
   devices_.push_back(std::move(device));
   device_owner_.push_back(shard);
   properties_.push_back(std::make_unique<PropertyStore>());
-  properties_.back()->SetChangeHook([owner, id](Atom property, bool deleted) {
-    owner->OnPropertyChanged(id, property, deleted);
+  properties_.back()->SetChangeHook([raiser, id](Atom property, bool deleted) {
+    raiser()->OnPropertyChanged(id, property, deleted);
   });
   const std::string prefix = "dev" + std::to_string(id) + ".";
   const DeviceMetrics& m = devices_.back()->metrics();
@@ -179,8 +186,8 @@ void AFServer::PostToShard(uint32_t shard, std::function<void()> fn) {
   shards_[shard]->Post(std::move(fn));
 }
 
-bool AFServer::RunOnce(int max_timeout_ms) {
-  return shards_[0]->RunOnce(max_timeout_ms);
+std::mutex& AFServer::device_mutex(DeviceId id) {
+  return shards_[device_owner_[id]]->device_mu_;
 }
 
 void AFServer::Run() {
@@ -294,7 +301,7 @@ void FillShardCounters(const Shard& shard, uint64_t num_shards,
   for (const Counter* c : m.ExtraCounterList()) {
     out->push_back(c->Value());
   }
-  out->push_back(shard.mailbox_depth_high_water());
+  out->push_back(shard.inbox_depth_high_water());
   out->push_back(num_shards);
   for (const Counter* c : m.ReplCounterList()) {
     out->push_back(c->Value());
@@ -347,7 +354,7 @@ void AFServer::AggregateStats(ServerStatsWire* out, Shard* caller) {
       static_cast<uint64_t>(shards_[0]->metrics().poller_backend.Value());
   uint64_t depth_hw = 0;
   for (const auto& s : shards_) {
-    depth_hw = std::max(depth_hw, s->mailbox_depth_high_water());
+    depth_hw = std::max(depth_hw, s->inbox_depth_high_water());
   }
   out->counters[kFirstExtraCounterSlot + kNumExtraCounterSlots] = depth_hw;
   out->counters[kFirstExtraCounterSlot + kNumExtraCounterSlots + 1] = n_shards;
@@ -396,10 +403,6 @@ void AFServer::AggregateStats(ServerStatsWire* out, Shard* caller) {
     CopyHistogram(dev->metrics().update_lag_micros, &d.update_lag);
     out->devices.push_back(std::move(d));
   }
-}
-
-void AFServer::SnapshotTrace(uint32_t flags, TraceWire* out) {
-  shards_[0]->SnapshotTraceLocal(flags, out);
 }
 
 std::string AFServer::DumpStatsText(bool sync_clients) {

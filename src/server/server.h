@@ -14,8 +14,10 @@
 // Accepted connections are distributed across shards either by
 // SO_REUSEPORT per-shard listeners (the kernel balances) or by round-robin
 // fd handoff from shard 0 (AF_ACCEPT=reuseport|handoff, default
-// reuseport). Cross-shard work travels through per-shard-pair lock-free
-// mailboxes (server/mailbox.h).
+// reuseport). A connection's requests all run on its home shard; a request
+// that touches a device holds the device lock of the shard owning it.
+// Work that must run on another shard (events, handoffs, trace gathers,
+// Post) goes through that shard's inbox.
 #ifndef AF_SERVER_SERVER_H_
 #define AF_SERVER_SERVER_H_
 
@@ -85,7 +87,7 @@ class AFServer {
   AFServer(const AFServer&) = delete;
   AFServer& operator=(const AFServer&) = delete;
 
-  // --- configuration (before Run/RunOnce) ---------------------------------
+  // --- configuration (before Run) --------------------------------------------
 
   // Takes ownership; assigns the device index, installs the event sink,
   // and schedules its periodic update task on the owning shard (shard 0
@@ -114,10 +116,16 @@ class AFServer {
                           PeerAddress peer, uint32_t shard);
 
   // Runs fn inside shard 0's loop at the next iteration. Thread-safe; the
-  // sanctioned way to touch shard-0-owned devices while the loop runs on
-  // another thread. PostToShard reaches the other shards.
+  // sanctioned way to touch shard-0 state while the loop runs on another
+  // thread. PostToShard reaches the other shards. Once other shards serve
+  // requests, a device call made this way must also hold device_mutex().
   void Post(std::function<void()> fn);
   void PostToShard(uint32_t shard, std::function<void()> fn);
+
+  // The lock every request takes around a call into device `id` (and its
+  // property store): one mutex per owning shard, shared by all of that
+  // shard's devices and by its periodic update tasks.
+  std::mutex& device_mutex(DeviceId id);
 
   // --- replication / failover (PR 8) --------------------------------------
 
@@ -139,9 +147,6 @@ class AFServer {
 
   // --- main loop ----------------------------------------------------------
 
-  // One WaitForSomething iteration of shard 0 (single-shard servers: the
-  // whole server). Returns false if Stop() was requested.
-  bool RunOnce(int max_timeout_ms = -1);
   // Spawns one thread per extra shard, runs shard 0 on this thread until
   // Stop(), joins the others; dumps stats at exit when the option is set.
   void Run();
@@ -171,12 +176,6 @@ class AFServer {
   // As called from a shard's dispatch: fault metrics are synced for the
   // calling shard's clients only (other shards' spines are read as-is).
   void AggregateStats(ServerStatsWire* out, Shard* caller);
-  // Applies the request's enable/disable flags and drains shard 0's trace
-  // ring into the wire snapshot served by kGetTrace on a single-shard
-  // server. Multi-shard aggregation happens in dispatch (the drain of a
-  // remote shard's ring must run on that shard's thread). Shard-0-loop
-  // thread only.
-  void SnapshotTrace(uint32_t flags, TraceWire* out);
   // The SIGUSR1 / shutdown text dump; one section per shard when sharded.
   // sync_clients may only be true when shard threads are not running (or
   // on a single-shard server's loop thread).

@@ -49,13 +49,13 @@ struct ServerMetrics {
   Gauge poller_backend;  // 0 = poll, 1 = epoll
   Gauge watched_fds;     // current readiness interest-set size
 
-  // Cross-shard traffic (PR 6). All stay zero on a 1-shard server.
-  Counter cross_shard_posted;   // messages posted into other shards' mailboxes
-  Counter cross_shard_drained;  // messages drained from this shard's mailboxes
-  Counter cross_shard_events;   // AEvents forwarded to clients on other shards
-  Counter cross_shard_plays;    // device requests this shard forwarded to the owner
-  Counter mailbox_wakes;        // eventfd wake-ups observed by the loop
-  Counter mailbox_spills;       // messages that overflowed a ring into the spill
+  // Inbox and cross-shard traffic (PR 6).
+  Counter cross_shard_posted;   // messages posted into this shard's inbox
+  Counter cross_shard_drained;  // inbox messages this shard's loop ran
+  Counter cross_shard_events;   // AEvents this shard posted to other shards
+  Counter cross_shard_plays;    // device requests run against another shard's device
+  Counter mailbox_wakes;        // inbox drains that found at least one message
+  Counter mailbox_spills;       // retired (the SPSC mailbox's spill); reads 0
 
   // Replication / failover (PR 8). Per-shard monotonic counters; the
   // server-global replication gauges (oplog_acked, repl_overflows,
@@ -74,7 +74,8 @@ struct ServerMetrics {
   }
 
   // The PR 6 extra-region counters, wire positions kFirstExtraCounterSlot
-  // onward (mailbox_depth_hw and shards after them are gauge samples).
+  // onward (mailbox_depth_hw - the inbox's largest drained batch - and
+  // shards after them are gauge samples).
   std::array<const Counter*, kNumExtraCounterSlots> ExtraCounterList() const {
     return {&cross_shard_posted, &cross_shard_drained, &cross_shard_events,
             &cross_shard_plays,  &mailbox_wakes,       &mailbox_spills};

@@ -1,7 +1,7 @@
 // Shard: one per-thread server loop (see shard.h for the ownership map).
 // The loop body here is the paper's WaitForSomething() core, moved verbatim
-// from the pre-shard AFServer; the cross-shard sections (mailbox drain,
-// request forwarding, event fan-out, trace gather) are PR 6 additions.
+// from the pre-shard AFServer; the cross-shard sections (inbox drain, event
+// fan-out, trace gather) are PR 6 additions.
 #include "server/shard.h"
 
 #include <fcntl.h>
@@ -23,6 +23,8 @@ namespace {
 
 // Set from the SIGUSR1 handler; polled by shard 0's loop iterations.
 std::atomic<bool> g_stats_dump_requested{false};
+
+thread_local Shard* t_running_shard = nullptr;
 
 // Shard-loop trace instants. The enabled() check up front keeps the
 // tracing-off cost to one relaxed load before any timestamping.
@@ -83,15 +85,6 @@ Shard::Shard(AFServer& server, uint32_t index)
   ::fcntl(wake_pipe_[0], F_SETFL, O_NONBLOCK);
   ::fcntl(wake_pipe_[1], F_SETFL, O_NONBLOCK);
 
-  // Shard 0 records into the process-wide ring so a 1-shard server is
-  // byte-identical to the pre-shard one; extra shards get private rings.
-  if (index_ == 0) {
-    trace_ = &ProcessTrace();
-  } else {
-    own_trace_ = std::make_unique<TraceRing>();
-    trace_ = own_trace_.get();
-  }
-
   const auto counters = metrics_.CounterList();
   for (size_t i = 0; i < kNumServerCounterSlots; ++i) {
     registry_.Register(kServerCounterNames[i], counters[i]);
@@ -105,9 +98,7 @@ Shard::Shard(AFServer& server, uint32_t index)
                        &metrics_.errors_by_code[code]);
   }
 
-  const int num_shards = opts_.num_shards;
-  if (num_shards > 1) {
-    mailbox_ = std::make_unique<ShardMailbox>(static_cast<size_t>(num_shards));
+  if (opts_.num_shards > 1) {
     const auto extras = metrics_.ExtraCounterList();
     for (size_t i = 0; i < kNumExtraCounterSlots; ++i) {
       registry_.Register(kServerCounterNames[kFirstExtraCounterSlot + i], extras[i]);
@@ -117,23 +108,21 @@ Shard::Shard(AFServer& server, uint32_t index)
   for (size_t i = 0; i < kNumReplCounterSlots; ++i) {
     registry_.Register(kServerCounterNames[kFirstReplCounterSlot + i], repls[i]);
   }
-  // Ring overwrites surface in this shard's stats. With several in-process
-  // servers sharing the process ring (tests) the last one constructed owns
-  // the counter.
-  trace_->AttachDropCounter(&metrics_.trace_dropped_events);
+  // Ring overwrites surface in this shard's stats.
+  trace_.AttachDropCounter(&metrics_.trace_dropped_events);
   // All of this server's rings gate on one shared generation counter, so a
   // GetTrace enable/disable reaches every shard at a single atomic instant
   // instead of skewing across the per-shard Enable loop. Each ring stamps
   // the generation it first records under (kTraceStart), making window
   // alignment observable from the fetched trace itself.
-  trace_->SetShardIndex(static_cast<uint16_t>(index_));
-  trace_->AttachGenerationGate(&server_.trace_gen_);
+  trace_.SetShardIndex(static_cast<uint16_t>(index_));
+  trace_.AttachGenerationGate(&server_.trace_gen_);
 
   static const char* const kFlightNames[] = {
-      "requests_dispatched", "events_sent",        "clients_accepted",
-      "clients_reaped",      "suspends",           "resumes",
-      "faults_applied",      "trace_dropped",      "cross_shard_posted",
-      "cross_shard_drained", "mailbox_spills",     "oplog_records",
+      "requests_dispatched", "events_sent",         "clients_accepted",
+      "clients_reaped",      "suspends",            "resumes",
+      "faults_applied",      "trace_dropped",       "cross_shard_posted",
+      "cross_shard_drained", "oplog_records",
   };
   const Counter* flight_counters[] = {
       &metrics_.requests_dispatched, &metrics_.events_sent,
@@ -141,24 +130,18 @@ Shard::Shard(AFServer& server, uint32_t index)
       &metrics_.suspends,            &metrics_.resumes,
       &metrics_.faults_applied,      &metrics_.trace_dropped_events,
       &metrics_.cross_shard_posted,  &metrics_.cross_shard_drained,
-      &metrics_.mailbox_spills,      &metrics_.oplog_records,
+      &metrics_.oplog_records,
   };
   FlightRecorderCounter flight[std::size(kFlightNames)];
   for (size_t i = 0; i < std::size(kFlightNames); ++i) {
     flight[i] = FlightRecorderCounter{kFlightNames[i], flight_counters[i]};
   }
-  flight_slot_ = FlightRecorderRegisterRing(trace_, index_, flight,
+  flight_slot_ = FlightRecorderRegisterRing(&trace_, index_, flight,
                                             std::size(kFlightNames));
 }
 
 Shard::~Shard() {
-  // Shard 0's ring is the process-wide ring and outlives this server:
-  // detach the gate (it points into AFServer) and the drop counter (it
-  // points into metrics_) so later users of the ring see no dangling
-  // pointers. Also retire the flight-recorder slot.
   FlightRecorderUnregisterRing(flight_slot_);
-  trace_->AttachGenerationGate(nullptr);
-  trace_->AttachDropCounter(nullptr);
   for (int i = 0; i < 2; ++i) {
     if (wake_pipe_[i] >= 0) {
       ::close(wake_pipe_[i]);
@@ -171,45 +154,53 @@ void Shard::AddListener(Listener listener) {
 }
 
 void Shard::ScheduleDeviceUpdate(DeviceId id) {
-  AudioDevice* dev = devices_[id].get();
-  const unsigned period_ms = dev->UpdatePeriodMs();
+  const unsigned period_ms = devices_[id]->UpdatePeriodMs();
   const uint64_t now_us = HostMicros();
-  const uint64_t deadline_us = now_us + static_cast<uint64_t>(period_ms) * 1000u;
-  tasks_.AddIn(now_us, period_ms, [this, id, deadline_us] {
+  if (update_deadline_us_.size() <= id) {
+    update_deadline_us_.resize(id + 1);
+  }
+  update_deadline_us_[id] = now_us + static_cast<uint64_t>(period_ms) * 1000u;
+  // Two words of capture fit std::function's inline buffer, so the
+  // reschedule allocates nothing.
+  tasks_.AddIn(now_us, period_ms, [this, id] {
     const uint64_t run_us = HostMicros();
+    const uint64_t deadline_us = update_deadline_us_[id];
     AudioDevice* d = devices_[id].get();
     const uint64_t lag_us = run_us > deadline_us ? run_us - deadline_us : 0;
     d->metrics().update_lag_micros.Record(lag_us);
-    if (lag_us > 0 && trace_->enabled()) {
-      TraceEvent ev;
-      ev.kind = static_cast<uint8_t>(TraceKind::kUpdateLag);
-      ev.device = id + 1;
-      ev.dev_time = d->GetTime();
-      ev.host_us = run_us;
-      ev.value = lag_us;
-      trace_->Record(ev);
+    {
+      std::lock_guard<std::mutex> lock(device_mu_);
+      if (lag_us > 0 && trace_.enabled()) {
+        TraceEvent ev;
+        ev.kind = static_cast<uint8_t>(TraceKind::kUpdateLag);
+        ev.device = id + 1;
+        ev.dev_time = d->GetTime();
+        ev.host_us = run_us;
+        ev.value = lag_us;
+        trace_.Record(ev);
+      }
+      d->Update();
     }
-    d->Update();
     ScheduleDeviceUpdate(id);  // the update task reschedules itself
   });
 }
 
 void Shard::AdoptClient(FaultStream stream, PeerAddress peer) {
   {
-    std::lock_guard<std::mutex> lock(adopt_mu_);
+    std::lock_guard<std::mutex> lock(inbox_mu_);
     pending_adoptions_.emplace_back(std::move(stream), std::move(peer));
+    metrics_.cross_shard_posted.Add();
   }
-  const char byte = 'a';
-  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
+  Wake();
 }
 
 void Shard::Post(std::function<void()> fn) {
   {
-    std::lock_guard<std::mutex> lock(adopt_mu_);
+    std::lock_guard<std::mutex> lock(inbox_mu_);
     pending_actions_.push_back(std::move(fn));
+    metrics_.cross_shard_posted.Add();
   }
-  const char byte = 'p';
-  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
+  Wake();
 }
 
 void Shard::StopLocal() {
@@ -222,30 +213,25 @@ void Shard::Wake() {
   [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
 }
 
+Shard* Shard::Running() { return t_running_shard; }
+
 void Shard::RunLoop() {
-  // Route GlobalTrace() to this shard's ring for the thread's lifetime
-  // (shard 0's ring IS the process ring, so this is a no-op there).
-  SetThreadTraceRing(trace_);
+  // Everything this thread records - dispatch, device instants of any
+  // device it calls, transport callbacks - lands in this shard's ring.
+  t_running_shard = this;
+  SetThreadTraceRing(&trace_);
   while (RunOnce()) {
   }
   SetThreadTraceRing(nullptr);
+  t_running_shard = nullptr;
 }
 
 void Shard::UpdatePollInterests() {
   poller_.Watch(wake_pipe_[0], true, false);
-  if (mailbox_) {
-    poller_.Watch(mailbox_->wake_fd(), true, false);
-  }
   for (Listener& l : listeners_) {
     poller_.Watch(l.fd(), true, false);
   }
   for (auto& [fd, client] : clients_) {
-    // While a connection executes on another shard nothing here may touch
-    // its socket; the fd stays registered with no interests.
-    if (client->borrowed()) {
-      poller_.Watch(fd, false, false);
-      continue;
-    }
     // A suspended client's socket is not read: that is how the server
     // "blocks the client" - TCP backpressure does the rest. After EOF
     // there is nothing left to read either.
@@ -289,16 +275,12 @@ bool Shard::RunOnce(int max_timeout_ms) {
     const std::string dump = server_.DumpStatsText(server_.num_shards() == 1);
     std::fwrite(dump.data(), 1, dump.size(), stderr);
   }
-  DrainMailbox();
   tasks_.RunDue(woke_us);
 
   for (const PollEvent& ev : events) {
     if (ev.fd == wake_pipe_[0]) {
-      DrainWakePipe();
+      DrainInbox();
       continue;
-    }
-    if (mailbox_ && ev.fd == mailbox_->wake_fd()) {
-      continue;  // drained above, before tasks ran
     }
     bool is_listener = false;
     for (Listener& l : listeners_) {
@@ -317,9 +299,6 @@ bool Shard::RunOnce(int max_timeout_ms) {
       continue;
     }
     std::shared_ptr<ClientConn> client = it->second;
-    if (client->borrowed()) {
-      continue;
-    }
     if (ev.readable || ev.closed) {
       HandleClientReadable(client);
     }
@@ -335,14 +314,13 @@ bool Shard::RunOnce(int max_timeout_ms) {
   // already been drained.
   std::vector<std::shared_ptr<ClientConn>> with_backlog;
   for (auto& [fd, client] : clients_) {
-    if (!client->borrowed() && !client->suspended() &&
-        client->state() == ClientConn::State::kRunning &&
+    if (!client->suspended() && client->state() == ClientConn::State::kRunning &&
         client->Buffered().size() >= kRequestHeaderBytes) {
       with_backlog.push_back(client);
     }
   }
   for (const auto& client : with_backlog) {
-    if (clients_.count(client->fd()) != 0 && !client->borrowed()) {
+    if (clients_.count(client->fd()) != 0) {
       ProcessBufferedRequests(client);
     }
   }
@@ -350,12 +328,8 @@ bool Shard::RunOnce(int max_timeout_ms) {
   // Flush accumulated replies/events and reap finished clients: ones
   // marked closing, and half-closed peers (EOF seen) that have no
   // complete request left to serve and no output still to deliver.
-  // Borrowed connections are untouchable until they come home.
   std::vector<int> to_remove;
   for (auto& [fd, client] : clients_) {
-    if (client->borrowed()) {
-      continue;
-    }
     if (!client->FlushOutput()) {
       to_remove.push_back(fd);
       continue;
@@ -377,58 +351,32 @@ bool Shard::RunOnce(int max_timeout_ms) {
          !local_stop_.load(std::memory_order_relaxed);
 }
 
-void Shard::DrainWakePipe() {
+void Shard::DrainInbox() {
   char buf[64];
   while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
   }
-  std::vector<std::pair<FaultStream, PeerAddress>> adoptions;
-  std::vector<std::function<void()>> actions;
   {
-    std::lock_guard<std::mutex> lock(adopt_mu_);
-    adoptions.swap(pending_adoptions_);
-    actions.swap(pending_actions_);
+    std::lock_guard<std::mutex> lock(inbox_mu_);
+    adoption_scratch_.swap(pending_adoptions_);
+    action_scratch_.swap(pending_actions_);
   }
-  for (auto& fn : actions) {
+  const size_t n = adoption_scratch_.size() + action_scratch_.size();
+  if (n == 0) {
+    return;  // a Wake() with no message (stop, or a byte of a batch drained earlier)
+  }
+  metrics_.mailbox_wakes.Add();
+  metrics_.cross_shard_drained.Add(n);
+  if (n > inbox_depth_hw_.load(std::memory_order_relaxed)) {
+    inbox_depth_hw_.store(n, std::memory_order_relaxed);
+  }
+  for (auto& fn : action_scratch_) {
     fn();
   }
-  for (auto& [stream, peer] : adoptions) {
+  action_scratch_.clear();
+  for (auto& [stream, peer] : adoption_scratch_) {
     AdoptLocal(std::move(stream), std::move(peer));
   }
-}
-
-void Shard::DrainMailbox() {
-  if (!mailbox_) {
-    return;
-  }
-  if (mailbox_->ConsumeWake()) {
-    metrics_.mailbox_wakes.Add();
-  }
-  mailbox_scratch_.clear();
-  const size_t n = mailbox_->Drain(&mailbox_scratch_);
-  if (n != 0) {
-    metrics_.cross_shard_drained.Add(n);
-    for (auto& msg : mailbox_scratch_) {
-      msg();
-    }
-    mailbox_scratch_.clear();
-  }
-  // A message published while the drain ran may have had its wake consumed
-  // by the ConsumeWake above; never sleep on a non-empty mailbox.
-  if (mailbox_->HasPending()) {
-    work_pending_ = true;
-  }
-}
-
-void Shard::SendToShard(uint32_t target, std::function<void()> fn) {
-  if (target == index_) {
-    fn();
-    return;
-  }
-  metrics_.cross_shard_posted.Add();
-  Shard* t = server_.shards_[target].get();
-  if (!t->mailbox_->Post(index_, std::move(fn))) {
-    metrics_.mailbox_spills.Add();
-  }
+  adoption_scratch_.clear();
 }
 
 void Shard::AdoptLocal(FaultStream stream, PeerAddress peer) {
@@ -437,7 +385,7 @@ void Shard::AdoptLocal(FaultStream stream, PeerAddress peer) {
                                              next_client_number_);
   next_client_number_ += static_cast<uint32_t>(server_.num_shards());
   client->AttachMetrics(&metrics_);
-  TraceInstant(*trace_, TraceKind::kAccept, client->client_number());
+  TraceInstant(trace_, TraceKind::kAccept, client->client_number());
   OplogRecord rec;
   rec.type = static_cast<uint16_t>(OplogType::kClientConnect);
   rec.client = client->client_number();
@@ -456,13 +404,7 @@ void Shard::AcceptPending(Listener& listener) {
   if (server_.accept_handoff_ && server_.num_shards() > 1) {
     const uint32_t target = accept_rr_++ % static_cast<uint32_t>(server_.num_shards());
     if (target != index_) {
-      // std::function needs a copyable closure; park the move-only stream
-      // behind a shared_ptr for the ride through the mailbox.
-      auto shared = std::make_shared<FaultStream>(FaultStream(std::move(stream)));
-      Shard* t = server_.shards_[target].get();
-      SendToShard(target, [t, shared, peer] {
-        t->AdoptLocal(std::move(*shared), peer);
-      });
+      server_.shards_[target]->AdoptClient(FaultStream(std::move(stream)), std::move(peer));
       return;
     }
   }
@@ -480,8 +422,8 @@ void Shard::HandleClientReadable(const std::shared_ptr<ClientConn>& client) {
 
 void Shard::ProcessBufferedRequests(const std::shared_ptr<ClientConn>& client) {
   int processed = 0;
-  while (clients_.count(client->fd()) != 0 && !client->borrowed() &&
-         !client->suspended() && client->state() != ClientConn::State::kClosing) {
+  while (clients_.count(client->fd()) != 0 && !client->suspended() &&
+         client->state() != ClientConn::State::kClosing) {
     if (client->state() == ClientConn::State::kAwaitingSetup) {
       TrySetup(client);
       if (client->state() == ClientConn::State::kAwaitingSetup) {
@@ -521,24 +463,17 @@ void Shard::ProcessBufferedRequests(const std::shared_ptr<ClientConn>& client) {
     const uint64_t t0_us = HostMicros();
     {
       // Everything dispatch records (device instants, suspend/resume,
-      // forwards, oplog emits) inherits the request's correlation ID
-      // through the thread-local.
+      // oplog emits) inherits the request's correlation ID through the
+      // thread-local.
       ScopedTraceCorr corr_scope(corr);
       DispatchRequest(client, header, body, nullptr);
-    }
-    if (client->borrowed()) {
-      // The request now executes on another shard (the executor works from
-      // a copy of the body; in_ stays home-owned). Service time, the trace
-      // span, and output staging are recorded when the connection returns.
-      client->Consume(total);
-      return;
     }
     const uint64_t t1_us = HostMicros();
     if (opi >= kMinOpcode && opi <= kMaxOpcode) {
       metrics_.op_count[opi].Add();
       metrics_.op_micros[opi].Record(t1_us - t0_us);
     }
-    if (trace_->enabled()) {
+    if (trace_.enabled()) {
       TraceEvent ev;
       ev.kind = static_cast<uint8_t>(TraceKind::kRequest);
       ev.arg = opi;
@@ -547,7 +482,7 @@ void Shard::ProcessBufferedRequests(const std::shared_ptr<ClientConn>& client) {
       ev.dur_us = static_cast<uint32_t>(t1_us - t0_us);
       ev.value = total;
       ev.corr = corr;
-      trace_->Record(ev);
+      trace_.Record(ev);
     }
     if (clients_.count(client->fd()) == 0) {
       return;  // dispatch closed the connection
@@ -611,28 +546,20 @@ void Shard::RemoveClient(int fd) {
   if (it == clients_.end()) {
     return;
   }
-  // Free this client's audio contexts (dropping record references). ACs
-  // living on other shards are freed where they live.
-  std::map<uint32_t, std::vector<ACId>> remote;
-  for (const auto& [id, owner] : it->second->acs()) {
-    if (owner != index_) {
-      remote[owner].push_back(id);
+  // Free this client's audio contexts (dropping record references).
+  for (const ACId id : it->second->acs()) {
+    const auto ac_it = acs_.find(id);
+    if (ac_it == acs_.end()) {
       continue;
     }
-    const auto ac_it = acs_.find(id);
-    if (ac_it != acs_.end()) {
-      if (ac_it->second.recording) {
-        ac_it->second.device->ReleaseRecordRef();
-      }
-      acs_.erase(ac_it);
+    if (ac_it->second.recording) {
+      std::lock_guard<std::mutex> lock(server_.device_mutex(ac_it->second.device->id()));
+      ac_it->second.device->ReleaseRecordRef();
     }
-  }
-  for (auto& [shard, ids] : remote) {
-    Shard* t = server_.shards_[shard].get();
-    SendToShard(shard, [t, ids] { t->FreeRemoteACs(ids); });
+    acs_.erase(ac_it);
   }
   it->second->SyncFaultMetrics();
-  TraceInstant(*trace_, TraceKind::kReap, it->second->client_number());
+  TraceInstant(trace_, TraceKind::kReap, it->second->client_number());
   OplogRecord rec;
   rec.type = static_cast<uint16_t>(OplogType::kClientDisconnect);
   rec.client = it->second->client_number();
@@ -654,23 +581,10 @@ void Shard::EmitOplog(OplogRecord rec) {
   if (rec.corr == 0) {
     rec.corr = CurrentTraceCorr();
   }
-  TraceInstant(*trace_, TraceKind::kOplogEmit, rec.client, rec.value,
+  TraceInstant(trace_, TraceKind::kOplogEmit, rec.client, rec.value,
                static_cast<uint8_t>(rec.type));
   metrics_.oplog_records.Add();
   primary->Emit(rec);
-}
-
-void Shard::FreeRemoteACs(const std::vector<ACId>& ids) {
-  for (ACId id : ids) {
-    const auto it = acs_.find(id);
-    if (it == acs_.end()) {
-      continue;
-    }
-    if (it->second.recording) {
-      it->second.device->ReleaseRecordRef();
-    }
-    acs_.erase(it);
-  }
 }
 
 ServerAC* Shard::FindAC(ACId id) {
@@ -678,18 +592,24 @@ ServerAC* Shard::FindAC(ACId id) {
   return it == acs_.end() ? nullptr : &it->second;
 }
 
+std::unique_lock<std::mutex> Shard::LockDevice(DeviceId id) {
+  const uint32_t owner = server_.device_owner(id);
+  if (owner != index_) {
+    metrics_.cross_shard_plays.Add();
+  }
+  return std::unique_lock<std::mutex>(server_.shards_[owner]->device_mu_);
+}
+
 void Shard::PostEvent(AEvent event) {
   event.host_time_us = WallMicros();
   DeliverEventLocal(event);
-  const size_t n = server_.num_shards();
-  for (size_t s = 0; s < n; ++s) {
-    if (s == index_) {
+  for (const auto& s : server_.shards_) {
+    Shard* t = s.get();
+    if (t == this) {
       continue;
     }
     metrics_.cross_shard_events.Add();
-    Shard* t = server_.shards_[s].get();
-    SendToShard(static_cast<uint32_t>(s),
-                [t, event] { t->DeliverEventLocal(event); });
+    t->Post([t, event] { t->DeliverEventLocal(event); });
   }
 }
 
@@ -700,11 +620,6 @@ void Shard::DeliverEventLocal(const AEvent& event) {
         !client->WantsEvent(event.device, mask)) {
       continue;
     }
-    if (client->borrowed()) {
-      // The executor owns the output buffer right now; encode on return.
-      client->ParkEvent(event);
-      continue;
-    }
     AEvent copy = event;
     copy.seq = client->seq();
     copy.Encode(client->out());
@@ -713,6 +628,7 @@ void Shard::DeliverEventLocal(const AEvent& event) {
 }
 
 void Shard::OnPropertyChanged(DeviceId device, Atom property, bool deleted) {
+  // Runs inside the property request, which already holds the device lock.
   AEvent event;
   event.type = EventType::kPropertyChange;
   event.device = device;
@@ -727,7 +643,7 @@ void Shard::SuspendClient(const std::shared_ptr<ClientConn>& client,
                           const RequestHeader& header, std::span<const uint8_t> body,
                           size_t play_progress, AudioDevice& device, ATime resume_time) {
   metrics_.suspends.Add();
-  TraceInstant(*trace_, TraceKind::kSuspend, client->client_number(), 0,
+  TraceInstant(trace_, TraceKind::kSuspend, client->client_number(), 0,
                static_cast<uint8_t>(header.opcode));
   // The parked request keeps its correlation ID so the resume (possibly
   // many task-queue hops later) still links to the original client span.
@@ -740,8 +656,7 @@ void Shard::SuspendClient(const std::shared_ptr<ClientConn>& client,
   std::weak_ptr<ClientConn> weak = client;
   tasks_.AddIn(HostMicros(), delay_ms, [this, weak] {
     if (const std::shared_ptr<ClientConn> c = weak.lock()) {
-      // Live here either as a homed client or as a borrow being executed.
-      if (IsLive(c->fd())) {
+      if (IsLive(c)) {
         ResumeSuspended(c);
       }
     }
@@ -755,127 +670,14 @@ void Shard::ResumeSuspended(const std::shared_ptr<ClientConn>& client) {
   }
   metrics_.resumes.Add();
   ScopedTraceCorr corr_scope(suspended->corr);
-  TraceInstant(*trace_, TraceKind::kResume, client->client_number(), 0,
+  TraceInstant(trace_, TraceKind::kResume, client->client_number(), 0,
                static_cast<uint8_t>(suspended->header.opcode));
   DispatchRequest(client, suspended->header, suspended->body, suspended.get());
-  if (client->suspended()) {
-    return;  // blocked again
-  }
-  if (borrowed_.count(client->fd()) != 0) {
-    // A forwarded play/record finally completed on this (executor) shard;
-    // send the connection home.
-    CompleteForwarded(client);
-    return;
-  }
-  if (clients_.count(client->fd()) != 0) {
-    client->StageOutput();
-    // The blocked request completed; pick up anything buffered behind it.
-    ProcessBufferedRequests(client);
-  }
-}
-
-// --- cross-shard request forwarding ---------------------------------------
-
-void Shard::ForwardRequest(const std::shared_ptr<ClientConn>& client,
-                           const RequestHeader& header, std::span<const uint8_t> body,
-                           uint32_t target) {
-  const uint64_t corr = CurrentTraceCorr();
-  const uint64_t post_us = HostMicros();
-  client->BeginRemote(static_cast<uint8_t>(header.opcode), post_us,
-                      header.TotalBytes(), index_, corr);
-  metrics_.cross_shard_plays.Add();
-  Shard* t = server_.shards_[target].get();
-  SendToShard(target, [t, client, header, corr, post_us,
-                       body_copy = std::vector<uint8_t>(body.begin(), body.end())] {
-    t->ExecuteForwarded(client, header, body_copy, corr, post_us);
-  });
-}
-
-void Shard::ExecuteForwarded(const std::shared_ptr<ClientConn>& client,
-                             const RequestHeader& header,
-                             const std::vector<uint8_t>& body, uint64_t corr,
-                             uint64_t post_us) {
-  // The borrowed request carries its correlation ID across the mailbox:
-  // the hop instant (value = dwell in the mailbox, us) and the remote
-  // execution span both stamp it, so a merged timeline can draw
-  // ingress-dispatch -> mailbox -> owner-shard work as one causal chain.
-  ScopedTraceCorr corr_scope(corr);
-  const uint64_t t0_us = HostMicros();
-  if (trace_->enabled()) {
-    TraceEvent ev;
-    ev.kind = static_cast<uint8_t>(TraceKind::kMailboxHop);
-    ev.conn = client->client_number();
-    ev.host_us = t0_us;
-    ev.value = t0_us > post_us ? t0_us - post_us : 0;
-    ev.corr = corr;
-    trace_->Record(ev);
-  }
-  borrowed_.emplace(client->fd(), client);
-  DispatchRequest(client, header, body, nullptr);
-  if (trace_->enabled()) {
-    const uint64_t t1_us = HostMicros();
-    TraceEvent ev;
-    ev.kind = static_cast<uint8_t>(TraceKind::kRemoteExec);
-    ev.arg = static_cast<uint8_t>(header.opcode);
-    ev.conn = client->client_number();
-    ev.host_us = t0_us;
-    ev.dur_us = static_cast<uint32_t>(t1_us - t0_us);
-    ev.value = header.TotalBytes();
-    ev.corr = corr;
-    trace_->Record(ev);
-  }
-  if (!client->suspended()) {
-    CompleteForwarded(client);
-  }
-  // else: the play/record blocked; the resume task completes the borrow.
-}
-
-void Shard::CompleteForwarded(const std::shared_ptr<ClientConn>& client) {
-  borrowed_.erase(client->fd());
-  const uint32_t home = client->borrow_home();
-  Shard* h = server_.shards_[home].get();
-  SendToShard(home, [h, client] { h->FinishForwarded(client); });
-}
-
-void Shard::FinishForwarded(const std::shared_ptr<ClientConn>& client) {
-  FinishBorrowTail(client);
-}
-
-void Shard::FinishBorrowTail(const std::shared_ptr<ClientConn>& client) {
-  const ClientConn::RemoteOp op = client->EndRemote();
-  const uint64_t now_us = HostMicros();
-  const uint64_t dur_us = now_us > op.t0_us ? now_us - op.t0_us : 0;
-  if (op.opcode >= kMinOpcode && op.opcode <= kMaxOpcode) {
-    metrics_.op_count[op.opcode].Add();
-    // Recorded at the home shard and inclusive of the mailbox round trip:
-    // this is the latency the client observed.
-    metrics_.op_micros[op.opcode].Record(dur_us);
-  }
-  if (trace_->enabled()) {
-    TraceEvent ev;
-    ev.kind = static_cast<uint8_t>(TraceKind::kRequest);
-    ev.arg = op.opcode;
-    ev.conn = client->client_number();
-    ev.host_us = op.t0_us;
-    ev.dur_us = static_cast<uint32_t>(dur_us);
-    ev.value = op.bytes;
-    ev.corr = op.corr;
-    trace_->Record(ev);
-  }
-  if (clients_.count(client->fd()) == 0) {
-    return;  // reaped while borrowed (cannot happen today, but be safe)
+  if (client->suspended() || !IsLive(client)) {
+    return;  // blocked again, or dispatch closed the connection
   }
   client->StageOutput();
-  const std::vector<AEvent> parked = client->TakeParkedEvents();
-  for (const AEvent& event : parked) {
-    AEvent copy = event;
-    copy.seq = client->seq();
-    copy.Encode(client->out());
-    metrics_.events_sent.Add();
-  }
-  if (!parked.empty()) {
-    client->StageOutput();
-  }
+  // The blocked request completed; pick up anything buffered behind it.
   ProcessBufferedRequests(client);
 }
 
@@ -883,36 +685,37 @@ void Shard::FinishBorrowTail(const std::shared_ptr<ClientConn>& client) {
 
 void Shard::StartTraceGather(const std::shared_ptr<ClientConn>& client,
                              uint32_t flags) {
-  const size_t n = server_.num_shards();
+  // The same steps as SnapshotTraceLocal, with one difference: the other
+  // shards drain their rings on their own threads (Drain is
+  // owner-thread-only) and post the windows back. The rings share one
+  // generation gate, so flipping ours opens or closes every shard's window
+  // at this instant.
   if (flags & kTraceFlagEnable) {
-    for (size_t s = 0; s < n; ++s) {
-      server_.shards_[s]->trace().Enable(true);
-    }
+    trace_.Enable(true);
   }
   SyncClientFaultMetrics();
   TraceGather g;
   g.client = client;
-  g.flags = flags;
-  g.remaining = n - 1;
-  // Drain our own ring inline (Drain is owner-thread-only); the other
-  // shards drain theirs on their threads and mail the windows back.
-  trace_->Drain(&g.events);
-  g.dropped = trace_->dropped();
+  g.remaining = server_.num_shards() - 1;
+  trace_.Drain(&g.events);
+  g.dropped = trace_.dropped();
+  if (flags & kTraceFlagDisable) {
+    trace_.Enable(false);
+  }
   const uint32_t token = client->client_number();
   trace_gathers_[token] = std::move(g);
-  for (size_t s = 0; s < n; ++s) {
-    if (s == index_) {
+  for (const auto& s : server_.shards_) {
+    Shard* t = s.get();
+    if (t == this) {
       continue;
     }
-    Shard* t = server_.shards_[s].get();
     Shard* home = this;
-    const uint32_t home_idx = index_;
-    SendToShard(static_cast<uint32_t>(s), [t, home, home_idx, token] {
+    t->Post([t, home, token] {
       t->SyncClientFaultMetrics();
       auto window = std::make_shared<std::vector<TraceEvent>>();
       t->trace().Drain(window.get());
       const uint64_t dropped = t->trace().dropped();
-      t->SendToShard(home_idx, [home, token, window, dropped] {
+      home->Post([home, token, window, dropped] {
         home->FinishTraceGather(token, *window, dropped);
       });
     });
@@ -931,11 +734,6 @@ void Shard::FinishTraceGather(uint32_t token, std::vector<TraceEvent>& events,
   if (--g.remaining > 0) {
     return;
   }
-  if (g.flags & kTraceFlagDisable) {
-    for (size_t s = 0; s < server_.num_shards(); ++s) {
-      server_.shards_[s]->trace().Enable(false);
-    }
-  }
   // One timeline: interleave the per-shard windows by host timestamp.
   std::stable_sort(g.events.begin(), g.events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
@@ -946,27 +744,29 @@ void Shard::FinishTraceGather(uint32_t token, std::vector<TraceEvent>& events,
   wire.host_now_us = HostMicros();
   wire.events = std::move(g.events);
   wire.dropped = g.dropped;
-  wire.enabled = trace_->enabled() ? 1 : 0;
+  wire.enabled = trace_.enabled() ? 1 : 0;
   const std::shared_ptr<ClientConn> client = std::move(g.client);
   trace_gathers_.erase(it);
+  if (!IsLive(client)) {
+    return;
+  }
+  // The requester sat suspended since dispatch; release it with its reply.
+  client->TakeSuspended();
   wire.Encode(client->out(), client->seq());
-  FinishBorrowTail(client);
+  client->StageOutput();
+  ProcessBufferedRequests(client);
 }
 
 // --- observability ---------------------------------------------------------
 
 void Shard::SyncClientFaultMetrics() {
-  // Safe for borrowed connections too: the sync touches only home-owned
-  // fields (faults_synced_) and atomics, and the executor shard never
-  // calls it for a borrow. The GetTrace requester itself is borrowed at
-  // gather time, and its faults must land in the window.
   for (auto& [fd, client] : clients_) {
     client->SyncFaultMetrics();
   }
 }
 
 void Shard::SnapshotTraceLocal(uint32_t flags, TraceWire* out) {
-  TraceRing& tr = *trace_;
+  TraceRing& tr = trace_;
   if (flags & kTraceFlagEnable) {
     tr.Enable(true);
   }

@@ -9,21 +9,22 @@
 // behavior - fd for fd, counter for counter - is the PR 5 server.
 //
 // Ownership map:
-//   clients      - the shard that accepted/adopted the connection (home)
-//   devices      - assigned at AddDevice time; the owner runs the device's
-//                  update task and every request that touches it
-//   audio contexts - the shard owning the AC's device (so play/record
-//                  execute where the device lives)
-//   atoms/access - shared, guarded by AFServer::shared_mu_
+//   clients        - the shard that accepted/adopted the connection (home);
+//                    every request runs there
+//   audio contexts - the client's home shard
+//   devices        - assigned at AddDevice time; the owner runs the device's
+//                    periodic update task. Any shard may call the device,
+//                    holding the owner's device lock (device_mu_) for the
+//                    device call and the reply encode. One lock per owning
+//                    shard, not per device: devices that write each other's
+//                    buffers (HiFi mono views, pass-through pairs) must
+//                    share an owner, so one mutex covers them.
+//   atoms/access   - shared, guarded by AFServer::shared_mu_
 //
-// Cross-shard requests travel by lending the ClientConn itself: the home
-// shard freezes the connection (ClientConn::BeginRemote) and mails the
-// request plus the connection to the device's owner, which runs the
-// ordinary dispatch path against it - including suspension for would-block
-// plays - and mails the connection back when the reply bytes are staged.
-// The mailbox's release/acquire handoff is the only synchronization the
-// connection state needs. Events raised while a connection is borrowed
-// park at home and encode after it returns.
+// Everything else that crosses shards - device and property events,
+// handoff accepts, GetTrace gathers, AFServer::Post, promotion applies -
+// goes through the shard's inbox: a mutexed list drained by the loop
+// thread after a byte on the wake pipe. The inbox is FIFO per producer.
 #ifndef AF_SERVER_SHARD_H_
 #define AF_SERVER_SHARD_H_
 
@@ -36,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "server/mailbox.h"
 #include "server/server.h"
 
 namespace af {
@@ -51,13 +51,16 @@ class Shard {
 
   uint32_t index() const { return index_; }
 
+  // The shard whose loop runs on the calling thread (null elsewhere).
+  static Shard* Running();
+
   // --- loop ---------------------------------------------------------------
 
-  // One WaitForSomething iteration (same contract as the old
-  // AFServer::RunOnce). Returns false when a stop was requested.
+  // One WaitForSomething iteration. Returns false when a stop was
+  // requested.
   bool RunOnce(int max_timeout_ms = -1);
-  // Thread body: redirects GlobalTrace() to this shard's ring, loops until
-  // stopped, restores the redirect.
+  // Thread body: routes GlobalTrace() to this shard's ring, loops until
+  // stopped, restores the default ring.
   void RunLoop();
 
   // Per-shard stop (the kill half of the torture kill/restart test) and
@@ -66,7 +69,7 @@ class Shard {
   void ClearLocalStop() { local_stop_.store(false, std::memory_order_relaxed); }
   void Wake();
 
-  // --- thread-safe ingress ------------------------------------------------
+  // --- the inbox (thread-safe) ---------------------------------------------
 
   void AdoptClient(FaultStream stream, PeerAddress peer);
   void Post(std::function<void()> fn);
@@ -77,19 +80,17 @@ class Shard {
   // Schedules the periodic update task for a device this shard owns.
   void ScheduleDeviceUpdate(DeviceId id);
 
-  // --- cross-shard ----------------------------------------------------------
+  // --- events ---------------------------------------------------------------
 
-  // Posts fn to `target`'s mailbox (runs inline if target is this shard).
-  // Loop-thread only.
-  void SendToShard(uint32_t target, std::function<void()> fn);
-  // Fans an event out to this shard's clients and forwards it to every
-  // other shard. Runs on this shard's thread (device sinks fire here).
+  // Delivers an event to this shard's clients and posts it to every other
+  // shard's inbox. Runs on this shard's thread: device sinks and property
+  // hooks fire on whichever shard called the device.
   void PostEvent(AEvent event);
   void OnPropertyChanged(DeviceId device, Atom property, bool deleted);
 
   // --- observability --------------------------------------------------------
 
-  // The old AFServer::SnapshotTrace, against this shard's ring.
+  // The single-shard GetTrace reply, against this shard's ring.
   void SnapshotTraceLocal(uint32_t flags, TraceWire* out);
   // This shard's text dump section. sync_clients touches clients_, so it
   // may only be true when called on this shard's thread (or when no shard
@@ -103,14 +104,14 @@ class Shard {
   const ServerMetrics& metrics() const { return metrics_; }
   MetricsRegistry& registry() { return registry_; }
   TaskQueue& tasks() { return tasks_; }
-  TraceRing& trace() { return *trace_; }
+  TraceRing& trace() { return trace_; }
   size_t client_count() const {
     return client_count_.load(std::memory_order_relaxed);
   }
-  uint64_t mailbox_depth_high_water() const {
-    return mailbox_ ? mailbox_->depth_high_water() : 0;
+  // Largest batch one inbox drain has found.
+  uint64_t inbox_depth_high_water() const {
+    return inbox_depth_hw_.load(std::memory_order_relaxed);
   }
-  uint64_t mailbox_spills() const { return mailbox_ ? mailbox_->spills() : 0; }
 
  private:
   friend class AFServer;
@@ -123,11 +124,11 @@ class Shard {
   void ProcessBufferedRequests(const std::shared_ptr<ClientConn>& client);
   void TrySetup(const std::shared_ptr<ClientConn>& client);
   void RemoveClient(int fd);
-  void DrainWakePipe();
-  void DrainMailbox();
-  // Live on this shard: owned by clients_ or currently borrowed here.
-  bool IsLive(int fd) const {
-    return clients_.count(fd) != 0 || borrowed_.count(fd) != 0;
+  void DrainInbox();
+  // True while `client` is still the connection this shard serves on its fd.
+  bool IsLive(const std::shared_ptr<ClientConn>& client) const {
+    const auto it = clients_.find(client->fd());
+    return it != clients_.end() && it->second == client;
   }
 
   // --- replication emit hook (PR 8) ---------------------------------------
@@ -145,30 +146,11 @@ class Shard {
                      size_t play_progress, AudioDevice& device, ATime resume_time);
   void ResumeSuspended(const std::shared_ptr<ClientConn>& client);
   ServerAC* FindAC(ACId id);
+  // Takes the device lock of the shard that owns `id`, counting requests
+  // that run against another shard's device.
+  std::unique_lock<std::mutex> LockDevice(DeviceId id);
 
-  // Which shard should execute this request (this shard for everything
-  // that is not bound to a remote device or AC).
-  uint32_t RouteTarget(Opcode op, std::span<const uint8_t> body, WireOrder order,
-                       ClientConn& client) const;
-
-  // --- cross-shard forwarding ----------------------------------------------
-  void ForwardRequest(const std::shared_ptr<ClientConn>& client,
-                      const RequestHeader& header, std::span<const uint8_t> body,
-                      uint32_t target);
-  // corr is the request's correlation ID (0 = untraced); post_us is when
-  // the home shard posted the message, so the executor can record the
-  // mailbox dwell as a kMailboxHop span.
-  void ExecuteForwarded(const std::shared_ptr<ClientConn>& client,
-                        const RequestHeader& header, const std::vector<uint8_t>& body,
-                        uint64_t corr, uint64_t post_us);
-  void CompleteForwarded(const std::shared_ptr<ClientConn>& client);
-  void FinishForwarded(const std::shared_ptr<ClientConn>& client);
-  // Tail shared by every borrow completion: op metrics + request trace,
-  // stage, deliver parked events, resume the client's backlog.
-  void FinishBorrowTail(const std::shared_ptr<ClientConn>& client);
   void DeliverEventLocal(const AEvent& event);
-  // Frees AC entries owned here on behalf of a client reaped elsewhere.
-  void FreeRemoteACs(const std::vector<ACId>& ids);
 
   // --- GetTrace aggregation (multi-shard) ----------------------------------
   void StartTraceGather(const std::shared_ptr<ClientConn>& client, uint32_t flags);
@@ -180,7 +162,8 @@ class Shard {
 
   // References into AFServer's shared state, named as the pre-shard server
   // members so dispatch.cc reads unchanged. devices_/properties_ are
-  // append-only before the loops start; atoms_/access_ take shared_mu_.
+  // append-only before the loops start; atoms_/access_ take shared_mu_;
+  // each device and its property store take the owner's device_mu_.
   const AFServer::Options& opts_;
   std::vector<std::unique_ptr<AudioDevice>>& devices_;
   std::vector<std::unique_ptr<PropertyStore>>& properties_;
@@ -188,19 +171,27 @@ class Shard {
   AccessControl& access_;
   std::mutex& shared_mu_;
 
+  // Guards the devices this shard owns (and their property stores).
+  std::mutex device_mu_;
+
   TaskQueue tasks_;
+  std::vector<uint64_t> update_deadline_us_;  // by device id: next update due
   Poller poller_;
   std::vector<Listener> listeners_;
   std::map<int, std::shared_ptr<ClientConn>> clients_;
-  std::map<int, std::shared_ptr<ClientConn>> borrowed_;  // executing here
   std::map<ACId, ServerAC> acs_;
   uint32_t next_client_number_;  // starts at index+1, strides by shard count
 
-  // Cross-thread wake-up (Stop / AdoptClient / Post).
+  // The inbox. Producers append under inbox_mu_ and write the wake pipe;
+  // the loop swaps the lists out into the scratch pair (which keeps the
+  // capacity, so steady traffic allocates nothing) and runs them.
   int wake_pipe_[2] = {-1, -1};
-  std::mutex adopt_mu_;
+  std::mutex inbox_mu_;
   std::vector<std::pair<FaultStream, PeerAddress>> pending_adoptions_;
   std::vector<std::function<void()>> pending_actions_;
+  std::vector<std::pair<FaultStream, PeerAddress>> adoption_scratch_;
+  std::vector<std::function<void()>> action_scratch_;
+  std::atomic<uint64_t> inbox_depth_hw_{0};
   std::atomic<bool> local_stop_{false};
 
   bool work_pending_ = false;
@@ -208,19 +199,13 @@ class Shard {
   MetricsRegistry registry_;
   std::atomic<size_t> client_count_{0};
 
-  // Shard 0 records into the process-wide ring (1-shard behavior is
-  // byte-identical to PR 5); other shards own private rings.
-  std::unique_ptr<TraceRing> own_trace_;
-  TraceRing* trace_ = nullptr;
+  TraceRing trace_;
   int flight_slot_ = -1;  // crash flight-recorder registration, -1 = none
 
-  std::unique_ptr<ShardMailbox> mailbox_;  // only when the server has > 1 shard
-  std::vector<ShardMailbox::Message> mailbox_scratch_;
   uint32_t accept_rr_ = 0;  // round-robin cursor for handoff accept mode
 
   struct TraceGather {
     std::shared_ptr<ClientConn> client;
-    uint32_t flags = 0;
     size_t remaining = 0;
     uint64_t dropped = 0;
     std::vector<TraceEvent> events;

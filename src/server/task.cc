@@ -27,14 +27,14 @@ int TaskQueue::NextTimeoutMs(uint64_t now_us) const {
 void TaskQueue::RunDue(uint64_t now_us) {
   // Bound the sweep to tasks already due at entry; a task that reschedules
   // itself for "now" must not spin this loop forever.
-  std::vector<TaskProc> due;
   while (!heap_.empty() && heap_.top().run_at_us <= now_us) {
-    due.push_back(std::move(const_cast<Entry&>(heap_.top()).proc));
+    due_.push_back(std::move(const_cast<Entry&>(heap_.top()).proc));
     heap_.pop();
   }
-  for (TaskProc& proc : due) {
+  for (TaskProc& proc : due_) {
     proc();
   }
+  due_.clear();
 }
 
 }  // namespace af

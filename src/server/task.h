@@ -52,6 +52,7 @@ class TaskQueue {
   };
 
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<TaskProc> due_;  // RunDue's batch; keeps its capacity
   uint64_t next_seq_ = 0;
 };
 

@@ -8,9 +8,9 @@
 // and samples-lost (discard) accounting; Goertzel DTMF detection at
 // hostile block boundaries and through 8 kHz <-> 48 kHz resampling; and
 // the abridge core end to end over a live server - floor grabs driven by
-// decoded key presses, cross-shard fan-in with no lost mailbox plays
-// (re-run under AF_SHARDS=4 on both poller backends), and a seeded
-// kill-one-party-mid-mix torture via FaultStream.
+// decoded key presses, cross-shard fan-in with no lost plays (re-run
+// under AF_SHARDS=4), and a seeded kill-one-party-mid-mix torture via
+// FaultStream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -581,9 +581,9 @@ TEST(BridgeEndToEndTest, RotationArbitrationNeedsNoDetectors) {
 
 // The cross-shard fan-in contract: run the conference with parties pinned
 // round-robin across however many shards AF_SHARDS grants (the _shard4
-// re-runs make this 4, on both poller backends). Every forwarded play must
-// drain, nothing may be lost, and the mailbox depth stays bounded by the
-// synchronous client count.
+// re-run makes this 4). Every play from a shard other than the device's
+// owner runs under the owner's device lock, nothing may be lost, and the
+// inboxes balance with a depth bounded by the synchronous client count.
 TEST(BridgeEndToEndTest, CrossShardFanInLosesNothing) {
   const int shards = ShardsFromEnv();
   ServerRunner::Config config;
@@ -621,22 +621,24 @@ TEST(BridgeEndToEndTest, CrossShardFanInLosesNothing) {
   EXPECT_EQ(counters[DeviceCounterIndex("play_underrun_samples")], 0u);
 
   if (shards > 1) {
+    const size_t plays_idx = ServerCounterIndex("cross_shard_plays");
     const size_t posted_idx = ServerCounterIndex("cross_shard_posted");
     const size_t drained_idx = ServerCounterIndex("cross_shard_drained");
     const size_t depth_idx = ServerCounterIndex("mailbox_depth_hw");
-    uint64_t posted = 0, drained = 0, depth_hw = 0;
+    uint64_t xplays = 0, posted = 0, drained = 0, depth_hw = 0;
     ASSERT_EQ(s.shards.size(), static_cast<size_t>(shards));
     for (const ShardStatsWire& sh : s.shards) {
+      xplays += sh.counters[plays_idx];
       posted += sh.counters[posted_idx];
       drained += sh.counters[drained_idx];
       depth_hw = std::max(depth_hw, sh.counters[depth_idx]);
     }
-    // The 10 clients (8 parties + 2 fleet) not on the owner shard forward
-    // 12 plays each to the device owner.
+    // The clients (of 8 parties + 2 fleet) not on the owner shard play 12
+    // blocks each against its device.
     const uint64_t off_owner =
         10 - (10 + static_cast<uint64_t>(shards) - 1) / shards;
-    EXPECT_GE(posted, off_owner * 12);
-    EXPECT_EQ(posted, drained) << "forwarded plays were lost in a mailbox";
+    EXPECT_GE(xplays, off_owner * 12);
+    EXPECT_EQ(posted, drained) << "an inbox message was lost";
     // Plays are synchronous per party: at most one outstanding message per
     // connected client (plus control traffic) can ever queue.
     EXPECT_LE(depth_hw, 2u * 10u);
@@ -646,9 +648,9 @@ TEST(BridgeEndToEndTest, CrossShardFanInLosesNothing) {
 // Seeded torture: one party's server-side stream is cut mid-conference (a
 // FaultStream EOF at a scripted byte offset, a different offset per
 // round). The survivors must keep mixing as if nothing happened and the
-// mailboxes must balance. Under AF_SHARDS=4 the survivors are pinned
-// across shards, so their plays keep crossing the borrow protocol while
-// the victim's connection is torn down.
+// inboxes must balance. Under AF_SHARDS=4 the survivors are pinned across
+// shards, so their plays keep taking the owner's device lock while the
+// victim's connection is torn down.
 TEST(BridgeEndToEndTest, KillOnePartyMidMixSurvivorsKeepTheConference) {
   const int shards = ShardsFromEnv();
   std::mt19937 rng(0xB21D);

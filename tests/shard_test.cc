@@ -1,26 +1,32 @@
-// The sharded server (PR 6): the cross-shard mailbox in isolation, then a
-// four-shard server exercised through the public client API.
+// The sharded server (PR 6): the per-shard inbox, a four-shard server
+// exercised through the public client API, and the device lock under real
+// concurrency.
 //
-// The mailbox tests pin the SPSC contract (FIFO per producer ring, spill
-// beyond kRingCapacity, wake semantics, HasPending) and run a seeded
-// multi-producer soak that is the TSan target for the whole hand-off
-// design: every producer thread owns exactly one ring, the consumer drains
-// from its own thread, and the release/acquire cursor pair is the only
-// synchronization - any missing fence shows up as a data-race report or a
-// sequence gap here.
+// Every request runs on its connection's home shard; a request for a
+// device another shard owns takes that shard's device lock. The server
+// tests pin clients to specific shards (AdoptClientOnShard) so requests to
+// the shard-0-owned CODEC run against another shard's device, events fan
+// out across shards, faults land on such connections, a shard thread is
+// killed and restarted, and stats/trace aggregate at reply time.
 //
-// The server tests pin clients to specific shards (AdoptClientOnShard) so
-// every request to the shard-0-owned CODEC crosses a shard boundary:
-// dispatch via the borrow protocol, events fanning out across shards,
-// faults on a borrowed connection, kill/restart of a shard thread, and
-// stats/trace aggregation at reply time.
+// The bridge tests drive all their parties from one thread, so no two
+// shards ever touch a device at the same instant there. The fan-in test
+// here does: one client thread per shard, all mixing into one CODEC while
+// its update runs, checked against an arrival-order-free oracle. A global
+// operator-new hook, counting on shard threads only, pins that a play
+// against another shard's device allocates exactly like a local one.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <new>
 #include <random>
 #include <set>
 #include <thread>
@@ -29,12 +35,42 @@
 #include "client/audio_context.h"
 #include "client/connection.h"
 #include "clients/server_runner.h"
+#include "dsp/mix.h"
 #include "proto/stats.h"
 #include "proto/trace_wire.h"
-#include "server/mailbox.h"
 #include "server/shard.h"
 #include "transport/fault_stream.h"
 #include "transport/stream.h"
+
+// --- allocation counting on shard threads -----------------------------------
+
+namespace {
+std::atomic<bool> g_count_shard_allocs{false};
+std::atomic<size_t> g_shard_allocs{0};
+thread_local bool t_shard_thread = false;
+
+void* CountedAlloc(std::size_t n) {
+  if (t_shard_thread && g_count_shard_allocs.load(std::memory_order_relaxed)) {
+    g_shard_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(n ? n : 1);
+}
+}  // namespace
+
+void* operator new(std::size_t n) {
+  void* p = CountedAlloc(n);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return CountedAlloc(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return CountedAlloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace af {
 namespace {
@@ -49,104 +85,45 @@ size_t CounterIndex(const char* name) {
   return 0;
 }
 
-// --- mailbox unit tests -----------------------------------------------------
-
-TEST(ShardMailboxTest, FifoPerProducerRing) {
-  ShardMailbox box(3);  // owner = shard 0; producers 1 and 2
-  std::vector<int> got;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(box.Post(1, [&got, i] { got.push_back(100 + i); }));
-    EXPECT_TRUE(box.Post(2, [&got, i] { got.push_back(200 + i); }));
-  }
-  EXPECT_TRUE(box.HasPending());
-  std::vector<ShardMailbox::Message> msgs;
-  EXPECT_EQ(box.Drain(&msgs), 8u);
-  for (auto& m : msgs) m();
-  ASSERT_EQ(got.size(), 8u);
-  // Order within one producer's ring is FIFO even though the interleaving
-  // between rings is unspecified.
-  std::vector<int> ring1, ring2;
-  for (int v : got) (v < 200 ? ring1 : ring2).push_back(v);
-  EXPECT_EQ(ring1, (std::vector<int>{100, 101, 102, 103}));
-  EXPECT_EQ(ring2, (std::vector<int>{200, 201, 202, 203}));
-  EXPECT_FALSE(box.HasPending());
-}
-
-TEST(ShardMailboxTest, OverflowSpillsWithoutLoss) {
-  ShardMailbox box(2);
-  std::atomic<int> ran{0};
-  const size_t total = ShardMailbox::kRingCapacity + 10;
-  size_t ringed = 0;
-  for (size_t i = 0; i < total; ++i) {
-    if (box.Post(1, [&ran] { ran.fetch_add(1); })) {
-      ++ringed;
-    }
-  }
-  EXPECT_EQ(ringed, ShardMailbox::kRingCapacity);
-  EXPECT_EQ(box.spills(), 10u);
-  std::vector<ShardMailbox::Message> msgs;
-  EXPECT_EQ(box.Drain(&msgs), total);
-  for (auto& m : msgs) m();
-  EXPECT_EQ(ran.load(), static_cast<int>(total));
-  EXPECT_FALSE(box.HasPending());
-  // The high-water mark tracks drained batch sizes, so it records the full
-  // backlog the stalled consumer found.
-  EXPECT_GE(box.depth_high_water(), total);
-}
-
-TEST(ShardMailboxTest, WakeAndPendingSemantics) {
-  ShardMailbox box(2);
-  EXPECT_FALSE(box.ConsumeWake());
-  EXPECT_FALSE(box.HasPending());
-  EXPECT_TRUE(box.Post(1, [] {}));
-  EXPECT_TRUE(box.HasPending());
-  EXPECT_TRUE(box.ConsumeWake());
-  // The message is still pending after the wake is consumed - exactly the
-  // state the shard loop's post-drain HasPending() check exists for.
-  EXPECT_TRUE(box.HasPending());
-  EXPECT_FALSE(box.ConsumeWake());
-  std::vector<ShardMailbox::Message> msgs;
-  EXPECT_EQ(box.Drain(&msgs), 1u);
-  EXPECT_FALSE(box.HasPending());
-}
-
-// The TSan target: P producer threads, each owning its ring per the SPSC
-// contract, against one consumer thread. Per-producer sequence numbers
-// must arrive gap-free and in order; the seeded jitter varies the
-// interleavings between runs of the soak loop in CI.
-TEST(ShardMailboxTest, SeededMultiProducerSoakKeepsOrder) {
-  constexpr size_t kProducers = 4;
-  constexpr uint64_t kPerProducer = 5000;
-  ShardMailbox box(kProducers + 1);  // ring 0 (the owner's) stays idle
-
-  std::vector<uint64_t> next_expected(kProducers + 1, 0);
-  std::atomic<uint64_t> received{0};
-  std::atomic<bool> order_ok{true};
-
-  std::thread consumer([&] {
-    std::vector<ShardMailbox::Message> msgs;
-    while (received.load(std::memory_order_relaxed) < kProducers * kPerProducer) {
-      box.ConsumeWake();
-      msgs.clear();
-      if (box.Drain(&msgs) == 0) {
-        std::this_thread::yield();
-        continue;
-      }
-      for (auto& m : msgs) m();
-    }
+// Runs fn on `shard`'s loop thread and waits for it.
+void RunOnShard(AFServer& server, uint32_t shard, std::function<void()> fn) {
+  std::promise<void> done;
+  server.PostToShard(shard, [&] {
+    fn();
+    done.set_value();
   });
+  done.get_future().wait();
+}
 
+// --- the inbox ----------------------------------------------------------------
+
+// Producer threads post sequence-numbered messages into one shard's inbox;
+// each producer's messages must run in order, none lost, and the shard's
+// posted and drained counters must agree once a trailing barrier has run.
+TEST(ShardInboxTest, FifoPerProducer) {
+  ServerRunner::Config config;
+  config.realtime = false;
+  config.server.num_shards = 2;
+  auto runner = ServerRunner::Start(std::move(config));
+  ASSERT_NE(runner, nullptr);
+  AFServer& server = runner->server();
+  Shard* target = server.shard(1);
+  RunOnShard(server, 1, [] {});  // the shard is up and its inbox idle
+  const uint64_t posted_before = target->metrics().cross_shard_posted.Value();
+
+  constexpr size_t kProducers = 4;
+  constexpr uint64_t kPerProducer = 2000;
+  // Touched only on shard 1's thread, inside the posted messages.
+  std::vector<uint64_t> next_expected(kProducers, 0);
+  bool order_ok = true;
   std::vector<std::thread> producers;
-  for (size_t p = 1; p <= kProducers; ++p) {
+  for (size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       std::mt19937_64 rng(0xF00D + p);
       for (uint64_t seq = 0; seq < kPerProducer; ++seq) {
-        box.Post(p, [&, p, seq] {
-          if (next_expected[p] != seq) {
-            order_ok.store(false, std::memory_order_relaxed);
-          }
+        server.PostToShard(1, [&, p, seq] {
+          order_ok = order_ok && next_expected[p] == seq;
           next_expected[p] = seq + 1;
-          received.fetch_add(1, std::memory_order_relaxed);
         });
         if ((rng() & 0x3F) == 0) {
           std::this_thread::yield();
@@ -154,14 +131,21 @@ TEST(ShardMailboxTest, SeededMultiProducerSoakKeepsOrder) {
       }
     });
   }
-  for (auto& t : producers) t.join();
-  consumer.join();
+  for (auto& t : producers) {
+    t.join();
+  }
+  // Posted after every producer's last message, so it runs after them.
+  RunOnShard(server, 1, [] {});
 
-  EXPECT_TRUE(order_ok.load());
-  EXPECT_EQ(received.load(), kProducers * kPerProducer);
-  for (size_t p = 1; p <= kProducers; ++p) {
+  EXPECT_TRUE(order_ok);
+  for (size_t p = 0; p < kProducers; ++p) {
     EXPECT_EQ(next_expected[p], kPerProducer) << "producer " << p;
   }
+  EXPECT_EQ(target->metrics().cross_shard_posted.Value() - posted_before,
+            kProducers * kPerProducer + 1);
+  EXPECT_EQ(target->metrics().cross_shard_posted.Value(),
+            target->metrics().cross_shard_drained.Value());
+  EXPECT_GE(target->inbox_depth_high_water(), 1u);
 }
 
 // --- four-shard server tests ------------------------------------------------
@@ -214,9 +198,22 @@ TEST_F(ShardServerTest, RoundRobinAdoptSpreadsAcrossShards) {
   }
 }
 
-TEST_F(ShardServerTest, CrossShardDispatchUsesMailbox) {
+// Device requests against another shard's device run on the home shard
+// under the owner's device lock: nothing is posted anywhere, and the home
+// shard counts them as cross-shard device requests.
+TEST_F(ShardServerTest, CrossShardPlaysPostNothing) {
   auto conn = ConnectOnShard(2);
   ASSERT_NE(conn, nullptr);
+  conn->Sync();  // adopted: the adoption's inbox message is behind us
+  const auto total_posted = [&] {
+    uint64_t n = 0;
+    for (uint32_t s = 0; s < 4; ++s) {
+      n += runner_->server().shard(s)->metrics().cross_shard_posted.Value();
+    }
+    return n;
+  };
+  const uint64_t posted_before = total_posted();
+
   const DeviceId dev = runner_->codec_id();
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(conn->GetTime(dev).ok());
@@ -229,17 +226,9 @@ TEST_F(ShardServerTest, CrossShardDispatchUsesMailbox) {
   std::vector<uint8_t> tone(160, 0xFF);
   EXPECT_TRUE(ac.value()->PlaySamples(now.value() + 400, tone).ok());
 
-  // The home shard counts both the mailbox posts and the forwarded device
-  // requests; the executor's drain count proves they arrived.
-  const uint64_t posted =
-      runner_->server().shard(2)->metrics().cross_shard_posted.Value();
-  const uint64_t forwarded =
-      runner_->server().shard(2)->metrics().cross_shard_plays.Value();
-  const uint64_t drained =
-      runner_->server().shard(0)->metrics().cross_shard_drained.Value();
-  EXPECT_GT(posted, 0u);
-  EXPECT_GT(forwarded, 0u);
-  EXPECT_GT(drained, 0u);
+  EXPECT_EQ(total_posted(), posted_before);
+  EXPECT_GE(runner_->server().shard(2)->metrics().cross_shard_plays.Value(), 8u);
+  EXPECT_EQ(runner_->server().shard(0)->metrics().cross_shard_plays.Value(), 0u);
 }
 
 TEST_F(ShardServerTest, EventsCrossShards) {
@@ -255,19 +244,57 @@ TEST_F(ShardServerTest, EventsCrossShards) {
                           PropertyMode::kReplace, payload);
   changer->Sync();
 
-  // The change executes on shard 0 (the device owner), the watcher lives
-  // on shard 3: the event must hop the mailbox to arrive.
+  // The change runs on shard 1 (the changer's home), the watcher lives on
+  // shard 3: the event must cross shard 3's inbox to arrive.
   AEvent event;
   ASSERT_TRUE(watcher->NextEvent(&event).ok());
   EXPECT_EQ(event.type, EventType::kPropertyChange);
   EXPECT_EQ(event.w0, kAtomLAST_NUMBER_DIALED);
-  EXPECT_GT(runner_->server().shard(0)->metrics().cross_shard_events.Value(), 0u);
+  EXPECT_EQ(runner_->server().shard(1)->metrics().cross_shard_events.Value(), 3u);
 }
 
-TEST_F(ShardServerTest, FaultedBorrowedConnectionSurvives) {
+// Shard 1 is stopped while a storm of property changes on shard 0 posts
+// one event per change into its inbox. Nothing may be lost: once the shard
+// restarts, its watcher receives every event.
+TEST_F(ShardServerTest, StoppedShardLosesNoInboxMessages) {
+  auto watcher = ConnectOnShard(1);
+  auto stormer = ConnectOnShard(0);
+  ASSERT_NE(watcher, nullptr);
+  ASSERT_NE(stormer, nullptr);
+  watcher->SelectEvents(0, kPropertyChangeMask);
+  watcher->Sync();
+  stormer->Sync();
+
+  Shard* stopped = runner_->server().shard(1);
+  ASSERT_TRUE(runner_->server().StopShard(1));
+  const uint64_t posted_before = stopped->metrics().cross_shard_posted.Value();
+  constexpr size_t kStorm = 300;
+  const uint8_t payload[] = {'s', 't', 'o', 'r', 'm'};
+  for (size_t i = 0; i < kStorm; ++i) {
+    stormer->ChangeProperty(0, kAtomLAST_NUMBER_DIALED, kAtomSTRING, 8,
+                            PropertyMode::kReplace, payload);
+  }
+  stormer->Sync();
+  EXPECT_EQ(stopped->metrics().cross_shard_posted.Value() - posted_before, kStorm);
+  EXPECT_LT(stopped->metrics().cross_shard_drained.Value(),
+            stopped->metrics().cross_shard_posted.Value());
+
+  ASSERT_TRUE(runner_->server().RestartShard(1));
+  for (size_t i = 0; i < kStorm; ++i) {
+    AEvent event;
+    ASSERT_TRUE(watcher->NextEvent(&event).ok()) << "event " << i;
+    ASSERT_EQ(event.type, EventType::kPropertyChange) << "event " << i;
+  }
+  watcher->Sync();
+  EXPECT_EQ(watcher->EventsQueued(AFAudioConn::QueuedMode::kAfterReading), 0);
+  EXPECT_EQ(stopped->metrics().cross_shard_posted.Value(),
+            stopped->metrics().cross_shard_drained.Value());
+}
+
+TEST_F(ShardServerTest, FaultedCrossShardConnectionSurvives) {
   // Server-side read faults on a shard-1 client whose every device request
-  // is executed on shard 0: chunked reads and short delays land while the
-  // connection is being lent back and forth.
+  // runs against shard 0's device: chunked reads and short delays land
+  // between the device lock's acquisitions.
   auto faults = std::make_shared<FaultSchedule>();
   faults->SetMaxReadChunk(3);
   faults->DelayReadAt(64, 200);
@@ -371,11 +398,18 @@ TEST_F(ShardServerTest, TraceWindowsShareOneGeneration) {
     ASSERT_NE(conn, nullptr);
     conns.push_back(std::move(conn));
   }
+  // A shard records a reply's flush instant just after the write, so the
+  // client can move on first. Let every shard finish its setup-reply
+  // iteration: a flush recorded after the first window opened would stamp
+  // that shard's start marker into the enabling fetch's window instead.
+  for (uint32_t s = 0; s < 4; ++s) {
+    RunOnShard(runner_->server(), s, [] {});
+  }
 
   auto window_generations = [&]() -> std::map<uint64_t, std::set<uint16_t>> {
     EXPECT_TRUE(conns[0]->GetTrace(kTraceFlagEnable).ok());
-    // Traffic from every shard: the home shard records the read/dispatch,
-    // shard 0 (the CODEC owner) records the borrowed execution.
+    // Traffic from every shard: each home shard records its own client's
+    // read, dispatch, and device work.
     for (auto& conn : conns) {
       EXPECT_TRUE(conn->GetTime(runner_->codec_id()).ok());
     }
@@ -405,6 +439,191 @@ TEST_F(ShardServerTest, TraceWindowsShareOneGeneration) {
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second.begin()->first, first.begin()->first + 2);
   EXPECT_EQ(second.begin()->second.size(), 4u);
+}
+
+// --- the device lock under real concurrency --------------------------------
+
+// Mu-law bytes that mixing into silence leaves unchanged, so a region reads
+// back the same whether its play was copied in or mixed over silence.
+std::vector<uint8_t> SilenceStableBlock(std::mt19937& rng, size_t frames) {
+  std::vector<uint8_t> raw(frames);
+  for (uint8_t& b : raw) {
+    b = static_cast<uint8_t>(rng());
+  }
+  std::vector<uint8_t> block(frames, 0xFF);
+  MixMulawBlock(block, raw);
+  return block;
+}
+
+// Three client threads, one per shard, play at once into the shard-0 CODEC
+// while shard 0 runs its update over an advancing clock. Each round's
+// update window is split into three disjoint slices, one per thread, so
+// the buffer the device ends up with does not depend on arrival order.
+TEST(ConcurrentFanInTest, ThreeShardsMixIntoOneDeviceWithoutLoss) {
+  constexpr uint32_t kShards = 3;
+  constexpr size_t kRounds = 200;
+  constexpr size_t kBlock = 40;     // frames per play
+  constexpr ATime kLead = 1024;     // first slice starts one hw ring ahead
+  constexpr ATime kMaxAdvance = 512;  // clock drift during the run, < kLead
+
+  ServerRunner::Config config;
+  config.realtime = false;
+  config.server.num_shards = kShards;
+  auto runner = ServerRunner::Start(std::move(config));
+  ASSERT_NE(runner, nullptr);
+  AFServer& server = runner->server();
+  const DeviceId dev = runner->codec_id();
+  auto clock = runner->manual_clock();
+  const auto locked_update = [&] {
+    runner->RunOnLoop([&] {
+      std::lock_guard<std::mutex> lock(server.device_mutex(dev));
+      runner->codec()->Update();
+    });
+  };
+  locked_update();
+  while (clock->Now() < 8000) {
+    clock->Advance(256);
+    locked_update();
+  }
+  const ATime t0 = static_cast<ATime>(clock->Now());
+
+  std::mt19937 rng(0xFA41);
+  std::vector<std::vector<uint8_t>> blocks(kShards * kRounds);
+  std::vector<uint8_t> oracle;
+  for (auto& b : blocks) {
+    b = SilenceStableBlock(rng, kBlock);
+    std::vector<uint8_t> again(kBlock, 0xFF);
+    MixMulawBlock(again, b);
+    ASSERT_EQ(again, b);
+    oracle.insert(oracle.end(), b.begin(), b.end());
+  }
+
+  std::vector<std::unique_ptr<AFAudioConn>> conns;
+  std::vector<AC*> acs;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    auto conn = runner->ConnectInProcessOnShard(s);
+    ASSERT_TRUE(conn.ok());
+    conns.push_back(conn.take());
+    ACAttributes attrs;
+    attrs.encoding = AEncodeType::kMu255;
+    auto ac = conns.back()->CreateAC(dev, kACEncodingType, attrs);
+    ASSERT_TRUE(ac.ok());
+    acs.push_back(ac.value());
+  }
+  const DeviceMetrics& m = runner->codec()->metrics();
+  const uint64_t mixed_before = m.mixed_writes.Value();
+  const uint64_t discarded_before = m.play_discarded_frames.Value();
+  const uint64_t underrun_before = m.play_underrun_samples.Value();
+
+  std::atomic<bool> go{false};
+  std::atomic<size_t> running{kShards};
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> players;
+  for (uint32_t s = 0; s < kShards; ++s) {
+    players.emplace_back([&, s] {
+      while (!go.load()) {
+        std::this_thread::yield();
+      }
+      for (size_t r = 0; r < kRounds; ++r) {
+        const size_t slot = r * kShards + s;
+        const ATime start = t0 + kLead + static_cast<ATime>(slot * kBlock);
+        if (!acs[s]->PlaySamples(start, blocks[slot]).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  go.store(true);
+  // The owner's update, racing the plays, over a clock that keeps moving:
+  // it copies buffered play data out to the hardware ring while the
+  // players write into the same buffer.
+  size_t updates = 0;
+  while (running.load() > 0) {
+    if (static_cast<ATime>(clock->Now()) - t0 < kMaxAdvance) {
+      clock->Advance(2);
+    }
+    locked_update();
+    ++updates;
+  }
+  for (auto& t : players) {
+    t.join();
+  }
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GT(updates, 0u);
+
+  std::vector<uint8_t> got(oracle.size());
+  runner->RunOnLoop([&] {
+    std::lock_guard<std::mutex> lock(server.device_mutex(dev));
+    runner->codec()->play_buffer().Read(t0 + kLead, got);
+  });
+  EXPECT_TRUE(got == oracle) << "the mixed buffer differs from the oracle";
+  EXPECT_EQ(m.mixed_writes.Value() - mixed_before, kShards * kRounds);
+  EXPECT_EQ(m.play_discarded_frames.Value(), discarded_before);
+  EXPECT_EQ(m.play_underrun_samples.Value(), underrun_before);
+  EXPECT_GT(server.shard(1)->metrics().cross_shard_plays.Value(), 0u);
+  EXPECT_GT(server.shard(2)->metrics().cross_shard_plays.Value(), 0u);
+}
+
+// A play against another shard's device takes a lock where a local one
+// does not, and nothing else: it must allocate exactly as often. Counted
+// on shard threads only (the client library allocates on its own thread).
+TEST(ShardAllocTest, CrossShardPlayAllocatesLikeALocalOne) {
+  ServerRunner::Config config;
+  config.realtime = false;
+  config.server.num_shards = 2;
+  auto runner = ServerRunner::Start(std::move(config));
+  ASSERT_NE(runner, nullptr);
+  AFServer& server = runner->server();
+  for (uint32_t s = 0; s < 2; ++s) {
+    RunOnShard(server, s, [] { t_shard_thread = true; });
+  }
+
+  const DeviceId dev = runner->codec_id();
+  std::vector<std::unique_ptr<AFAudioConn>> conns;
+  std::vector<AC*> acs;
+  for (uint32_t s = 0; s < 2; ++s) {
+    auto conn = runner->ConnectInProcessOnShard(s);
+    ASSERT_TRUE(conn.ok());
+    conns.push_back(conn.take());
+    ACAttributes attrs;
+    attrs.encoding = AEncodeType::kMu255;
+    auto ac = conns.back()->CreateAC(dev, kACEncodingType, attrs);
+    ASSERT_TRUE(ac.ok());
+    acs.push_back(ac.value());
+  }
+  auto now = conns[0]->GetTime(dev);
+  ASSERT_TRUE(now.ok());
+  const std::vector<uint8_t> block(160, 0xD5);
+  const auto play = [&](AC* ac, int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(ac->PlaySamples(now.value() + 2000 + static_cast<ATime>(i % 8) * 160,
+                                  block)
+                      .ok());
+    }
+  };
+  const auto count = [&](AC* ac) {
+    g_shard_allocs.store(0);
+    g_count_shard_allocs.store(true);
+    play(ac, 200);
+    g_count_shard_allocs.store(false);
+    return g_shard_allocs.load();
+  };
+  play(acs[0], 64);  // warm-up: buffers, arenas, and egress pools reach size
+  play(acs[1], 64);
+  // The owner's periodic update allocates on its first runs (the task
+  // queue's batch, the arena's staging slot); let two pass so the windows
+  // below see request work only.
+  const Counter& updates = runner->codec()->metrics().updates;
+  const uint64_t updates_seen = updates.Value();
+  while (updates.Value() < updates_seen + 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  const size_t remote = count(acs[1]);
+  const size_t local = count(acs[0]);
+  EXPECT_EQ(remote, local) << "shard-1 plays into the shard-0 CODEC allocated " << remote
+                           << " times, shard-0 plays " << local;
 }
 
 }  // namespace

@@ -168,9 +168,9 @@ inline std::vector<uint8_t> CanonicalRequest(Opcode op) {
 // Deterministic server-drained barrier. Each pass drives every shard
 // through at least one full poll/dispatch iteration: a RunOnLoop round
 // trip for shard 0, plus a posted no-op awaited on every other shard, so a
-// connection whose socket holds pending bytes (or an EOF, or a borrow
-// hand-back sitting in a mailbox) makes at least one hop of progress per
-// pass even when the host's scheduler starves the shard threads; polling
+// connection whose socket holds pending bytes (or an EOF, or a message
+// sitting in an inbox) makes at least one hop of progress per pass even
+// when the host's scheduler starves the shard threads; polling
 // the client count through it converges without a single sleep. Returns
 // the last observed count (== expected on success; callers print the
 // fault trace on mismatch).
@@ -204,13 +204,12 @@ inline size_t DrainToClientCount(ServerRunner& runner, size_t expected,
       Shard* sh = srv.shard(s);
       std::fprintf(stderr,
                    "shard %zu: clients=%zu iters=%llu posted=%llu drained=%llu "
-                   "wakes=%llu spills=%llu\n",
+                   "wakes=%llu\n",
                    s, sh->client_count(),
                    (unsigned long long)sh->metrics().loop_iterations.Value(),
                    (unsigned long long)sh->metrics().cross_shard_posted.Value(),
                    (unsigned long long)sh->metrics().cross_shard_drained.Value(),
-                   (unsigned long long)sh->metrics().mailbox_wakes.Value(),
-                   (unsigned long long)sh->mailbox_spills());
+                   (unsigned long long)sh->metrics().mailbox_wakes.Value());
     }
   }
   return count;

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/connection.h"
@@ -431,6 +432,49 @@ TEST_F(TraceEndToEndTest, DroppedEventsSurfaceInServerStats) {
   ASSERT_LT(index, kNumServerCounters);
   ASSERT_GT(stats.value().counters.size(), index);
   EXPECT_GE(stats.value().counters[index], 10u);
+}
+
+// Every shard records into a ring of its own, so one in-process server's
+// lifetime never reaches another's tracing. Here a second server is torn
+// down on another thread while the first serves traced requests; the
+// first's window must still hold every one of them (and a TSan build must
+// see no race on any ring's generation gate).
+TEST(TraceRingOwnershipTest, TearingDownOneServerLeavesAnotherTracing) {
+  ServerRunner::Config config;
+  config.with_codec = true;
+  config.realtime = false;
+  auto survivor = ServerRunner::Start(config);
+  auto doomed = ServerRunner::Start(config);
+  ASSERT_NE(survivor, nullptr);
+  ASSERT_NE(doomed, nullptr);
+  auto kept = survivor->ConnectInProcess();
+  auto lost = doomed->ConnectInProcess();
+  ASSERT_TRUE(kept.ok());
+  ASSERT_TRUE(lost.ok());
+  std::unique_ptr<AFAudioConn> conn = kept.take();
+  std::unique_ptr<AFAudioConn> other = lost.take();
+  ASSERT_TRUE(conn->GetTrace(kTraceFlagEnable).ok());
+  ASSERT_TRUE(other->GetTrace(kTraceFlagEnable).ok());
+
+  constexpr size_t kRequests = 50;
+  std::thread teardown([&] {
+    other.reset();
+    doomed.reset();
+  });
+  for (size_t i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(conn->GetTime(0).ok());
+  }
+  teardown.join();
+
+  auto window = conn->GetTrace(kTraceFlagDisable);
+  ASSERT_TRUE(window.ok());
+  size_t get_time_spans = 0;
+  for (const TraceEvent& ev : window.value().events) {
+    get_time_spans += ev.kind == static_cast<uint8_t>(TraceKind::kRequest) &&
+                      ev.arg == static_cast<uint8_t>(Opcode::kGetTime);
+  }
+  EXPECT_EQ(get_time_spans, kRequests);
+  EXPECT_EQ(window.value().enabled, 0u);
 }
 
 }  // namespace
