@@ -24,11 +24,8 @@
 // flow control and nothing lands in the past). Flags: --json out.json,
 // --quick (N = 8, shards {1, 4}, CI), --smoke (one 256-party x 4-shard
 // cell validating the live counter shape).
-#include <cstdlib>
-
 #include "bench/harness.h"
 #include "clients/cores.h"
-#include "dsp/simd.h"
 
 using namespace af;
 using namespace af::bench;
@@ -53,16 +50,11 @@ size_t BlocksFor(size_t parties, bool quick) {
 }
 
 bool RunBridge(size_t parties, int shards, size_t blocks, BridgeRun* out) {
-  setenv("AF_POLLER", "epoll", 1);
-  setenv("AF_WRITEV", "1", 1);
-  SetSimdEnabled(true);
-
   ServerRunner::Config config;
   config.server.num_shards = shards;
   config.with_codec = true;  // the one bridge device, owned by shard 0
   config.realtime = false;
   auto runner = ServerRunner::Start(std::move(config));
-  unsetenv("AF_POLLER");  // read once at Poller construction
   if (runner == nullptr) {
     std::fprintf(stderr, "bench_bridge: cannot start server (shards=%d)\n", shards);
     return false;
@@ -115,7 +107,6 @@ bool RunBridge(size_t parties, int shards, size_t blocks, BridgeRun* out) {
   locked_update();
 
   auto bridged = RunAbridge(options);
-  unsetenv("AF_WRITEV");  // sampled per connection as the server adopts it
   if (!bridged.ok()) {
     std::fprintf(stderr, "bench_bridge: %s (N=%zu, shards=%d)\n",
                  bridged.status().ToString().c_str(), parties, shards);

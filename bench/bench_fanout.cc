@@ -1,5 +1,5 @@
 // Client fan-out: how request latency scales with concurrent playing
-// clients, and which of the three scalability mechanisms buys what.
+// clients.
 //
 // The paper ran one server per workstation with a handful of clients; the
 // question this bench answers is what happens when one modern server loop
@@ -11,10 +11,10 @@
 // coalescing (writev_iovecs / writev_calls), and wake-to-drain latency
 // (the poll_wake histogram percentiles).
 //
-// Ablations: the baseline config is poll + per-buffer write + scalar DSP;
-// optimized is epoll + writev + SIMD. Each axis is also toggled alone at
-// N = 256 (epoll-only, writev-only, simd-only) so BENCH_fanout.json
-// records which layer moves which number.
+// The server runs its one configuration: epoll readiness, writev egress,
+// SIMD kernels ("optimized"). The committed BENCH_fanout.json also keeps
+// the rows of the retired ablations (poll, one write per segment, scalar
+// DSP, each alone at N = 256) that settled those choices.
 //
 // Shard sweep (PR 6): the same play workload against AF_SHARDS ∈
 // {1, 2, 4, 8} in the SO_REUSEPORT deployment shape - one CODEC per shard,
@@ -27,12 +27,9 @@
 // shard's device (its device lock) per request.
 //
 // Flags: --json out.json (machine-readable), --quick (N = 8 smoke for CI,
-// baseline and optimized only), --shards-smoke (4096 clients across 4
-// shards, shard configs only).
-#include <cstdlib>
-
+// optimized only), --shards-smoke (4096 clients across 4 shards, shard
+// configs only).
 #include "bench/harness.h"
-#include "dsp/simd.h"
 
 using namespace af;
 using namespace af::bench;
@@ -41,31 +38,20 @@ namespace {
 
 struct FanoutConfig {
   const char* name;
-  const char* poller;  // AF_POLLER for the server under test
-  bool writev;         // AF_WRITEV: coalesced egress flushing
-  bool simd;           // optimized DSP kernel forms
   int shards = 1;      // server shard count
   bool shard_local = true;  // one CODEC per shard, clients pinned to it
 };
 
-constexpr FanoutConfig kBaseline = {"baseline", "poll", false, false};
-constexpr FanoutConfig kOptimized = {"optimized", "epoll", true, true};
-// Single-axis ablations, run at the contended fan-out point only.
-constexpr FanoutConfig kAblations[] = {
-    {"epoll-only", "epoll", false, false},
-    {"writev-only", "poll", true, false},
-    {"simd-only", "poll", false, true},
-};
-// The shard sweep runs the optimized axes throughout; only the shard
-// count (and, for the cross-shard ablation, device placement) varies.
+constexpr FanoutConfig kOptimized = {"optimized"};
+// The shard sweep varies only the shard count (and, for the cross-shard
+// ablation, device placement).
 constexpr FanoutConfig kShardSweep[] = {
-    {"shards1", "epoll", true, true, 1},
-    {"shards2", "epoll", true, true, 2},
-    {"shards4", "epoll", true, true, 4},
-    {"shards8", "epoll", true, true, 8},
+    {"shards1", 1},
+    {"shards2", 2},
+    {"shards4", 4},
+    {"shards8", 8},
 };
-constexpr FanoutConfig kCrossShard = {"shards4-xshard", "epoll", true, true, 4,
-                                      /*shard_local=*/false};
+constexpr FanoutConfig kCrossShard = {"shards4-xshard", 4, /*shard_local=*/false};
 
 // True for the shard-sweep cells (shards1..8 and the cross-shard
 // ablation); these run against a manual device clock, see RunFanout.
@@ -127,10 +113,6 @@ bool PlayBurst(AFAudioConn& conn, AC* ac, ATime anchor,
 // `total` timed mixing plays spread round-robin across them.
 bool RunFanout(const FanoutConfig& config, int n, int total, FanoutResult* out,
                bool burst_phase = true) {
-  setenv("AF_POLLER", config.poller, 1);
-  setenv("AF_WRITEV", config.writev ? "1" : "0", 1);
-  SetSimdEnabled(config.simd);
-
   ServerRunner::Config server_config;
   server_config.server.num_shards = config.shards;
   const bool sharded = config.shards > 1;
@@ -143,7 +125,6 @@ bool RunFanout(const FanoutConfig& config, int n, int total, FanoutResult* out,
   // this sweep models. The seed-comparison configs stay realtime.
   server_config.realtime = !IsShardSweepConfig(config);
   auto runner = ServerRunner::Start(std::move(server_config));
-  unsetenv("AF_POLLER");  // read once at Poller construction
   if (runner == nullptr) {
     std::fprintf(stderr, "bench_fanout: cannot start server (%s)\n", config.name);
     return false;
@@ -185,9 +166,6 @@ bool RunFanout(const FanoutConfig& config, int n, int total, FanoutResult* out,
     }
     acs.push_back(ac.value());
   }
-  // AF_WRITEV is sampled per connection as the server adopts it, so it
-  // must stay set until every client is connected.
-  unsetenv("AF_WRITEV");
 
   std::vector<uint8_t> data(IsShardSweepConfig(config) ? kSweepPlayBytes
                                                        : kPlayBytes);
@@ -227,9 +205,7 @@ bool RunFanout(const FanoutConfig& config, int n, int total, FanoutResult* out,
   out->play = StatsFromSamples(samples);
 
   if (!burst_phase) {
-    const bool fetched = FetchServerSide(*conns[0], &out->server);
-    SetSimdEnabled(true);
-    return fetched;
+    return FetchServerSide(*conns[0], &out->server);
   }
 
   // Pipelined phase: same request count, issued kBurst at a time. Each
@@ -252,9 +228,7 @@ bool RunFanout(const FanoutConfig& config, int n, int total, FanoutResult* out,
     measured += sweep;
   }
   out->burst = StatsFromSamples(burst_samples);
-  const bool got_server = FetchServerSide(*conns[0], &out->server);
-  SetSimdEnabled(true);  // restore the process-wide default
-  return got_server;
+  return FetchServerSide(*conns[0], &out->server);
 }
 
 }  // namespace
@@ -287,7 +261,6 @@ int main(int argc, char** argv) {
 
   JsonReport report("bench_fanout");
 
-  std::vector<FanoutConfig> configs = {kBaseline, kOptimized};
   PrintHeader("Fan-out: per-request play latency (usec)",
               {"clients", "config", "p50", "p95", "burst p50", "burst p95",
                "sys/req", "iov/flush"});
@@ -348,14 +321,9 @@ int main(int argc, char** argv) {
   }
 
   for (const int n : fanouts) {
-    for (const FanoutConfig& config : configs) {
-      run_one(config, n);
-    }
+    run_one(kOptimized, n);
   }
   if (!quick) {
-    for (const FanoutConfig& config : kAblations) {
-      run_one(config, 256);
-    }
     // The shard sweep: N=1..4096 for each shard count, in the shard-local
     // SO_REUSEPORT shape, plus the cross-shard pricing ablation at N=256.
     for (const int n : {1, 8, 64, 256, 1024, 4096}) {
@@ -366,8 +334,8 @@ int main(int argc, char** argv) {
     run_one(kCrossShard, 256);
   }
   std::printf("\nsys/req counts egress flush syscalls per dispatched request;\n"
-              "iov/flush is the mean number of staged segments one flush\n"
-              "coalesces (1.0 when AF_WRITEV=0 falls back to write).\n");
+              "iov/flush is the mean number of staged segments one writev\n"
+              "coalesces.\n");
 
   if (!ok) {
     return 1;

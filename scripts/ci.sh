@@ -19,12 +19,6 @@ cmake --build build -j"$JOBS"
 echo "== full suite (plain) =="
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
-echo "== readiness-backend differential suite =="
-# poller_backend_test runs both backends side by side on the same fds;
-# the _pollbackend re-runs put the torture/fault/fuzz suites through the
-# portable poll(2) backend (the default run above exercises epoll).
-ctest --test-dir build -L backend --output-on-failure
-
 echo "== observability suite =="
 ctest --test-dir build -L metrics --output-on-failure
 
@@ -297,37 +291,33 @@ EOF
 fi
 
 echo "== fan-out smoke + committed-ablation acceptance =="
-# A quick bench_fanout (N=8, baseline + optimized) validates the live
-# report shape: both configs present, latency percentiles populated, and
-# the server blocks carrying the scalability counters/gauges with the
-# right backend per config. The ablation *acceptance* numbers (optimized
-# beats baseline on p95 and syscalls/request at N=256) are checked
-# against the committed BENCH_fanout.json — the quick run does not
-# include N=256, and re-measuring the contended point every CI run would
-# just flake; the committed artifact is the reviewed claim.
+# A quick bench_fanout (N=8, the one server configuration) validates the
+# live report shape: latency percentiles populated, and the server block
+# carrying the scalability counters/gauges. The ablation *acceptance*
+# numbers (epoll + writev + SIMD beat the retired poll + write + scalar
+# baseline on p95 and syscalls/request at N=256) are checked against the
+# committed BENCH_fanout.json, whose baseline and single-axis rows are the
+# record that retired those paths.
 if command -v python3 >/dev/null 2>&1; then
     ./build/bench/bench_fanout --quick --json build/fanout_smoke.json >/dev/null
     python3 - <<'EOF'
 import json, sys
 fresh = json.load(open("build/fanout_smoke.json"))
-for config in ("baseline", "optimized"):
-    row = next((r for r in fresh["rows"]
-                if r["config"] == config and r["case"] == "play/N=8"), None)
-    if row is None or row["p95_us"] <= 0:
-        sys.exit(f"fanout smoke: missing or empty play row for {config}")
-    server = fresh["server"].get(f"{config}/N=8")
-    if server is None:
-        sys.exit(f"fanout smoke: missing server block for {config}")
-    for key in ("writev_calls", "writev_iovecs", "poller_backend",
-                "watched_fds", "poll_wake_p95_us", "requests_dispatched"):
-        if key not in server:
-            sys.exit(f"fanout smoke: server block lacks {key}")
-    want_backend = 1 if config == "optimized" else 0
-    if server["poller_backend"] != want_backend:
-        sys.exit(f"fanout smoke: {config} ran on poller_backend="
-                 f"{server['poller_backend']}, wanted {want_backend}")
-    if server["watched_fds"] != 9:  # 8 clients + the listener
-        sys.exit(f"fanout smoke: {config} watched_fds={server['watched_fds']}, wanted 9")
+row = next((r for r in fresh["rows"]
+            if r["config"] == "optimized" and r["case"] == "play/N=8"), None)
+if row is None or row["p95_us"] <= 0:
+    sys.exit("fanout smoke: missing or empty optimized play row")
+server = fresh["server"].get("optimized/N=8")
+if server is None:
+    sys.exit("fanout smoke: missing optimized server block")
+for key in ("writev_calls", "writev_iovecs", "poller_backend",
+            "watched_fds", "poll_wake_p95_us", "requests_dispatched"):
+    if key not in server:
+        sys.exit(f"fanout smoke: server block lacks {key}")
+if server["poller_backend"] != 1:
+    sys.exit(f"fanout smoke: poller_backend={server['poller_backend']}, wanted 1")
+if server["watched_fds"] != 9:  # 8 clients + the wake pipe
+    sys.exit(f"fanout smoke: watched_fds={server['watched_fds']}, wanted 9")
 
 committed = json.load(open("BENCH_fanout.json"))
 def p95(config):
@@ -465,14 +455,8 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
       -DAF_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j"$JOBS"
 
-echo "== full suite (ASan/UBSan, epoll backend) =="
-# Pin the epoll backend explicitly so the sanitizers sweep the
-# production readiness path even on builds where the default differs;
-# the -L backend subset below still covers poll via its ENVIRONMENT.
-AF_POLLER=epoll ctest --test-dir build-asan --output-on-failure -j"$JOBS"
-
-echo "== readiness-backend differential suite (ASan/UBSan) =="
-ctest --test-dir build-asan -L backend --output-on-failure
+echo "== full suite (ASan/UBSan) =="
+ctest --test-dir build-asan --output-on-failure -j"$JOBS"
 
 echo "== torture soak (ASan/UBSan, deeper) =="
 AF_TORTURE_ROUNDS="${AF_TORTURE_ROUNDS:-64}" \

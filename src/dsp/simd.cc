@@ -1,42 +1,23 @@
 #include "dsp/simd.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 namespace af {
 
 namespace {
 
-// -1 = not yet initialized from AF_SIMD; 0/1 once decided or overridden.
-std::atomic<int> g_simd_enabled{-1};
-
-int InitFromEnv() {
-  const char* v = std::getenv("AF_SIMD");
-  const bool off = v != nullptr && (std::strcmp(v, "0") == 0 ||
-                                    std::strcmp(v, "off") == 0 ||
-                                    std::strcmp(v, "scalar") == 0);
-  const int enabled = off ? 0 : 1;
-  int expected = -1;
-  g_simd_enabled.compare_exchange_strong(expected, enabled,
-                                         std::memory_order_relaxed);
-  return g_simd_enabled.load(std::memory_order_relaxed);
-}
+std::atomic<bool> g_simd_enabled{true};
 
 }  // namespace
 
 bool SimdEnabled() {
-  int v = g_simd_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = InitFromEnv();
-  }
   // The optimized forms include the portable unrolled table kernels, so
   // this is meaningful even when no intrinsics were compiled in.
-  return v != 0;
+  return g_simd_enabled.load(std::memory_order_relaxed);
 }
 
 void SetSimdEnabled(bool enabled) {
-  g_simd_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
+  g_simd_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 SimdLevel ActiveSimdLevel() {

@@ -6,9 +6,7 @@
 // NEON intrinsics for the 16-bit linear ones. Which form runs is a single
 // relaxed-atomic check per block call:
 //
-//   - AF_SIMD=0 (or "scalar") in the environment at first use, or
-//     SetSimdEnabled(false) at runtime, forces the scalar reference
-//     everywhere — this is the simd-vs-scalar ablation axis.
+//   - SetSimdEnabled(false) forces the scalar reference everywhere.
 //   - Otherwise the optimized form runs, using whatever the target
 //     supports (SSE2 is unconditional on x86-64; NEON on AArch64; plain
 //     unrolled loops elsewhere).
@@ -45,11 +43,11 @@ constexpr SimdLevel CompiledSimdLevel() {
 #endif
 }
 
-// True when the optimized kernel forms are active. One relaxed load after
-// first use; never allocates.
+// True when the optimized kernel forms are active (the default). One
+// relaxed load; never allocates.
 bool SimdEnabled();
 
-// Runtime override (benchmark ablations, golden tests). Wins over AF_SIMD.
+// Runtime override; the golden tests use it to reach the scalar forms.
 void SetSimdEnabled(bool enabled);
 
 // The level kernels actually dispatch to right now.

@@ -31,9 +31,9 @@ inline constexpr const char* kServerCounterNames[] = {
     "highwater_hits",      "suspends",       "resumes",     "faults_applied",
     "trace_dropped_events",  // appended in PR 4; old readers show fewer rows
     // Appended in PR 5. The last two are gauges sampled at snapshot time
-    // (poller_backend: 0=poll 1=epoll; watched_fds: current interest-set
-    // size), carried in the counters array to stay within the append-only
-    // versioning rule.
+    // (poller_backend: a retired slot that reads 1, as the loop always
+    // runs on epoll; watched_fds: current interest-set size), carried in
+    // the counters array to stay within the append-only versioning rule.
     "writev_calls",        "writev_iovecs",  "poller_backend", "watched_fds",
     // Appended in PR 6 (sharding). The first six are monotonic counters
     // (ServerMetrics::ExtraCounterList()); mailbox_depth_hw and shards are

@@ -423,38 +423,6 @@ MixMode BufferedAudioDevice::MixModeForDevice() const {
   }
 }
 
-std::span<const uint8_t> BufferedAudioDevice::ApplyPlayGain(
-    int gain_db, std::span<const uint8_t> device_bytes) {
-  if (gain_db == 0 || device_bytes.empty()) {
-    return device_bytes;
-  }
-  const int db = std::clamp(gain_db, kGainMinDb, kGainMaxDb);
-  // Arena-owned conversion output is scaled in place; pass-through client
-  // data is const, so it is translated into the gain slot instead (the
-  // gain tables map src -> dst in one walk either way).
-  std::span<uint8_t> dst =
-      arena_.Owns(device_bytes.data())
-          ? std::span<uint8_t>(const_cast<uint8_t*>(device_bytes.data()),
-                               device_bytes.size())
-          : arena_.Bytes(ScratchArena::kGain, device_bytes.size());
-  switch (desc_.play_encoding) {
-    case AEncodeType::kMu255:
-      ApplyMulawGain(db, device_bytes, dst);
-      break;
-    case AEncodeType::kAlaw:
-      ApplyAlawGain(db, device_bytes, dst);
-      break;
-    default: {
-      const auto* src = reinterpret_cast<const int16_t*>(device_bytes.data());
-      auto* lin = reinterpret_cast<int16_t*>(dst.data());
-      ApplyLin16Gain(db, std::span<const int16_t>(src, device_bytes.size() / 2),
-                     std::span<int16_t>(lin, dst.size() / 2));
-      break;
-    }
-  }
-  return dst;
-}
-
 Status BufferedAudioDevice::MakeACOps(const ACAttributes& attrs, ACOps* ops) {
   return BuildStandardACOps(desc_, attrs, ops);
 }
@@ -706,19 +674,14 @@ Status BufferedAudioDevice::PlayOnChannel(ServerAC& ac, ATime start,
   } else {
     metrics_.passthrough_plays.Add();
   }
-  // Per-source gain stage. The fused path (default) carries the gain into
-  // the buffer write itself so each party of a fan-in mix costs one pass
-  // per region; the two-pass baseline (SetFusedGain(false)) scales into
-  // the arena first and is kept as the bit-exactness oracle and ablation.
+  // Per-source gain stage, carried into the buffer write itself so each
+  // party of a fan-in mix costs one pass per region.
   const int gain_db = std::clamp(ac.attrs.play_gain_db, kGainMinDb, kGainMaxDb);
   DeviceBuffer::WriteGain gain;
-  const bool fuse_gain = fused_gain_ && gain_db != 0;
-  if (fuse_gain) {
+  if (gain_db != 0) {
     gain.db = gain_db;
     gain.q15 = GainQ15(gain_db);
     metrics_.gain_fused_writes.Add();
-  } else {
-    device_bytes = ApplyPlayGain(ac.attrs.play_gain_db, device_bytes);
   }
 
   const bool preempt = ac.attrs.preempt != 0;
@@ -737,8 +700,7 @@ Status BufferedAudioDevice::PlayOnChannel(ServerAC& ac, ATime start,
                      desc_.index, eff_start, fit_frames);
   // Writes [t, t + n) of device_bytes into the play buffer, mixing or
   // copying, full-frame or strided into one channel of the interleaved
-  // frames (mono sub-device case), with the per-source gain folded in on
-  // the fused path.
+  // frames (mono sub-device case), with the per-source gain folded in.
   const auto write_frames = [&](ATime t, size_t frame_offset, size_t n, bool mix) {
     if (n == 0) {
       return;
@@ -746,16 +708,11 @@ Status BufferedAudioDevice::PlayOnChannel(ServerAC& ac, ATime start,
     if (channel < 0) {
       const size_t fb = play_buf_.frame_bytes();
       const std::span<const uint8_t> part(device_bytes.data() + frame_offset * fb, n * fb);
-      if (fuse_gain) {
-        play_buf_.WriteGained(t, part, MixModeForDevice(), mix, gain);
-      } else {
-        play_buf_.Write(t, part, mix ? MixModeForDevice() : MixMode::kCopy);
-      }
+      play_buf_.WriteGained(t, part, MixModeForDevice(), mix, gain);
     } else {
       const auto* mono = reinterpret_cast<const int16_t*>(device_bytes.data());
       play_buf_.WriteLin16Channel(t, std::span<const int16_t>(mono + frame_offset, n),
-                                  static_cast<unsigned>(channel), mix,
-                                  fuse_gain ? gain.q15 : 1 << 15);
+                                  static_cast<unsigned>(channel), mix, gain.q15);
     }
   };
 

@@ -260,13 +260,6 @@ class BufferedAudioDevice : public AudioDevice {
   // Considerations" baseline). Benchmarked by bench_ablation.
   void SetLazySilenceFill(bool lazy) { lazy_silence_fill_ = lazy; }
 
-  // Ablation toggle for the per-source gain stage: when true (default) a
-  // non-zero AC play gain is folded into the buffer write itself
-  // (DeviceBuffer::WriteGained, one pass per region); when false the
-  // two-pass baseline runs (ApplyPlayGain staging copy, then Write). Both
-  // produce bit-identical buffers; the bridge tests assert it.
-  void SetFusedGain(bool fused) { fused_gain_ = fused; }
-
   // Test hook: moves the whole time model to t (all time registers and the
   // hardware-counter baseline set consistently, buffers untouched) so wrap
   // behaviour can be exercised without simulating 2^32 samples.
@@ -293,11 +286,6 @@ class BufferedAudioDevice : public AudioDevice {
  protected:
   void OnIOControlChanged() override;
 
-  // Applies the AC play gain to device-encoded bytes. Arena-owned input is
-  // mutated in place; pass-through client data is translated into the
-  // arena's gain slot instead (the input is const). Returns the span
-  // holding the post-gain bytes (the input itself when gain is 0 dB).
-  std::span<const uint8_t> ApplyPlayGain(int gain_db, std::span<const uint8_t> device_bytes);
   MixMode MixModeForDevice() const;
 
   void PlayUpdate(ATime now);
@@ -316,7 +304,6 @@ class BufferedAudioDevice : public AudioDevice {
   ATime time_rec_last_updated_ = 0;
   int rec_ref_count_ = 0;
   bool lazy_silence_fill_ = true;
-  bool fused_gain_ = true;
 
   // Fan-in window state (under the device lock, like everything else in
   // the device). Update() opens a new window; each play compares its AC's

@@ -1,6 +1,5 @@
 #include "server/client_conn.h"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "common/clock.h"
@@ -41,13 +40,6 @@ constexpr size_t kOutKeepCapacity = 65536;
 constexpr size_t kMaxSpareSegments = 17;
 // Iovec chain length per writev; longer chains drain over several calls.
 constexpr size_t kMaxFlushIovecs = 64;
-
-// AF_WRITEV=0 falls back to one write(2) per segment — kept selectable for
-// the writev-vs-write ablation in bench_fanout.
-bool UseWritevFromEnv() {
-  const char* v = std::getenv("AF_WRITEV");
-  return v == nullptr || v[0] != '0';
-}
 // Stop draining the socket once this much unconsumed input is buffered;
 // comfortably above the largest possible request (0xFFFF words = 256 KiB)
 // so a complete request always fits, but bounded so a flooding client
@@ -59,8 +51,7 @@ ClientConn::ClientConn(FaultStream stream, PeerAddress peer, uint32_t client_num
     : stream_(std::move(stream)),
       peer_(std::move(peer)),
       client_number_(client_number),
-      out_(std::make_unique<WireWriter>(HostWireOrder())),
-      use_writev_(UseWritevFromEnv()) {
+      out_(std::make_unique<WireWriter>(HostWireOrder())) {
   stream_.SetNonBlocking(true);
 }
 
@@ -179,15 +170,13 @@ bool ClientConn::FlushOutput() {
       iov[iovcnt].iov_len = egress_[i].size() - off;
       ++iovcnt;
     }
-    const IoResult r =
-        use_writev_ ? stream_.Writev(iov, iovcnt)
-                    : stream_.Write(iov[0].iov_base, iov[0].iov_len);
+    const IoResult r = stream_.Writev(iov, iovcnt);
     switch (r.status) {
       case IoStatus::kOk: {
         if (metrics_ != nullptr) {
           metrics_->bytes_out.Add(r.bytes);
           metrics_->writev_calls.Add();
-          metrics_->writev_iovecs.Add(use_writev_ ? iovcnt : 1);
+          metrics_->writev_iovecs.Add(iovcnt);
         }
         TraceConnInstant(TraceKind::kFlush, client_number_, r.bytes);
         // Advance the chain; drained segments go back to the spare pool.

@@ -105,8 +105,7 @@ class ClientConn {
   // Seals the bytes staged so far into their own egress segment (a
   // zero-copy buffer move). The dispatch loop calls this after every
   // request, so each reply travels as one iovec of the next drain's
-  // writev; with AF_WRITEV=0 the flush falls back to one write(2) per
-  // segment — the syscalls-per-request ablation axis.
+  // writev.
   void StageOutput();
 
   // --- sequence numbers -------------------------------------------------
@@ -160,7 +159,6 @@ class ClientConn {
   size_t egress_head_ = 0;       // first segment with bytes left
   size_t egress_head_off_ = 0;   // bytes of that segment already written
   std::vector<std::vector<uint8_t>> spare_;
-  bool use_writev_ = true;
 
   ServerMetrics* metrics_ = nullptr;
   uint64_t faults_synced_ = 0;

@@ -1,7 +1,7 @@
 // Reusable staging buffers for the play/record hot path.
 //
 // Every PlaySamples/RecordSamples request needs up to a handful of staging
-// buffers (endian normalization, companded decode, gain, mono channel
+// buffers (endian normalization, companded decode, mono channel
 // extraction). Allocating them per request is exactly the steady-state
 // churn CRL 93/8 Section 10 budgets against, so the server keeps one
 // ScratchArena per buffered device: a fixed set of growable,
@@ -33,7 +33,6 @@ class ScratchArena {
   enum Slot {
     kConvertA = 0,  // first conversion stage (decode / endian normalize)
     kConvertB,      // second conversion stage (re-encode)
-    kGain,          // gain translation output
     kStage,         // device-buffer read staging (updates, record gather)
     kChannel,       // mono channel extraction from interleaved frames
     kSlotCount
@@ -57,9 +56,8 @@ class ScratchArena {
     return std::span<int16_t>(reinterpret_cast<int16_t*>(bytes.data()), n);
   }
 
-  // Whether p points into one of the arena's buffers. The gain stage uses
-  // this to distinguish arena-owned conversion output (mutable in place)
-  // from pass-through client data (must be copied).
+  // Whether p points into one of the arena's buffers: distinguishes a
+  // staged conversion from a zero-copy window of the client's own bytes.
   bool Owns(const void* p) const {
     const uint8_t* b = static_cast<const uint8_t*>(p);
     for (const std::vector<uint8_t>& buf : bufs_) {

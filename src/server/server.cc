@@ -33,15 +33,6 @@ int ShardCountFromEnv() {
   return n < 1 ? 1 : std::min(n, 64);
 }
 
-bool AcceptHandoffFromEnv(const std::string& opt) {
-  std::string mode = opt;
-  if (mode.empty()) {
-    const char* env = std::getenv("AF_ACCEPT");
-    mode = env != nullptr ? env : "";
-  }
-  return mode == "handoff";
-}
-
 }  // namespace
 
 AFServer::AFServer(Options opts) : opts_(std::move(opts)) {
@@ -54,7 +45,6 @@ AFServer::AFServer(Options opts) : opts_(std::move(opts)) {
     opts_.num_shards = ShardCountFromEnv();
   }
   opts_.num_shards = std::min(opts_.num_shards, 64);
-  accept_handoff_ = AcceptHandoffFromEnv(opts_.accept_mode);
   shards_.reserve(opts_.num_shards);
   for (int i = 0; i < opts_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(*this, static_cast<uint32_t>(i)));
@@ -105,22 +95,17 @@ DeviceId AFServer::AddDeviceOnShard(std::unique_ptr<AudioDevice> device,
 }
 
 Status AFServer::ListenTcp(uint16_t port) {
-  if (shards_.size() > 1 && !accept_handoff_) {
-    // One SO_REUSEPORT listener per shard; the kernel spreads accepts.
-    for (auto& s : shards_) {
-      Result<Listener> listener = Listener::ListenTcp(port, /*reuseport=*/true);
-      if (!listener.ok()) {
-        return listener.status();
-      }
-      s->AddListener(listener.take());
+  // One listener per shard, each accepting for its own shard; several
+  // shards share the port through SO_REUSEPORT and the kernel spreads the
+  // connections.
+  const bool reuseport = shards_.size() > 1;
+  for (auto& s : shards_) {
+    Result<Listener> listener = Listener::ListenTcp(port, reuseport);
+    if (!listener.ok()) {
+      return listener.status();
     }
-    return Status::Ok();
+    s->AddListener(listener.take(), /*hand_off=*/false);
   }
-  Result<Listener> listener = Listener::ListenTcp(port);
-  if (!listener.ok()) {
-    return listener.status();
-  }
-  shards_[0]->AddListener(listener.take());
   return Status::Ok();
 }
 
@@ -129,7 +114,7 @@ Status AFServer::ListenUnix(const std::string& path) {
   if (!listener.ok()) {
     return listener.status();
   }
-  shards_[0]->AddListener(listener.take());
+  shards_[0]->AddListener(listener.take(), /*hand_off=*/true);
   return Status::Ok();
 }
 
@@ -266,19 +251,6 @@ size_t AFServer::client_count() const {
 ServerMetrics& AFServer::metrics() { return shards_[0]->metrics(); }
 const ServerMetrics& AFServer::metrics() const { return shards_[0]->metrics(); }
 
-AFServer::Stats AFServer::stats() const {
-  Stats total;
-  for (const auto& s : shards_) {
-    const ServerMetrics& m = s->metrics();
-    total.requests_dispatched += m.requests_dispatched.Value();
-    total.events_sent += m.events_sent.Value();
-    total.errors_sent += m.errors_sent.Value();
-    total.clients_accepted += m.clients_accepted.Value();
-    total.loop_iterations += m.loop_iterations.Value();
-  }
-  return total;
-}
-
 void AFServer::SnapshotStats(ServerStatsWire* out) {
   AggregateStats(out, shards_[0].get());
 }
@@ -296,7 +268,7 @@ void FillShardCounters(const Shard& shard, uint64_t num_shards,
   for (const Counter* c : m.CounterList()) {
     out->push_back(c->Value());
   }
-  out->push_back(static_cast<uint64_t>(m.poller_backend.Value()));
+  out->push_back(1);  // poller_backend: retired, always epoll
   out->push_back(static_cast<uint64_t>(m.watched_fds.Value()));
   for (const Counter* c : m.ExtraCounterList()) {
     out->push_back(c->Value());
@@ -346,12 +318,10 @@ void AFServer::AggregateStats(ServerStatsWire* out, Shard* caller) {
     }
     out->shards.push_back(std::move(sw));
   }
-  // Aggregate gauge slots where summing is wrong: the backend is a shared
-  // property (all shards pick the same one), the depth high-water is a
-  // maximum, and the shard count is a constant - not N times itself.
-  const size_t backend_slot = kNumServerCounterSlots;
-  out->counters[backend_slot] =
-      static_cast<uint64_t>(shards_[0]->metrics().poller_backend.Value());
+  // Aggregate gauge slots where summing is wrong: the retired backend slot
+  // and the shard count are constants - not N times themselves - and the
+  // depth high-water is a maximum.
+  out->counters[kNumServerCounterSlots] = 1;
   uint64_t depth_hw = 0;
   for (const auto& s : shards_) {
     depth_hw = std::max(depth_hw, s->inbox_depth_high_water());

@@ -5,19 +5,19 @@
 // Poller, one client table. AFServer owns the shared read-mostly state
 // (devices, properties, atoms, access control) and routes between shards.
 // With AF_SHARDS=1 - the default - there is exactly one shard and the
-// server behaves precisely as the paper prescribes: one poll(2)-based
+// server behaves precisely as the paper prescribes: one readiness-based
 // main loop (WaitForSomething) multiplexing listening sockets, client
 // connections, and the task queue that drives periodic device updates.
 // Clients are serviced round-robin with a bounded number of requests per
 // sweep so one client cannot starve the rest (Section 7.1).
 //
-// Accepted connections are distributed across shards either by
-// SO_REUSEPORT per-shard listeners (the kernel balances) or by round-robin
-// fd handoff from shard 0 (AF_ACCEPT=reuseport|handoff, default
-// reuseport). A connection's requests all run on its home shard; a request
-// that touches a device holds the device lock of the shard owning it.
-// Work that must run on another shard (events, handoffs, trace gathers,
-// Post) goes through that shard's inbox.
+// The listener decides which shard a connection lands on: each shard has
+// its own SO_REUSEPORT TCP listener (the kernel balances), and the one
+// UNIX listener on shard 0 hands its connections out round-robin. A
+// connection's requests all run on its home shard; a request that touches
+// a device holds the device lock of the shard owning it. Work that must
+// run on another shard (events, handoffs, trace gathers, Post) goes
+// through that shard's inbox.
 #ifndef AF_SERVER_SERVER_H_
 #define AF_SERVER_SERVER_H_
 
@@ -65,19 +65,6 @@ class AFServer {
     bool dump_stats_on_shutdown = false;
     // Shard count: 0 = read AF_SHARDS from the environment (default 1).
     int num_shards = 0;
-    // Accept distribution: "" = read AF_ACCEPT ("reuseport" | "handoff",
-    // default reuseport). Only meaningful with more than one shard.
-    std::string accept_mode;
-  };
-
-  // Legacy coarse counters; a view over the metrics spine kept for callers
-  // that predate it. Aggregated across shards.
-  struct Stats {
-    uint64_t requests_dispatched = 0;
-    uint64_t events_sent = 0;
-    uint64_t errors_sent = 0;
-    uint64_t clients_accepted = 0;
-    uint64_t loop_iterations = 0;
   };
 
   AFServer() : AFServer(Options()) {}
@@ -95,12 +82,11 @@ class AFServer {
   DeviceId AddDevice(std::unique_ptr<AudioDevice> device);
   DeviceId AddDeviceOnShard(std::unique_ptr<AudioDevice> device, uint32_t shard);
 
-  // With several shards and reuseport accept mode this opens one
-  // SO_REUSEPORT listener per shard; otherwise a single listener on
-  // shard 0 (which round-robins accepted fds in handoff mode).
+  // Opens one listener per shard, each adopting what it accepts; with
+  // several shards they share the port through SO_REUSEPORT.
   Status ListenTcp(uint16_t port);
-  // UNIX listeners always live on shard 0 (no kernel balancing); handoff
-  // mode still spreads the accepted connections.
+  // UNIX listeners live on shard 0 (no kernel balancing), which hands the
+  // accepted connections out to all shards round-robin.
   Status ListenUnix(const std::string& path);
 
   // Adopts an already-connected stream (e.g. one side of a socketpair),
@@ -194,13 +180,11 @@ class AFServer {
   size_t client_count() const;    // summed across shards
   ServerMetrics& metrics();       // shard 0's spine
   const ServerMetrics& metrics() const;
-  Stats stats() const;            // aggregated
   const Options& options() const { return opts_; }
 
   size_t num_shards() const { return shards_.size(); }
   Shard* shard(size_t i) { return shards_[i].get(); }
   uint32_t device_owner(DeviceId id) const { return device_owner_[id]; }
-  bool accept_handoff() const { return accept_handoff_; }
 
   // Shared trace-capture generation counter (odd = capturing). Every
   // shard's ring gates on this one atomic, so GetTrace's enable/disable
@@ -225,7 +209,6 @@ class AFServer {
   std::vector<uint32_t> device_owner_;
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  bool accept_handoff_ = false;
 
   std::mutex thread_mu_;
   std::vector<std::thread> shard_threads_;  // index 0 unused (runs inline)

@@ -40,13 +40,12 @@ struct ServerMetrics {
   Counter resumes;          // parked requests re-dispatched
   Counter faults_applied;   // fault-injection schedule applications
   Counter trace_dropped_events;  // trace-ring records overwritten undrained
-  Counter writev_calls;     // egress flush syscalls (writev, or write fallback)
+  Counter writev_calls;     // egress flush syscalls
   Counter writev_iovecs;    // iovec entries submitted across those calls
   Histogram poll_wake_micros;  // readiness wake-up past the requested timeout
 
-  // Loop-state gauges, sampled into the trailing wire positions by
-  // SnapshotStats (kServerCounterNames documents the order).
-  Gauge poller_backend;  // 0 = poll, 1 = epoll
+  // Loop-state gauge, sampled into wire position 16 by SnapshotStats
+  // (position 15, poller_backend, is retired and reads 1).
   Gauge watched_fds;     // current readiness interest-set size
 
   // Inbox and cross-shard traffic (PR 6).
@@ -65,7 +64,7 @@ struct ServerMetrics {
   Counter resyncs;              // ResyncTime requests served
 
   // Counters in kServerCounterNames wire order (the leading, counter-backed
-  // positions; the two gauges above fill positions 15 and 16).
+  // positions; the two gauge positions 15 and 16 follow them).
   std::array<const Counter*, kNumServerCounterSlots> CounterList() const {
     return {&requests_dispatched, &events_sent, &errors_sent, &clients_accepted,
             &clients_reaped,      &loop_iterations, &bytes_in, &bytes_out,

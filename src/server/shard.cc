@@ -84,15 +84,14 @@ Shard::Shard(AFServer& server, uint32_t index)
   }
   ::fcntl(wake_pipe_[0], F_SETFL, O_NONBLOCK);
   ::fcntl(wake_pipe_[1], F_SETFL, O_NONBLOCK);
+  poller_.Watch(wake_pipe_[0], true, false);
 
   const auto counters = metrics_.CounterList();
   for (size_t i = 0; i < kNumServerCounterSlots; ++i) {
     registry_.Register(kServerCounterNames[i], counters[i]);
   }
-  registry_.Register("poller_backend", &metrics_.poller_backend);
   registry_.Register("watched_fds", &metrics_.watched_fds);
   registry_.Register("poll_wake_micros", &metrics_.poll_wake_micros);
-  metrics_.poller_backend.Set(poller_.backend() == Poller::Backend::kEpoll ? 1 : 0);
   for (size_t code = 1; code < kErrorCodeSlots; ++code) {
     registry_.Register("errors.code" + std::to_string(code),
                        &metrics_.errors_by_code[code]);
@@ -149,8 +148,9 @@ Shard::~Shard() {
   }
 }
 
-void Shard::AddListener(Listener listener) {
-  listeners_.push_back(std::move(listener));
+void Shard::AddListener(Listener listener, bool hand_off) {
+  poller_.Watch(listener.fd(), true, false);
+  listeners_.push_back({std::move(listener), hand_off});
 }
 
 void Shard::ScheduleDeviceUpdate(DeviceId id) {
@@ -226,29 +226,12 @@ void Shard::RunLoop() {
   t_running_shard = nullptr;
 }
 
-void Shard::UpdatePollInterests() {
-  poller_.Watch(wake_pipe_[0], true, false);
-  for (Listener& l : listeners_) {
-    poller_.Watch(l.fd(), true, false);
-  }
-  for (auto& [fd, client] : clients_) {
-    // A suspended client's socket is not read: that is how the server
-    // "blocks the client" - TCP backpressure does the rest. After EOF
-    // there is nothing left to read either.
-    const bool want_read = !client->suspended() &&
-                           client->state() != ClientConn::State::kClosing &&
-                           !client->saw_eof();
-    poller_.Watch(fd, want_read, client->HasPendingOutput());
-  }
-}
-
 bool Shard::RunOnce(int max_timeout_ms) {
   if (server_.stop_.load(std::memory_order_relaxed) ||
       local_stop_.load(std::memory_order_relaxed)) {
     return false;
   }
   metrics_.loop_iterations.Add();
-  UpdatePollInterests();
   metrics_.watched_fds.Set(static_cast<int64_t>(poller_.watched()));
 
   const uint64_t now_us = HostMicros();
@@ -283,8 +266,8 @@ bool Shard::RunOnce(int max_timeout_ms) {
       continue;
     }
     bool is_listener = false;
-    for (Listener& l : listeners_) {
-      if (l.fd() == ev.fd) {
+    for (ShardListener& l : listeners_) {
+      if (l.listener.fd() == ev.fd) {
         AcceptPending(l);
         is_listener = true;
         break;
@@ -327,7 +310,10 @@ bool Shard::RunOnce(int max_timeout_ms) {
 
   // Flush accumulated replies/events and reap finished clients: ones
   // marked closing, and half-closed peers (EOF seen) that have no
-  // complete request left to serve and no output still to deliver.
+  // complete request left to serve and no output still to deliver. Every
+  // survivor then declares its interest for the next wait. Nothing later
+  // in the iteration can change an interest (neither a flush nor a reap
+  // emits into other clients), and the poller skips unchanged ones.
   std::vector<int> to_remove;
   for (auto& [fd, client] : clients_) {
     if (!client->FlushOutput()) {
@@ -341,7 +327,15 @@ bool Shard::RunOnce(int max_timeout_ms) {
     if (client->saw_eof() && !client->suspended() && !client->HasPendingOutput() &&
         !client->HasCompleteRequest()) {
       to_remove.push_back(fd);
+      continue;
     }
+    // A suspended client's socket is not read: that is how the server
+    // "blocks the client" - TCP backpressure does the rest. After EOF
+    // there is nothing left to read either.
+    const bool want_read = !client->suspended() &&
+                           client->state() != ClientConn::State::kClosing &&
+                           !client->saw_eof();
+    poller_.Watch(fd, want_read, client->HasPendingOutput());
   }
   for (int fd : to_remove) {
     RemoveClient(fd);
@@ -395,13 +389,13 @@ void Shard::AdoptLocal(FaultStream stream, PeerAddress peer) {
   client_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Shard::AcceptPending(Listener& listener) {
-  auto accepted = listener.Accept();
+void Shard::AcceptPending(ShardListener& l) {
+  auto accepted = l.listener.Accept();
   if (!accepted.ok()) {
     return;
   }
   auto& [stream, peer] = accepted.value();
-  if (server_.accept_handoff_ && server_.num_shards() > 1) {
+  if (l.hand_off) {
     const uint32_t target = accept_rr_++ % static_cast<uint32_t>(server_.num_shards());
     if (target != index_) {
       server_.shards_[target]->AdoptClient(FaultStream(std::move(stream)), std::move(peer));

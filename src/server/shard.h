@@ -22,7 +22,7 @@
 //   atoms/access   - shared, guarded by AFServer::shared_mu_
 //
 // Everything else that crosses shards - device and property events,
-// handoff accepts, GetTrace gathers, AFServer::Post, promotion applies -
+// handed-off accepts, GetTrace gathers, AFServer::Post, promotion applies -
 // goes through the shard's inbox: a mutexed list drained by the loop
 // thread after a byte on the wake pipe. The inbox is FIFO per producer.
 #ifndef AF_SERVER_SHARD_H_
@@ -76,7 +76,10 @@ class Shard {
 
   // --- configuration (before the loop starts) ------------------------------
 
-  void AddListener(Listener listener);
+  // Watches the listener from now on. A hand_off listener spreads its
+  // accepted connections round-robin over all shards (the UNIX listener,
+  // which has no kernel balancing); otherwise this shard adopts them.
+  void AddListener(Listener listener, bool hand_off);
   // Schedules the periodic update task for a device this shard owns.
   void ScheduleDeviceUpdate(DeviceId id);
 
@@ -116,9 +119,13 @@ class Shard {
  private:
   friend class AFServer;
 
+  struct ShardListener {
+    Listener listener;
+    bool hand_off;
+  };
+
   // --- loop internals (moved from AFServer) -------------------------------
-  void UpdatePollInterests();
-  void AcceptPending(Listener& listener);
+  void AcceptPending(ShardListener& l);
   void AdoptLocal(FaultStream stream, PeerAddress peer);
   void HandleClientReadable(const std::shared_ptr<ClientConn>& client);
   void ProcessBufferedRequests(const std::shared_ptr<ClientConn>& client);
@@ -177,7 +184,7 @@ class Shard {
   TaskQueue tasks_;
   std::vector<uint64_t> update_deadline_us_;  // by device id: next update due
   Poller poller_;
-  std::vector<Listener> listeners_;
+  std::vector<ShardListener> listeners_;
   std::map<int, std::shared_ptr<ClientConn>> clients_;
   std::map<ACId, ServerAC> acs_;
   uint32_t next_client_number_;  // starts at index+1, strides by shard count
@@ -202,7 +209,7 @@ class Shard {
   TraceRing trace_;
   int flight_slot_ = -1;  // crash flight-recorder registration, -1 = none
 
-  uint32_t accept_rr_ = 0;  // round-robin cursor for handoff accept mode
+  uint32_t accept_rr_ = 0;  // round-robin cursor of hand_off listeners
 
   struct TraceGather {
     std::shared_ptr<ClientConn> client;

@@ -2,226 +2,63 @@
 
 #include <errno.h>
 #include <limits.h>
-#include <poll.h>
-#ifdef __linux__
+#include <string.h>
 #include <sys/epoll.h>
-#endif
 #include <unistd.h>
 
-#include <algorithm>
-#include <cstdlib>
-#include <cstring>
-
 #include "common/clock.h"
+#include "common/log.h"
 
 namespace af {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// poll(2) backend: a persistent pollfd array with an fd index, so Watch and
-// Unwatch are O(1) updates and Wait no longer rebuilds the array per wake.
-
-class PollBackend : public ReadinessBackend {
- public:
-  const char* name() const override { return "poll"; }
-
-  void Add(int fd, bool want_read, bool want_write) override {
-    struct pollfd p = {};
-    p.fd = fd;
-    p.events = Events(want_read, want_write);
-    index_[fd] = pfds_.size();
-    pfds_.push_back(p);
+struct epoll_event EpollEvent(int fd, bool want_read, bool want_write) {
+  struct epoll_event ev;
+  memset(&ev, 0, sizeof(ev));
+  if (want_read) {
+    ev.events |= EPOLLIN;
   }
-
-  void Modify(int fd, bool want_read, bool want_write) override {
-    const auto it = index_.find(fd);
-    if (it != index_.end()) {
-      pfds_[it->second].events = Events(want_read, want_write);
-    }
+  if (want_write) {
+    ev.events |= EPOLLOUT;
   }
-
-  void Remove(int fd) override {
-    const auto it = index_.find(fd);
-    if (it == index_.end()) {
-      return;
-    }
-    const size_t pos = it->second;
-    index_.erase(it);
-    if (pos != pfds_.size() - 1) {
-      pfds_[pos] = pfds_.back();
-      index_[pfds_[pos].fd] = pos;
-    }
-    pfds_.pop_back();
-  }
-
-  int WaitOnce(int timeout_ms, std::vector<PollEvent>* out) override {
-    const int n = ::poll(pfds_.data(), pfds_.size(), timeout_ms);
-    if (n <= 0) {
-      return n;
-    }
-    for (const struct pollfd& p : pfds_) {
-      if (p.revents == 0) {
-        continue;
-      }
-      PollEvent ev;
-      ev.fd = p.fd;
-      ev.readable = (p.revents & POLLIN) != 0;
-      ev.writable = (p.revents & POLLOUT) != 0;
-      ev.closed = (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-      out->push_back(ev);
-    }
-    return n;
-  }
-
- private:
-  static short Events(bool want_read, bool want_write) {
-    short events = 0;
-    if (want_read) {
-      events |= POLLIN;
-    }
-    if (want_write) {
-      events |= POLLOUT;
-    }
-    return events;
-  }
-
-  std::vector<struct pollfd> pfds_;
-  std::unordered_map<int, size_t> index_;
-};
-
-// ---------------------------------------------------------------------------
-// epoll(7) backend: level-triggered so drain semantics match poll exactly;
-// the kernel holds the interest set, a wake costs O(ready), not O(watched).
-
-#ifdef __linux__
-
-class EpollBackend : public ReadinessBackend {
- public:
-  EpollBackend() : epfd_(::epoll_create1(EPOLL_CLOEXEC)), ready_(64) {}
-  ~EpollBackend() override {
-    if (epfd_ >= 0) {
-      ::close(epfd_);
-    }
-  }
-
-  bool valid() const { return epfd_ >= 0; }
-  const char* name() const override { return "epoll"; }
-
-  void Add(int fd, bool want_read, bool want_write) override {
-    struct epoll_event ev = Event(fd, want_read, want_write);
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0 && errno == EEXIST) {
-      ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
-    }
-  }
-
-  void Modify(int fd, bool want_read, bool want_write) override {
-    struct epoll_event ev = Event(fd, want_read, want_write);
-    if (::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) != 0 && errno == ENOENT) {
-      ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
-    }
-  }
-
-  void Remove(int fd) override { ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
-
-  int WaitOnce(int timeout_ms, std::vector<PollEvent>* out) override {
-    const int n = ::epoll_wait(epfd_, ready_.data(), static_cast<int>(ready_.size()),
-                               timeout_ms);
-    if (n <= 0) {
-      return n;
-    }
-    for (int i = 0; i < n; ++i) {
-      const struct epoll_event& e = ready_[static_cast<size_t>(i)];
-      PollEvent ev;
-      ev.fd = e.data.fd;
-      ev.readable = (e.events & EPOLLIN) != 0;
-      ev.writable = (e.events & EPOLLOUT) != 0;
-      ev.closed = (e.events & (EPOLLHUP | EPOLLERR)) != 0;
-      out->push_back(ev);
-    }
-    // A full batch means more fds may be ready; grow so the next wake can
-    // report them all (level-triggered, so nothing is lost meanwhile).
-    if (static_cast<size_t>(n) == ready_.size()) {
-      ready_.resize(ready_.size() * 2);
-    }
-    return n;
-  }
-
- private:
-  static struct epoll_event Event(int fd, bool want_read, bool want_write) {
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    if (want_read) {
-      ev.events |= EPOLLIN;
-    }
-    if (want_write) {
-      ev.events |= EPOLLOUT;
-    }
-    ev.data.fd = fd;
-    return ev;
-  }
-
-  int epfd_;
-  std::vector<struct epoll_event> ready_;
-};
-
-#endif  // __linux__
-
-std::unique_ptr<ReadinessBackend> MakeBackend(Poller::Backend* backend) {
-#ifdef __linux__
-  if (*backend == Poller::Backend::kEpoll) {
-    auto epoll = std::make_unique<EpollBackend>();
-    if (epoll->valid()) {
-      return epoll;
-    }
-    *backend = Poller::Backend::kPoll;  // fd-exhaustion fallback
-  }
-#else
-  *backend = Poller::Backend::kPoll;
-#endif
-  return std::make_unique<PollBackend>();
+  ev.data.fd = fd;
+  return ev;
 }
 
 }  // namespace
 
-Poller::Backend PollerBackendFromEnv() {
-  const char* v = std::getenv("AF_POLLER");
-  if (v != nullptr && std::strcmp(v, "poll") == 0) {
-    return Poller::Backend::kPoll;
+Poller::Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)), ready_(64) {
+  if (epfd_ < 0) {
+    FatalError("Poller: epoll_create1 failed: %s", strerror(errno));
   }
-  if (v != nullptr && std::strcmp(v, "epoll") == 0) {
-    return Poller::Backend::kEpoll;
-  }
-#ifdef __linux__
-  return Poller::Backend::kEpoll;
-#else
-  return Poller::Backend::kPoll;
-#endif
 }
 
-Poller::Poller() : Poller(PollerBackendFromEnv()) {}
-
-Poller::Poller(Backend backend) : backend_(backend), impl_(MakeBackend(&backend_)) {}
-
-const char* Poller::backend_name() const { return impl_->name(); }
+Poller::~Poller() { ::close(epfd_); }
 
 void Poller::Watch(int fd, bool want_read, bool want_write) {
   const auto it = interests_.find(fd);
   if (it == interests_.end()) {
     interests_[fd] = {want_read, want_write};
-    impl_->Add(fd, want_read, want_write);
+    struct epoll_event ev = EpollEvent(fd, want_read, want_write);
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0 && errno == EEXIST) {
+      ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
+    }
     return;
   }
   if (it->second.want_read == want_read && it->second.want_write == want_write) {
     return;  // unchanged: no syscall
   }
   it->second = {want_read, want_write};
-  impl_->Modify(fd, want_read, want_write);
+  struct epoll_event ev = EpollEvent(fd, want_read, want_write);
+  if (::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) != 0 && errno == ENOENT) {
+    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
+  }
 }
 
 void Poller::Unwatch(int fd) {
   if (interests_.erase(fd) != 0) {
-    impl_->Remove(fd);
+    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
   }
 }
 
@@ -237,15 +74,15 @@ int Poller::ClampTimeoutMs(int64_t timeout_ms) {
 
 const std::vector<PollEvent>& Poller::Wait(int64_t timeout_ms) {
   events_.clear();
-  // One facade-level wait: clamp once, then retry EINTR with the remaining
-  // timeout so a signal delivery is never reported to the loop as a wake
-  // (which would double-count poll_wake_micros lag upstream). Backends see
-  // only pre-clamped timeouts and never re-implement either rule.
+  // Clamp once, then retry EINTR with the remaining timeout so a signal
+  // delivery is never reported to the loop as a wake (which would
+  // double-count poll_wake_micros lag upstream).
   int remaining = ClampTimeoutMs(timeout_ms);
   const uint64_t deadline_us =
       remaining < 0 ? 0 : HostMicros() + static_cast<uint64_t>(remaining) * 1000u;
+  int n;
   for (;;) {
-    const int n = impl_->WaitOnce(remaining, &events_);
+    n = ::epoll_wait(epfd_, ready_.data(), static_cast<int>(ready_.size()), remaining);
     if (n >= 0 || errno != EINTR) {
       break;
     }
@@ -255,6 +92,20 @@ const std::vector<PollEvent>& Poller::Wait(int64_t timeout_ms) {
                       ? 0
                       : static_cast<int>((deadline_us - now_us + 999) / 1000);
     }
+  }
+  for (int i = 0; i < n; ++i) {
+    const struct epoll_event& e = ready_[static_cast<size_t>(i)];
+    PollEvent ev;
+    ev.fd = e.data.fd;
+    ev.readable = (e.events & EPOLLIN) != 0;
+    ev.writable = (e.events & EPOLLOUT) != 0;
+    ev.closed = (e.events & (EPOLLHUP | EPOLLERR)) != 0;
+    events_.push_back(ev);
+  }
+  // A full batch means more fds may be ready; grow so the next wake can
+  // report them all (level-triggered, so nothing is lost meanwhile).
+  if (static_cast<size_t>(n) == ready_.size()) {
+    ready_.resize(ready_.size() * 2);
   }
   return events_;
 }

@@ -1,55 +1,30 @@
-// Readiness backends: poll and epoll must be observationally identical.
-//
-// Every scenario watches the same fds with a Poller of each backend and
-// compares the events field by field — the differential half of the
-// AF_POLLER ablation (the torture and fault-injection suites are also
-// re-run under AF_POLLER=poll by CMake, under the `backend` label).
-// Timeout edge cases (negative = forever, 0 = non-blocking, values past
-// INT_MAX) and EINTR retry behaviour are covered directly: a signal
-// arriving mid-wait must consume the remaining timeout, not surface as a
-// spurious empty wake.
+// The epoll Poller's contract, case by case: interest changes and
+// unwatching, syscall-free re-watch of an unchanged interest, timeout edge
+// cases (negative = forever, 0 = non-blocking, values past INT_MAX), and
+// EINTR retry behaviour - a signal arriving mid-wait must consume the
+// remaining timeout, not surface as a spurious empty wake.
 #include <gtest/gtest.h>
 
 #include <signal.h>
 #include <sys/time.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <climits>
-#include <cstdlib>
 #include <limits>
 #include <thread>
-#include <vector>
 
-#include "clients/server_runner.h"
 #include "transport/poller.h"
 #include "transport/stream.h"
 
 namespace af {
 namespace {
 
-std::string BackendName(const ::testing::TestParamInfo<Poller::Backend>& info) {
-  return info.param == Poller::Backend::kEpoll ? "epoll" : "poll";
-}
-
-class PollerBackendTest : public ::testing::TestWithParam<Poller::Backend> {
- protected:
-  Poller MakePoller() { return Poller(GetParam()); }
-};
-
-TEST_P(PollerBackendTest, NameMatchesBackend) {
-  Poller poller = MakePoller();
-  EXPECT_EQ(poller.backend(), GetParam());
-  EXPECT_STREQ(poller.backend_name(),
-               GetParam() == Poller::Backend::kEpoll ? "epoll" : "poll");
-}
-
-TEST_P(PollerBackendTest, ReadableWritableAndUnwatch) {
+TEST(PollerTest, ReadableWritableAndUnwatch) {
   auto pair = CreateStreamPair();
   ASSERT_TRUE(pair.ok());
   auto& [a, b] = pair.value();
-  Poller poller = MakePoller();
+  Poller poller;
 
   poller.Watch(b.fd(), true, false);
   EXPECT_EQ(poller.watched(), 1u);
@@ -82,11 +57,11 @@ TEST_P(PollerBackendTest, ReadableWritableAndUnwatch) {
   EXPECT_TRUE(poller.Wait(0).empty());
 }
 
-TEST_P(PollerBackendTest, ReWatchSameInterestIsIdempotent) {
+TEST(PollerTest, ReWatchSameInterestIsIdempotent) {
   auto pair = CreateStreamPair();
   ASSERT_TRUE(pair.ok());
   auto& [a, b] = pair.value();
-  Poller poller = MakePoller();
+  Poller poller;
   // The server re-asserts every interest each loop iteration; doing so
   // many times over must not duplicate events or grow the watch set.
   for (int i = 0; i < 100; ++i) {
@@ -98,13 +73,13 @@ TEST_P(PollerBackendTest, ReWatchSameInterestIsIdempotent) {
   EXPECT_EQ(poller.Wait(1000).size(), 1u);
 }
 
-TEST_P(PollerBackendTest, TimeoutEdgeCasesWithReadyFd) {
+TEST(PollerTest, TimeoutEdgeCasesWithReadyFd) {
   auto pair = CreateStreamPair();
   ASSERT_TRUE(pair.ok());
   auto& [a, b] = pair.value();
   const char byte = 'r';
   a.WriteAll(&byte, 1);
-  Poller poller = MakePoller();
+  Poller poller;
   poller.Watch(b.fd(), true, false);
   // A ready fd must be reported regardless of how the timeout is spelled:
   // negative (forever), zero (non-blocking), and values past INT_MAX
@@ -117,9 +92,7 @@ TEST_P(PollerBackendTest, TimeoutEdgeCasesWithReadyFd) {
   }
 }
 
-// The clamp itself, pinned value by value. It used to live (slightly
-// differently) in each backend; now the facade applies it once before
-// every backend call, so one table covers both.
+// The clamp itself, pinned value by value.
 TEST(PollerClampTest, NegativeAndOverflowEdges) {
   EXPECT_EQ(Poller::ClampTimeoutMs(-1), -1);
   EXPECT_EQ(Poller::ClampTimeoutMs(-1000), -1);
@@ -134,11 +107,11 @@ TEST(PollerClampTest, NegativeAndOverflowEdges) {
   EXPECT_EQ(Poller::ClampTimeoutMs(std::numeric_limits<int64_t>::max()), INT_MAX);
 }
 
-TEST_P(PollerBackendTest, HugeTimeoutStillWakesOnActivity) {
+TEST(PollerTest, HugeTimeoutStillWakesOnActivity) {
   auto pair = CreateStreamPair();
   ASSERT_TRUE(pair.ok());
   auto& [a, b] = pair.value();
-  Poller poller = MakePoller();
+  Poller poller;
   poller.Watch(b.fd(), true, false);
   std::thread writer([&a] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -157,11 +130,11 @@ TEST_P(PollerBackendTest, HugeTimeoutStillWakesOnActivity) {
 
 void IgnoreAlarm(int) {}
 
-TEST_P(PollerBackendTest, SignalDoesNotSurfaceAsEmptyWake) {
+TEST(PollerTest, SignalDoesNotSurfaceAsEmptyWake) {
   auto pair = CreateStreamPair();
   ASSERT_TRUE(pair.ok());
   auto& [a, b] = pair.value();
-  Poller poller = MakePoller();
+  Poller poller;
   poller.Watch(b.fd(), true, false);
 
   // A repeating 20 ms SIGALRM with SA_RESTART off makes the kernel wait
@@ -193,100 +166,6 @@ TEST_P(PollerBackendTest, SignalDoesNotSurfaceAsEmptyWake) {
   EXPECT_GE(elapsed.count(), 180);
   (void)a;
 }
-
-// --- differential: both backends, same fds, same events ---------------------
-
-// Level-triggered readiness lets one fd be watched by both backends at
-// once; whatever scenario we stage must read back identically.
-void ExpectSameEvents(int fd, bool want_read, bool want_write) {
-  Poller with_poll(Poller::Backend::kPoll);
-  Poller with_epoll(Poller::Backend::kEpoll);
-  with_poll.Watch(fd, want_read, want_write);
-  with_epoll.Watch(fd, want_read, want_write);
-  const std::vector<PollEvent> from_poll = with_poll.Wait(100);
-  const std::vector<PollEvent> from_epoll = with_epoll.Wait(100);
-  ASSERT_EQ(from_poll.size(), from_epoll.size());
-  for (size_t i = 0; i < from_poll.size(); ++i) {
-    EXPECT_EQ(from_poll[i].fd, from_epoll[i].fd);
-    EXPECT_EQ(from_poll[i].readable, from_epoll[i].readable);
-    EXPECT_EQ(from_poll[i].writable, from_epoll[i].writable);
-    EXPECT_EQ(from_poll[i].closed, from_epoll[i].closed);
-  }
-}
-
-TEST(PollerDifferentialTest, PendingDataReadsBackIdentically) {
-  auto pair = CreateStreamPair();
-  ASSERT_TRUE(pair.ok());
-  auto& [a, b] = pair.value();
-  const char byte = 'd';
-  a.WriteAll(&byte, 1);
-  ExpectSameEvents(b.fd(), true, false);
-  ExpectSameEvents(b.fd(), true, true);
-}
-
-TEST(PollerDifferentialTest, PeerCloseReadsBackIdentically) {
-  auto pair = CreateStreamPair();
-  ASSERT_TRUE(pair.ok());
-  auto& [a, b] = pair.value();
-  a.Close();
-  // AF_UNIX stream sockets report hangup when the peer closes; both
-  // backends must agree on the {readable, closed} combination the server
-  // uses to schedule the final drain-then-teardown.
-  ExpectSameEvents(b.fd(), true, false);
-}
-
-TEST(PollerDifferentialTest, WritableOnlyReadsBackIdentically) {
-  auto pair = CreateStreamPair();
-  ASSERT_TRUE(pair.ok());
-  auto& [a, b] = pair.value();
-  ExpectSameEvents(b.fd(), false, true);
-  (void)a;
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, PollerBackendTest,
-                         ::testing::Values(Poller::Backend::kPoll,
-                                           Poller::Backend::kEpoll),
-                         BackendName);
-
-// --- selection and end-to-end service --------------------------------------
-
-TEST(PollerEnvTest, BackendFromEnvironment) {
-  setenv("AF_POLLER", "poll", 1);
-  EXPECT_EQ(PollerBackendFromEnv(), Poller::Backend::kPoll);
-  EXPECT_EQ(Poller().backend(), Poller::Backend::kPoll);
-  setenv("AF_POLLER", "epoll", 1);
-  EXPECT_EQ(PollerBackendFromEnv(), Poller::Backend::kEpoll);
-  unsetenv("AF_POLLER");
-#ifdef __linux__
-  EXPECT_EQ(PollerBackendFromEnv(), Poller::Backend::kEpoll);
-#else
-  EXPECT_EQ(PollerBackendFromEnv(), Poller::Backend::kPoll);
-#endif
-}
-
-// A full server round trip under each explicitly selected backend: the
-// loop must accept, serve requests, and tear down identically.
-void RoundTripUnderBackend(const char* backend) {
-  setenv("AF_POLLER", backend, 1);
-  ServerRunner::Config config;
-  config.with_codec = true;
-  config.realtime = false;
-  auto runner = ServerRunner::Start(config);
-  unsetenv("AF_POLLER");
-  ASSERT_NE(runner, nullptr);
-  auto conn = runner->ConnectInProcess();
-  ASSERT_TRUE(conn.ok());
-  auto client = conn.take();
-  auto t1 = client->GetTime(0);
-  ASSERT_TRUE(t1.ok());
-  auto t2 = client->GetTime(0);
-  ASSERT_TRUE(t2.ok());
-  EXPECT_GE(t2.value(), t1.value());
-}
-
-TEST(PollerEnvTest, ServerServesUnderPollBackend) { RoundTripUnderBackend("poll"); }
-
-TEST(PollerEnvTest, ServerServesUnderEpollBackend) { RoundTripUnderBackend("epoll"); }
 
 }  // namespace
 }  // namespace af

@@ -366,7 +366,7 @@ TEST_F(ServerTest, StatsCount) {
   conn_->NoOp();
   conn_->Sync();
   runner_->RunOnLoop([this] {
-    EXPECT_GT(runner_->server().stats().requests_dispatched, 0u);
+    EXPECT_GT(runner_->server().metrics().requests_dispatched.Value(), 0u);
     EXPECT_EQ(runner_->server().client_count(), 1u);
   });
 }

@@ -1,6 +1,6 @@
 // The sharded server (PR 6): the per-shard inbox, a four-shard server
-// exercised through the public client API, and the device lock under real
-// concurrency.
+// exercised through the public client API, the listeners that pick each
+// connection's shard, and the device lock under real concurrency.
 //
 // Every request runs on its connection's home shard; a request for a
 // device another shard owns takes that shard's device lock. The server
@@ -17,6 +17,8 @@
 // against another shard's device allocates exactly like a local one.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -27,8 +29,10 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <numeric>
 #include <random>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -439,6 +443,68 @@ TEST_F(ShardServerTest, TraceWindowsShareOneGeneration) {
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second.begin()->first, first.begin()->first + 2);
   EXPECT_EQ(second.begin()->second.size(), 4u);
+}
+
+// --- listeners pick the shard -----------------------------------------------
+
+std::vector<uint64_t> AcceptedPerShard(AFServer& server) {
+  std::vector<uint64_t> accepted;
+  for (size_t s = 0; s < server.num_shards(); ++s) {
+    accepted.push_back(server.shard(s)->metrics().clients_accepted.Value());
+  }
+  return accepted;
+}
+
+// The one UNIX listener lives on shard 0, which hands its connections out
+// round-robin: eight clients land two to a shard.
+TEST(ShardListenerTest, UnixListenerHandsOffRoundRobin) {
+  const std::string path = "/tmp/.AF-shard-test-" + std::to_string(::getpid());
+  ServerRunner::Config config;
+  config.realtime = false;
+  config.server.num_shards = 4;
+  config.unix_path = path;
+  auto runner = ServerRunner::Start(std::move(config));
+  ASSERT_NE(runner, nullptr);
+
+  std::vector<std::unique_ptr<AFAudioConn>> conns;
+  for (int i = 0; i < 8; ++i) {
+    auto stream = ConnectUnix(path);
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    auto conn = AFAudioConn::FromStream(stream.take(), "(unix)");
+    ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+    conns.push_back(conn.take());
+  }
+  // The setup reply comes from the home shard, so every adoption is done.
+  EXPECT_EQ(AcceptedPerShard(runner->server()), (std::vector<uint64_t>{2, 2, 2, 2}));
+  for (auto& conn : conns) {
+    EXPECT_TRUE(conn->GetTime(runner->codec_id()).ok());
+  }
+}
+
+// Every shard has its own SO_REUSEPORT TCP listener and adopts what it
+// accepts. The kernel picks the listener, so only the total is fixed.
+TEST(ShardListenerTest, TcpListenersAcceptOnTheirOwnShards) {
+  constexpr uint16_t kPort = 17951;
+  constexpr size_t kConns = 16;
+  ServerRunner::Config config;
+  config.realtime = false;
+  config.server.num_shards = 4;
+  config.tcp_port = kPort;
+  auto runner = ServerRunner::Start(std::move(config));
+  ASSERT_NE(runner, nullptr);
+
+  std::vector<std::unique_ptr<AFAudioConn>> conns;
+  for (size_t i = 0; i < kConns; ++i) {
+    auto stream = ConnectTcp("127.0.0.1", kPort);
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    auto conn = AFAudioConn::FromStream(stream.take(), "(tcp)");
+    ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+    EXPECT_TRUE(conn.value()->GetTime(runner->codec_id()).ok()) << "connection " << i;
+    conns.push_back(conn.take());
+  }
+  const std::vector<uint64_t> accepted = AcceptedPerShard(runner->server());
+  EXPECT_EQ(std::accumulate(accepted.begin(), accepted.end(), uint64_t{0}), kConns);
+  EXPECT_EQ(runner->server().client_count(), kConns);
 }
 
 // --- the device lock under real concurrency --------------------------------

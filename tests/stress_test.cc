@@ -51,15 +51,34 @@ TEST(LineServerUdpTest, PlayRecordOverRealSockets) {
   EXPECT_GT(t1, t0);
   EXPECT_NEAR(static_cast<int>(t1 - t0), 800, 300);  // ~100 ms at 8 kHz
 
-  // Play, loop back through the wire, and record over UDP.
-  const ATime when = t1 + 400;
+  // Play, loop back through the wire, and record over UDP. Device time is
+  // real, so the play is anchored on a fresh counter read, and both ends
+  // stay inside the firmware's rings: the lead plus the pattern fits the
+  // play ring, and the readback starts as soon as the CODEC interrupt has
+  // consumed the window, long before the record ring laps it.
+  constexpr ATime kLead = 1024;  // 128 ms for the write to reach the firmware
   std::vector<uint8_t> pattern(600, 0x2C);
+  static_assert(kLead + 600 <= LineServerFirmware::kRingFrames);
+  const ATime when = hw.ReadCounter() + kLead;
   hw.WritePlay(when, pattern);
-  SleepMicros(200000);  // real time passes; the CODEC interrupt consumes
+  const ATime end = when + static_cast<ATime>(pattern.size());
+  const uint64_t deadline_us = HostMicros() + 10000000;
+  while (TimeBefore(hw.ReadCounter(), end) && HostMicros() < deadline_us) {
+    SleepMicros(1000);
+  }
 
+  // A readback request gets one reply and no retry (Section 7.4.3), so a
+  // peripheral thread that misses the pump's 2 ms window loses it. The
+  // record ring still holds the window for ~180 ms more: ask again.
   std::vector<uint8_t> heard(600);
-  hw.ReadRecord(when, heard);
-  EXPECT_EQ(heard, pattern);
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    const uint64_t losses = hw.record_losses();
+    hw.ReadRecord(when, heard);
+    if (hw.record_losses() == losses) {
+      break;
+    }
+  }
+  EXPECT_EQ(heard, pattern) << "record losses " << hw.record_losses();
 
   stop.store(true);
   peripheral.join();
