@@ -315,21 +315,15 @@ inline bool FetchServerSide(AFAudioConn& conn, ServerSide* out) {
     return false;
   }
   const ServerStatsWire& s = stats.value();
-  const auto counter = [&](const char* name) -> uint64_t {
-    for (size_t i = 0; i < kNumServerCounters && i < s.counters.size(); ++i) {
-      if (std::strcmp(kServerCounterNames[i], name) == 0) {
-        return s.counters[i];
-      }
-    }
-    return 0;
+  // Row values by name; 0 for a slot the snapshot's array is too short for.
+  const auto slot_value = [](const std::vector<uint64_t>& values, size_t i) -> uint64_t {
+    return i < values.size() ? values[i] : 0;
   };
-  const auto dev_counter = [&](const DeviceStatsWire& d, const char* name) -> uint64_t {
-    for (size_t i = 0; i < kNumDeviceCounters && i < d.counters.size(); ++i) {
-      if (std::strcmp(kDeviceCounterNames[i], name) == 0) {
-        return d.counters[i];
-      }
-    }
-    return 0;
+  const auto counter = [&](const char* name) {
+    return slot_value(s.counters, ServerCounterSlot(name));
+  };
+  const auto dev_counter = [&](const DeviceStatsWire& d, const char* name) {
+    return slot_value(d.counters, DeviceCounterSlot(name));
   };
   out->requests_dispatched = counter("requests_dispatched");
   out->loop_iterations = counter("loop_iterations");
@@ -362,13 +356,8 @@ inline bool FetchServerSide(AFAudioConn& conn, ServerSide* out) {
   out->dispatch_p50_us = HistogramQuantile(combined, 0.50);
   out->dispatch_p95_us = HistogramQuantile(combined, 0.95);
   out->dispatch_p99_us = HistogramQuantile(combined, 0.99);
-  const auto shard_counter = [&](const ShardStatsWire& sh, const char* name) -> uint64_t {
-    for (size_t i = 0; i < kNumServerCounters && i < sh.counters.size(); ++i) {
-      if (std::strcmp(kServerCounterNames[i], name) == 0) {
-        return sh.counters[i];
-      }
-    }
-    return 0;
+  const auto shard_counter = [&](const ShardStatsWire& sh, const char* name) {
+    return slot_value(sh.counters, ServerCounterSlot(name));
   };
   for (const ShardStatsWire& sh : s.shards) {
     ShardSide side;

@@ -220,6 +220,30 @@ print(f"astat --shards OK: {len(shards)} shard entries")
     fi
 fi
 
+echo "== astat --watch keeps gauge slots absolute =="
+# Watch mode differences counter slots only. A gauge is a sample, so the
+# first interval of the 2-shard demo server must show shards 2 in the
+# aggregate and in both slices, and poller_backend 1; a diffed gauge
+# reads 0 there.
+ASTAT_WATCH="$(timeout 10 ./build/examples/astat -demo --shards --json --watch 0.1 | head -n 1)"
+if command -v python3 >/dev/null 2>&1; then
+    printf '%s' "$ASTAT_WATCH" | python3 -c '
+import json, sys
+doc = json.load(sys.stdin)
+shards = [doc["counters"]["shards"]] + [s["counters"]["shards"] for s in doc["shards"]]
+assert shards == [2, 2, 2], f"shards (aggregate, slice 0, slice 1) = {shards}"
+backend = doc["counters"]["poller_backend"]
+assert backend == 1, f"aggregate poller_backend = {backend}"
+print(f"astat --watch OK: shards {shards}, poller_backend {backend}")
+'
+else
+    [ "$(printf '%s' "$ASTAT_WATCH" | grep -o '"shards":2,' | wc -l)" -eq 3 ] &&
+        printf '%s' "$ASTAT_WATCH" | grep -q '"poller_backend":1,' || {
+        echo "astat --watch: gauge slots were differenced" >&2
+        exit 1
+    }
+fi
+
 echo "== astat --prom renders well-formed Prometheus exposition =="
 # Counters end in _total, histograms carry cumulative le buckets that must
 # be nondecreasing with the +Inf bucket equal to _count, and every metric

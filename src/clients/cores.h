@@ -221,7 +221,8 @@ struct AstatOptions {
   // --watch <seconds>: instead of one absolute snapshot, report the counter
   // deltas accumulated over each interval (watch_count intervals; the CLI
   // passes SIZE_MAX and runs until killed). Histograms and latency sums are
-  // differenced the same way, so percentiles describe just that interval.
+  // differenced the same way, so percentiles describe just that interval;
+  // gauge slots stay absolute.
   double watch_seconds = 0;
   size_t watch_count = 1;
   // --prom: Prometheus text exposition format (version 0.0.4) instead of
@@ -233,23 +234,14 @@ struct AstatOptions {
   std::function<void(const std::string&)> on_report;
 };
 
-// Prometheus text exposition of a decoded stats block (see AstatOptions::prom).
-std::string FormatServerStatsProm(const ServerStatsWire& stats);
-
-// Formats a decoded stats block. The table form groups counters, per-opcode
-// dispatch latency (nonzero rows only, p50/p95/p99 via HistogramQuantile),
-// and per-device audio-health counters; the JSON form is a single object
-// with the same content. Counters the wire carries beyond this build's name
-// tables (a newer server) are labelled counter<N>.
-std::string FormatServerStats(const ServerStatsWire& stats, bool json,
-                              bool shards = false, bool restarted = false);
-
-// Round-trips kGetServerStats and renders the result.
+// Round-trips kGetServerStats and renders the result with
+// FormatServerStats / FormatServerStatsProm (proto/stats.h).
 Result<std::string> RunAstat(AFAudioConn& aud, const AstatOptions& options);
 
 // Elementwise delta (cur - prev) of two stats snapshots from the same
 // server: counters, error counts, per-opcode latency, and histograms are
-// differenced; sizes are clamped to the smaller snapshot.
+// differenced, while gauge slots keep cur's absolute value; sizes are
+// clamped to the smaller snapshot.
 ServerStatsWire DiffServerStats(const ServerStatsWire& prev, const ServerStatsWire& cur);
 
 // True when cur cannot be a later snapshot of the same server process as

@@ -3,7 +3,6 @@
 #define AF_COMMON_LOG_H_
 
 #include <cstdarg>
-#include <cstdint>
 
 namespace af {
 
@@ -22,37 +21,6 @@ void ErrorF(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 // FatalError: print and abort the process (paper's name).
 [[noreturn]] void FatalError(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-// Rate limiter for warning sites that can fire per audio block (an
-// underrunning device would otherwise log hundreds of lines per second).
-// At most one message per window; the caller folds the number suppressed
-// since the last emitted message into its text. Not thread-safe — each
-// instance belongs to one logging site on one thread.
-class RateLimitedLog {
- public:
-  explicit RateLimitedLog(int64_t window_us = 1000000) : window_us_(window_us) {}
-
-  // Returns true if the caller should log now; *suppressed is set to the
-  // number of calls swallowed since the last emitted message. Returns
-  // false (and counts a suppression) inside the window.
-  bool ShouldLog(int64_t now_us, uint64_t* suppressed) {
-    if (last_us_ != 0 && now_us - last_us_ < window_us_) {
-      ++suppressed_;
-      return false;
-    }
-    *suppressed = suppressed_;
-    suppressed_ = 0;
-    last_us_ = now_us;
-    return true;
-  }
-
-  uint64_t pending_suppressed() const { return suppressed_; }
-
- private:
-  int64_t window_us_;
-  int64_t last_us_ = 0;
-  uint64_t suppressed_ = 0;
-};
 
 }  // namespace af
 

@@ -1,8 +1,5 @@
 #include "common/metrics.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 namespace af {
 
 uint64_t HistogramQuantile(std::span<const uint64_t> buckets, double q) {
@@ -19,44 +16,6 @@ uint64_t HistogramQuantile(std::span<const uint64_t> buckets, double q) {
     if (seen >= rank) return Histogram::BucketUpperBound(static_cast<int>(i));
   }
   return Histogram::BucketUpperBound(static_cast<int>(buckets.size()) - 1);
-}
-
-void MetricsRegistry::Register(std::string name, const Counter* c) {
-  entries_.push_back(Entry{std::move(name), c, nullptr, nullptr});
-}
-
-void MetricsRegistry::Register(std::string name, const Gauge* g) {
-  entries_.push_back(Entry{std::move(name), nullptr, g, nullptr});
-}
-
-void MetricsRegistry::Register(std::string name, const Histogram* h) {
-  entries_.push_back(Entry{std::move(name), nullptr, nullptr, h});
-}
-
-std::string MetricsRegistry::DumpText() const {
-  std::string out;
-  char line[256];
-  for (const Entry& e : entries_) {
-    if (e.counter != nullptr) {
-      std::snprintf(line, sizeof line, "%-44s %" PRIu64 "\n", e.name.c_str(),
-                    e.counter->Value());
-    } else if (e.gauge != nullptr) {
-      std::snprintf(line, sizeof line, "%-44s %" PRId64 "\n", e.name.c_str(),
-                    e.gauge->Value());
-    } else {
-      uint64_t buckets[Histogram::kBuckets];
-      e.histogram->Snapshot(buckets);
-      const uint64_t count = e.histogram->Count();
-      const uint64_t sum = e.histogram->Sum();
-      std::snprintf(line, sizeof line,
-                    "%-44s count=%" PRIu64 " sum=%" PRIu64 " p50=%" PRIu64 " p95=%" PRIu64
-                    " p99=%" PRIu64 "\n",
-                    e.name.c_str(), count, sum, HistogramQuantile(buckets, 0.50),
-                    HistogramQuantile(buckets, 0.95), HistogramQuantile(buckets, 0.99));
-    }
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace af

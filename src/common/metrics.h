@@ -1,5 +1,5 @@
-// Server-wide observability primitives: named monotonic counters, gauges,
-// and fixed-bucket histograms.
+// Server-wide observability primitives: monotonic counters, gauges, and
+// fixed-bucket histograms, plus the row kinds of the metric tables.
 //
 // Hot-path contract (the play/record path is allocation-free per PR 1, and
 // metrics recording must not break that): Counter::Add and
@@ -23,8 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
+#include <type_traits>
 
 namespace af {
 
@@ -94,31 +93,23 @@ class Histogram {
 // same numbers from the same wire data. Returns 0 for an empty histogram.
 uint64_t HistogramQuantile(std::span<const uint64_t> buckets, double q);
 
-// A registry of named metrics for enumeration (the SIGUSR1 / shutdown text
-// dump). Registration allocates and is meant for setup time; the metrics
-// themselves live wherever the owner put them (the registry only borrows
-// pointers, which therefore must outlive it or be Unregister()ed).
-class MetricsRegistry {
- public:
-  void Register(std::string name, const Counter* c);
-  void Register(std::string name, const Gauge* g);
-  void Register(std::string name, const Histogram* h);
+// How a metric-table row (proto/stats.h) behaves across time and shards.
+// A counter is monotonic and sums across shards; a gauge is a
+// point-in-time sample that sums across shards; a gauge-max sample
+// aggregates to the largest shard's value. Gauges of either kind stay
+// absolute under astat --watch.
+enum class MetricKind : uint8_t { kCounter, kGauge, kGaugeMax };
 
-  // Appends "name value" lines (histograms get count/sum/p50/p95/p99) in
-  // registration order.
-  std::string DumpText() const;
+// The field type backing a row of the given kind.
+template <MetricKind K>
+using MetricCell = std::conditional_t<K == MetricKind::kCounter, Counter, Gauge>;
 
-  size_t size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    std::string name;
-    const Counter* counter = nullptr;
-    const Gauge* gauge = nullptr;
-    const Histogram* histogram = nullptr;
-  };
-  std::vector<Entry> entries_;
-};
+// X-macro row visitors for the tables: a row's name, its kind, its field
+// declaration, and its field's value as a wire word.
+#define AF_METRIC_NAME(name, kind) #name,
+#define AF_METRIC_KIND(name, kind) ::af::MetricKind::kind,
+#define AF_METRIC_FIELD(name, kind) ::af::MetricCell<::af::MetricKind::kind> name;
+#define AF_METRIC_VALUE(name, kind) static_cast<uint64_t>(name.Value()),
 
 }  // namespace af
 

@@ -14,101 +14,106 @@
 #define AF_PROTO_STATS_H_
 
 #include <cstdint>
+#include <iterator>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/metrics.h"
 #include "proto/wire.h"
 
 namespace af {
 
 constexpr uint32_t kServerStatsVersion = 1;
 
-// Global counter order on the wire. astat and the server's text dump both
-// label positions from this table so they can never disagree.
-inline constexpr const char* kServerCounterNames[] = {
-    "requests_dispatched", "events_sent",    "errors_sent", "clients_accepted",
-    "clients_reaped",      "loop_iterations", "bytes_in",    "bytes_out",
-    "highwater_hits",      "suspends",       "resumes",     "faults_applied",
-    "trace_dropped_events",  // appended in PR 4; old readers show fewer rows
-    // Appended in PR 5. The last two are gauges sampled at snapshot time
-    // (poller_backend: a retired slot that reads 1, as the loop always
-    // runs on epoll; watched_fds: current interest-set size), carried in
-    // the counters array to stay within the append-only versioning rule.
-    "writev_calls",        "writev_iovecs",  "poller_backend", "watched_fds",
-    // Appended in PR 6 (sharding). The first six are monotonic counters
-    // (ServerMetrics::ExtraCounterList()); mailbox_depth_hw and shards are
-    // gauges sampled at snapshot time like poller_backend/watched_fds.
-    // The cross_shard_posted/drained, mailbox_wakes and mailbox_depth_hw
-    // slots describe each shard's inbox, cross_shard_plays
-    // counts device requests run against another shard's device, and
-    // mailbox_spills is a retired slot that reads 0.
-    "cross_shard_posted",  "cross_shard_drained", "cross_shard_events",
-    "cross_shard_plays",   "mailbox_wakes",       "mailbox_spills",
-    "mailbox_depth_hw",    "shards",
-    // Appended in PR 8 (replication + failover). The first two are
-    // monotonic per-shard counters (ServerMetrics::ReplCounterList()):
-    // oplog_records is op-log records emitted toward the backup, resyncs is
-    // ResyncTime requests served after a client reconnect. The last three
-    // are server-global gauges patched in at aggregation time:
-    // oplog_acked is the backup's cumulative ack watermark, repl_overflows
-    // counts times the unacked window overflowed and dropped the link, and
-    // failovers_promoted is 1 once this server promoted itself from backup.
-    "oplog_records",       "resyncs",
-    "oplog_acked",         "repl_overflows",      "failovers_promoted",
-};
-constexpr size_t kNumServerCounters =
-    sizeof(kServerCounterNames) / sizeof(kServerCounterNames[0]);
-// The leading kNumServerCounterSlots positions are monotonic counters with
-// stable addresses in ServerMetrics::CounterList(); positions 15 and 16
-// are the PR 5 gauges, fixed forever by the append-only rule.
-constexpr size_t kNumServerCounterSlots = 15;
-// The PR 6 extra region: six more monotonic counters starting right after
-// the PR 5 gauges (ServerMetrics::ExtraCounterList()), then two more gauge
-// samples.
-constexpr size_t kFirstExtraCounterSlot = kNumServerCounterSlots + 2;
-constexpr size_t kNumExtraCounterSlots = 6;
-// The PR 8 replication region: two more per-shard monotonic counters
-// (ServerMetrics::ReplCounterList()) after the PR 6 gauges, then three
-// server-global gauges (oplog_acked, repl_overflows, failovers_promoted).
-constexpr size_t kFirstReplCounterSlot =
-    kFirstExtraCounterSlot + kNumExtraCounterSlots + 2;
-constexpr size_t kNumReplCounterSlots = 2;
-constexpr size_t kFirstReplGaugeSlot = kFirstReplCounterSlot + kNumReplCounterSlots;
-constexpr size_t kNumReplGaugeSlots = 3;
+// The server metrics table: one row per slot of the counters array, in
+// wire order, each with its kind (common/metrics.h). Rows are append-only:
+// a new metric is one row at the end plus its recording call, and old
+// readers simply show fewer rows. ServerMetrics (server/server_metrics.h)
+// gets one field per row under the row's name; the name and kind arrays,
+// the per-shard slices and their merge, the flight-recorder list, and
+// astat's labels all derive from this list.
+#define AF_SERVER_METRICS(X)                                                            \
+  X(requests_dispatched, kCounter)  /* requests run through dispatch */                 \
+  X(events_sent, kCounter)          /* events queued to clients */                      \
+  X(errors_sent, kCounter)          /* error replies queued to clients */               \
+  X(clients_accepted, kCounter)     /* connections accepted or adopted */               \
+  X(clients_reaped, kCounter)       /* connections closed and removed */                \
+  X(loop_iterations, kCounter)      /* server loop iterations */                        \
+  X(bytes_in, kCounter)             /* request bytes of dispatched requests */          \
+  X(bytes_out, kCounter)            /* reply/error/event bytes flushed to sockets */    \
+  X(highwater_hits, kCounter)       /* input flood guard engaged */                     \
+  X(suspends, kCounter)             /* requests parked by flow control */               \
+  X(resumes, kCounter)              /* parked requests re-dispatched */                 \
+  X(faults_applied, kCounter)       /* fault-injection schedule applications */         \
+  X(trace_dropped_events, kCounter) /* trace-ring records overwritten undrained */      \
+  X(writev_calls, kCounter)         /* egress flush syscalls */                         \
+  X(writev_iovecs, kCounter)        /* iovec entries submitted across those calls */    \
+  X(poller_backend, kGaugeMax)      /* retired backend slot; reads 1 (epoll) */         \
+  X(watched_fds, kGauge)            /* current readiness interest-set size */           \
+  X(cross_shard_posted, kCounter)   /* messages posted into the shard's inbox */        \
+  X(cross_shard_drained, kCounter)  /* inbox messages the shard's loop ran */           \
+  X(cross_shard_events, kCounter)   /* AEvents posted to other shards */                \
+  X(cross_shard_plays, kCounter)    /* device requests on another shard's device */     \
+  X(mailbox_wakes, kCounter)        /* inbox drains that found a message */             \
+  X(mailbox_spills, kCounter)       /* retired (the SPSC mailbox's spill); reads 0 */   \
+  X(mailbox_depth_hw, kGaugeMax)    /* largest batch one inbox drain found */           \
+  X(shards, kGaugeMax)              /* the server's shard count */                      \
+  X(oplog_records, kCounter)        /* op-log records emitted toward the backup */      \
+  X(resyncs, kCounter)              /* ResyncTime requests served after reconnect */    \
+  X(oplog_acked, kGaugeMax)         /* backup's cumulative ack watermark (shard 0) */   \
+  X(repl_overflows, kGaugeMax)      /* link drops on ack-window overflow (shard 0) */   \
+  X(failovers_promoted, kGaugeMax)  /* 1 once promoted from backup (shard 0) */
 
-// True for positions that carry point-in-time gauge samples rather than
-// monotonic counters. astat's watch mode uses this to diff only the
-// monotonic positions and to detect a server restart (monotonic counter
-// went backwards).
+// The per-device table (DeviceMetrics in server/audio_device.h), same rules.
+#define AF_DEVICE_METRICS(X)                                                            \
+  X(play_underruns, kCounter)         /* play updates run after the hw drained */       \
+  X(play_underrun_samples, kCounter)  /* samples the hw backfilled across those */      \
+  X(record_overruns, kCounter)        /* record updates that found history lost */      \
+  X(record_overrun_frames, kCounter)  /* frames lost (served as silence) in those */    \
+  X(silence_filled_frames, kCounter)  /* play-side frames lazily filled with silence */ \
+  X(preempt_writes, kCounter)         /* play requests written preemptively */          \
+  X(mixed_writes, kCounter)           /* play requests mixed into existing data */      \
+  X(passthrough_plays, kCounter)      /* play conversions that were zero-copy */        \
+  X(converted_plays, kCounter)        /* play conversions staged through the arena */   \
+  X(updates, kCounter)                /* periodic Update() runs */                      \
+  X(play_discarded_frames, kCounter)  /* play frames clipped to the past */             \
+  X(mix_shared_writes, kCounter)      /* mixed writes, >= 2 sources in the window */    \
+  X(preempt_clobber_writes, kCounter) /* preempt writes, >= 2 sources in the window */  \
+  X(mix_fanin_hw, kCounter)           /* most distinct play sources in one window */    \
+  X(gain_fused_writes, kCounter)      /* writes that took the fused gain+mix path */
+
+inline constexpr const char* kServerCounterNames[] = {AF_SERVER_METRICS(AF_METRIC_NAME)};
+inline constexpr MetricKind kServerMetricKinds[] = {AF_SERVER_METRICS(AF_METRIC_KIND)};
+constexpr size_t kNumServerCounters = std::size(kServerCounterNames);
+inline constexpr const char* kDeviceCounterNames[] = {AF_DEVICE_METRICS(AF_METRIC_NAME)};
+constexpr size_t kNumDeviceCounters = std::size(kDeviceCounterNames);
+
+// True for slots that carry point-in-time samples rather than monotonic
+// counts. astat's watch mode keeps these absolute, and a monotonic slot
+// going backwards is how it detects a server restart.
 constexpr bool IsServerGaugeSlot(size_t i) {
-  return i == kNumServerCounterSlots || i == kNumServerCounterSlots + 1 ||
-         i == kFirstExtraCounterSlot + kNumExtraCounterSlots ||
-         i == kFirstExtraCounterSlot + kNumExtraCounterSlots + 1 ||
-         (i >= kFirstReplGaugeSlot && i < kFirstReplGaugeSlot + kNumReplGaugeSlots);
+  return i < kNumServerCounters && kServerMetricKinds[i] != MetricKind::kCounter;
 }
 
-// Per-device counter order on the wire (matches DeviceMetrics). The
-// device counters array is count-prefixed like every other array in the
-// block, so appending names here is wire-safe: old decoders show fewer
-// rows per device.
-inline constexpr const char* kDeviceCounterNames[] = {
-    "play_underruns",   "play_underrun_samples", "record_overruns",
-    "record_overrun_frames", "silence_filled_frames", "preempt_writes",
-    "mixed_writes",     "passthrough_plays",     "converted_plays",
-    "updates",
-    // Appended in PR 7 (conference bridge fan-in). play_discarded_frames
-    // counts play data clipped to the past - the request-side samples
-    // lost, identical on the preempt and mix paths. mix_shared_writes /
-    // preempt_clobber_writes split the mixed/preempt write counts by
-    // fan-in degree (another source was active in the same update window);
-    // mix_fanin_hw is the high-water distinct-source count per window;
-    // gain_fused_writes counts writes that took the single-pass per-source
-    // gain+mix path.
-    "play_discarded_frames", "mix_shared_writes", "preempt_clobber_writes",
-    "mix_fanin_hw",     "gain_fused_writes",
-};
-constexpr size_t kNumDeviceCounters =
-    sizeof(kDeviceCounterNames) / sizeof(kDeviceCounterNames[0]);
+// Wire slot of the named row, or the table's size when no row has that
+// name.
+template <size_t N>
+constexpr size_t MetricSlot(const char* const (&names)[N], std::string_view name) {
+  for (size_t i = 0; i < N; ++i) {
+    if (name == names[i]) {
+      return i;
+    }
+  }
+  return N;
+}
+constexpr size_t ServerCounterSlot(std::string_view name) {
+  return MetricSlot(kServerCounterNames, name);
+}
+constexpr size_t DeviceCounterSlot(std::string_view name) {
+  return MetricSlot(kDeviceCounterNames, name);
+}
 
 // A histogram snapshot: count, sum, then one bucket count per power-of-two
 // bucket (layout as in common/metrics.h, bucket count carried separately
@@ -157,6 +162,22 @@ struct ServerStatsWire {
   // Consumes the full reply packet.
   static bool Decode(std::span<const uint8_t> data, WireOrder order, ServerStatsWire* out);
 };
+
+// Renders a decoded stats block: astat prints it, and the server's SIGUSR1
+// dump is the table form. The table groups counters, per-opcode dispatch
+// latency (nonzero rows only, p50/p95/p99 via HistogramQuantile), and
+// per-device audio-health counters; the JSON form is a single object with
+// the same content. shards appends the per-shard breakdown; restarted
+// annotates a watch interval that spans a server restart. Counters the
+// wire carries beyond this build's tables (a newer server) are labelled
+// counter<N>.
+std::string FormatServerStats(const ServerStatsWire& stats, bool json,
+                              bool shards = false, bool restarted = false);
+
+// Prometheus text exposition (version 0.0.4): counter slots become
+// af_<name>_total, gauge slots af_<name>, histograms af_*_micros with
+// cumulative le buckets ending at +Inf.
+std::string FormatServerStatsProm(const ServerStatsWire& stats);
 
 }  // namespace af
 

@@ -1,11 +1,8 @@
 #include "server/audio_device.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstring>
 
-#include "common/clock.h"
-#include "common/log.h"
 #include "common/trace.h"
 #include "dsp/g711.h"
 #include "dsp/adpcm.h"
@@ -436,22 +433,6 @@ void BufferedAudioDevice::SeedTimeForTest(ATime t) {
   time_rec_last_updated_ = t;
 }
 
-void BufferedAudioDevice::WarnUnderrun(uint64_t samples) {
-  uint64_t suppressed = 0;
-  if (!underrun_log_.ShouldLog(HostMicros(), &suppressed)) {
-    return;
-  }
-  if (suppressed > 0) {
-    Logf(LogLevel::kWarning,
-         "play update underrun on device %u: %" PRIu64 " samples (%" PRIu64
-         " more underruns suppressed)",
-         desc_.index, samples, suppressed);
-  } else {
-    Logf(LogLevel::kWarning, "play update underrun on device %u: %" PRIu64 " samples",
-         desc_.index, samples);
-  }
-}
-
 void BufferedAudioDevice::Update() {
   metrics_.updates.Add();
   // Open a new fan-in window: distinct play sources are counted per
@@ -494,7 +475,6 @@ void BufferedAudioDevice::PlayUpdate(ATime now) {
     metrics_.play_underruns.Add();
     metrics_.play_underrun_samples.Add(lost);
     TraceDeviceEvent(TraceKind::kUnderrun, desc_.index, now, lost);
-    WarnUnderrun(lost);
     from = now;
   }
   if (TimeAtOrAfter(from, target)) {

@@ -31,7 +31,6 @@
 
 #include "common/atime.h"
 #include "common/error.h"
-#include "common/log.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "proto/events.h"
@@ -58,40 +57,20 @@ struct RecordOutcome {
   ATime ready_time = 0;      // device time at which all data will exist
 };
 
-// Per-device health counters (wire order documented in PROTOCOL.md under
-// GetServerStats; names in proto/stats.cc must match). All members follow
-// the metrics hot-path contract: recording is lock- and allocation-free.
+// Per-device health counters: one field per AF_DEVICE_METRICS row
+// (proto/stats.h), named as the row. All members follow the metrics
+// hot-path contract: recording is lock- and allocation-free. Every device
+// call holds the owner's device lock, so the mix_fanin_hw high-water is
+// kept by adding the delta whenever a window beats the previous maximum.
 struct DeviceMetrics {
-  Counter play_underruns;         // PlayUpdate ran after the hw drained its window
-  Counter play_underrun_samples;  // samples the hardware backfilled across those
-  Counter record_overruns;        // RecordUpdate found history lost off the hw ring
-  Counter record_overrun_frames;  // frames lost (served as silence) across those
-  Counter silence_filled_frames;  // play-side frames lazily filled with silence
-  Counter preempt_writes;         // play requests written preemptively
-  Counter mixed_writes;           // play requests mixed into existing data
-  Counter passthrough_plays;      // play conversions that were zero-copy
-  Counter converted_plays;        // play conversions staged through the arena
-  Counter updates;                // periodic Update() runs
-  // Fan-in accounting (PR 7, conference bridge). Every device call holds
-  // the owner's device lock, so the high-water counter can be maintained
-  // by adding the delta whenever a window beats the previous maximum.
-  Counter play_discarded_frames;  // play frames clipped to the past (never buffered)
-  Counter mix_shared_writes;      // mixed writes with >= 2 sources in the window
-  Counter preempt_clobber_writes; // preempt writes with >= 2 sources in the window
-  Counter mix_fanin_hw;           // max distinct play sources in one update window
-  Counter gain_fused_writes;      // writes that took the fused gain+mix path
-  Histogram update_lag_micros;    // scheduled deadline vs actual run time
-};
+  AF_DEVICE_METRICS(AF_METRIC_FIELD)
+  Histogram update_lag_micros;  // scheduled deadline vs actual run time
 
-// The counters in kDeviceCounterNames wire order (proto/stats.h).
-inline std::array<const Counter*, kNumDeviceCounters> DeviceCounterList(
-    const DeviceMetrics& m) {
-  return {&m.play_underruns, &m.play_underrun_samples, &m.record_overruns,
-          &m.record_overrun_frames, &m.silence_filled_frames, &m.preempt_writes,
-          &m.mixed_writes, &m.passthrough_plays, &m.converted_plays, &m.updates,
-          &m.play_discarded_frames, &m.mix_shared_writes, &m.preempt_clobber_writes,
-          &m.mix_fanin_hw, &m.gain_fused_writes};
-}
+  // Every row's value, in wire order.
+  std::array<uint64_t, kNumDeviceCounters> Values() const {
+    return {AF_DEVICE_METRICS(AF_METRIC_VALUE)};
+  }
+};
 
 // DDA interface: one instance per abstract audio device.
 class AudioDevice {
@@ -314,11 +293,6 @@ class BufferedAudioDevice : public AudioDevice {
 
  private:
   void ApplyGainHooksInit();
-  // Rate-limited (about one line per second per device, with a suppressed
-  // count) so a soak with a starved consumer cannot flood stderr.
-  void WarnUnderrun(uint64_t samples);
-
-  RateLimitedLog underrun_log_;
 
   // Staging buffers for updates, conversions, gain, and channel
   // extraction. Grow-only: the streaming path allocates nothing once the

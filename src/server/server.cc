@@ -83,13 +83,6 @@ DeviceId AFServer::AddDeviceOnShard(std::unique_ptr<AudioDevice> device,
   properties_.back()->SetChangeHook([raiser, id](Atom property, bool deleted) {
     raiser()->OnPropertyChanged(id, property, deleted);
   });
-  const std::string prefix = "dev" + std::to_string(id) + ".";
-  const DeviceMetrics& m = devices_.back()->metrics();
-  const auto dev_counters = DeviceCounterList(m);
-  for (size_t i = 0; i < kNumDeviceCounters; ++i) {
-    owner->registry().Register(prefix + kDeviceCounterNames[i], dev_counters[i]);
-  }
-  owner->registry().Register(prefix + "update_lag_micros", &m.update_lag_micros);
   owner->ScheduleDeviceUpdate(id);
   return id;
 }
@@ -179,10 +172,6 @@ void AFServer::Run() {
   StartShardThreads();
   shards_[0]->RunLoop();
   JoinShardThreads();
-  if (opts_.dump_stats_on_shutdown) {
-    const std::string dump = DumpStatsText();
-    std::fwrite(dump.data(), 1, dump.size(), stderr);
-  }
 }
 
 void AFServer::Stop() {
@@ -251,111 +240,59 @@ size_t AFServer::client_count() const {
 ServerMetrics& AFServer::metrics() { return shards_[0]->metrics(); }
 const ServerMetrics& AFServer::metrics() const { return shards_[0]->metrics(); }
 
-void AFServer::SnapshotStats(ServerStatsWire* out) {
-  AggregateStats(out, shards_[0].get());
-}
-
-namespace {
-
-// Fills the full kNumServerCounters-slot counter vector for one shard, in
-// kServerCounterNames order (monotonic counters, then gauge samples, then
-// the PR 6 extras).
-void FillShardCounters(const Shard& shard, uint64_t num_shards,
-                       std::vector<uint64_t>* out) {
-  const ServerMetrics& m = shard.metrics();
-  out->clear();
-  out->reserve(kNumServerCounters);
-  for (const Counter* c : m.CounterList()) {
-    out->push_back(c->Value());
-  }
-  out->push_back(1);  // poller_backend: retired, always epoll
-  out->push_back(static_cast<uint64_t>(m.watched_fds.Value()));
-  for (const Counter* c : m.ExtraCounterList()) {
-    out->push_back(c->Value());
-  }
-  out->push_back(shard.inbox_depth_high_water());
-  out->push_back(num_shards);
-  for (const Counter* c : m.ReplCounterList()) {
-    out->push_back(c->Value());
-  }
-  // The three replication gauges are server-global; the aggregate patches
-  // them in after the sum loop. Per-shard slices carry zeros.
-  out->insert(out->end(), kNumReplGaugeSlots, 0);
-}
-
-}  // namespace
-
 void AFServer::AggregateStats(ServerStatsWire* out, Shard* caller) {
   // Pull the calling shard's live clients' fault-application counts into
   // the spine. Other shards' clients cannot be touched from this thread;
   // their already-synced counts are read as-is (all spines are atomics).
   caller->SyncClientFaultMetrics();
+  // The replication gauges are server-global; shard 0's spine carries them.
+  ServerMetrics& spine0 = shards_[0]->metrics();
+  spine0.oplog_acked.Set(repl_primary_ != nullptr ? repl_primary_->acked() : 0);
+  spine0.repl_overflows.Set(repl_primary_ != nullptr ? repl_primary_->overflows() : 0);
+  spine0.failovers_promoted.Set(promoted() ? 1 : 0);
 
-  const uint64_t n_shards = static_cast<uint64_t>(shards_.size());
   out->version = kServerStatsVersion;
   out->counters.assign(kNumServerCounters, 0);
-  std::vector<uint64_t> shard_counters;
-  out->shards.clear();
-  for (const auto& s : shards_) {
-    FillShardCounters(*s, n_shards, &shard_counters);
-    for (size_t i = 0; i < kNumServerCounters; ++i) {
-      out->counters[i] += shard_counters[i];
-    }
-    ShardStatsWire sw;
-    sw.index = s->index();
-    sw.counters = shard_counters;
-    // One merged service-time histogram per shard: every opcode's
-    // dispatch micros folded together (astat --shards wants a per-shard
-    // latency shape, not 39 histograms per shard on the wire).
-    sw.dispatch.buckets.assign(Histogram::kBuckets, 0);
-    const ServerMetrics& m = s->metrics();
-    for (size_t op = 0; op <= kMaxOpcode; ++op) {
-      sw.dispatch.count += m.op_micros[op].Count();
-      sw.dispatch.sum += m.op_micros[op].Sum();
-      for (int b = 0; b < Histogram::kBuckets; ++b) {
-        sw.dispatch.buckets[b] += m.op_micros[op].BucketCount(b);
-      }
-    }
-    out->shards.push_back(std::move(sw));
-  }
-  // Aggregate gauge slots where summing is wrong: the retired backend slot
-  // and the shard count are constants - not N times themselves - and the
-  // depth high-water is a maximum.
-  out->counters[kNumServerCounterSlots] = 1;
-  uint64_t depth_hw = 0;
-  for (const auto& s : shards_) {
-    depth_hw = std::max(depth_hw, s->inbox_depth_high_water());
-  }
-  out->counters[kFirstExtraCounterSlot + kNumExtraCounterSlots] = depth_hw;
-  out->counters[kFirstExtraCounterSlot + kNumExtraCounterSlots + 1] = n_shards;
-  // Replication gauges: the primary's ack watermark and overflow count,
-  // and whether this server promoted itself from a backup.
-  out->counters[kFirstReplGaugeSlot] =
-      repl_primary_ != nullptr ? repl_primary_->acked() : 0;
-  out->counters[kFirstReplGaugeSlot + 1] =
-      repl_primary_ != nullptr ? repl_primary_->overflows() : 0;
-  out->counters[kFirstReplGaugeSlot + 2] = promoted() ? 1 : 0;
-
   out->errors_by_code.assign(kErrorCodeSlots, 0);
   out->hist_buckets = Histogram::kBuckets;
   out->opcodes.assign(kMaxOpcode + 1, OpcodeStatsWire{});
-  for (size_t op = 0; op <= kMaxOpcode; ++op) {
-    out->opcodes[op].buckets.assign(Histogram::kBuckets, 0);
+  for (OpcodeStatsWire& op : out->opcodes) {
+    op.buckets.assign(Histogram::kBuckets, 0);
   }
   out->poll_wake = StatsHistogramWire{};
   out->poll_wake.buckets.assign(Histogram::kBuckets, 0);
+  out->shards.clear();
   for (const auto& s : shards_) {
     const ServerMetrics& m = s->metrics();
+    const auto values = m.Values();
+    for (size_t i = 0; i < kNumServerCounters; ++i) {
+      out->counters[i] = kServerMetricKinds[i] == MetricKind::kGaugeMax
+                             ? std::max(out->counters[i], values[i])
+                             : out->counters[i] + values[i];
+    }
     for (size_t code = 0; code < kErrorCodeSlots; ++code) {
       out->errors_by_code[code] += m.errors_by_code[code].Value();
     }
+    // The shard's slice carries one merged service-time histogram: every
+    // opcode's dispatch micros folded together (astat --shards wants a
+    // per-shard latency shape, not 39 histograms per shard on the wire).
+    ShardStatsWire sw;
+    sw.index = s->index();
+    sw.counters.assign(values.begin(), values.end());
+    sw.dispatch.buckets.assign(Histogram::kBuckets, 0);
     for (size_t op = 0; op <= kMaxOpcode; ++op) {
+      const Histogram& h = m.op_micros[op];
       out->opcodes[op].count += m.op_count[op].Value();
-      out->opcodes[op].sum_micros += m.op_micros[op].Sum();
+      out->opcodes[op].sum_micros += h.Sum();
+      sw.dispatch.count += h.Count();
+      sw.dispatch.sum += h.Sum();
       for (int b = 0; b < Histogram::kBuckets; ++b) {
-        out->opcodes[op].buckets[b] += m.op_micros[op].BucketCount(b);
+        const uint64_t n = h.BucketCount(b);
+        out->opcodes[op].buckets[b] += n;
+        sw.dispatch.buckets[b] += n;
       }
     }
+    out->shards.push_back(std::move(sw));
     out->poll_wake.count += m.poll_wake_micros.Count();
     out->poll_wake.sum += m.poll_wake_micros.Sum();
     for (int b = 0; b < Histogram::kBuckets; ++b) {
@@ -367,24 +304,17 @@ void AFServer::AggregateStats(ServerStatsWire* out, Shard* caller) {
   for (const auto& dev : devices_) {
     DeviceStatsWire d;
     d.index = dev->id();
-    for (const Counter* c : DeviceCounterList(dev->metrics())) {
-      d.counters.push_back(c->Value());
-    }
+    const auto values = dev->metrics().Values();
+    d.counters.assign(values.begin(), values.end());
     CopyHistogram(dev->metrics().update_lag_micros, &d.update_lag);
     out->devices.push_back(std::move(d));
   }
 }
 
-std::string AFServer::DumpStatsText(bool sync_clients) {
-  if (shards_.size() == 1) {
-    return shards_[0]->DumpStatsTextLocal(sync_clients);
-  }
-  std::string out;
-  for (auto& s : shards_) {
-    out += "-- shard " + std::to_string(s->index()) + " --\n";
-    out += s->DumpStatsTextLocal(sync_clients);
-  }
-  return out;
+std::string AFServer::DumpStatsText() {
+  ServerStatsWire stats;
+  AggregateStats(&stats, shards_[0].get());
+  return FormatServerStats(stats, /*json=*/false, /*shards=*/shards_.size() > 1);
 }
 
 }  // namespace af

@@ -61,8 +61,6 @@ class AFServer {
     bool access_control = false;
     // Max requests handled for one client before moving to the next.
     int max_requests_per_sweep = 16;
-    // Write the metrics text dump to stderr when Run() exits cleanly.
-    bool dump_stats_on_shutdown = false;
     // Shard count: 0 = read AF_SHARDS from the environment (default 1).
     int num_shards = 0;
   };
@@ -155,17 +153,16 @@ class AFServer {
   // false if sigaction fails.
   static bool InstallStatsDumpHandler();
 
-  // Fills the wire snapshot served by kGetServerStats, aggregated across
-  // all shards (counters summed, histograms merged, per-shard slices
-  // appended). Shard-0-loop-thread only (use Post()/RunOnLoop elsewhere).
-  void SnapshotStats(ServerStatsWire* out);
-  // As called from a shard's dispatch: fault metrics are synced for the
-  // calling shard's clients only (other shards' spines are read as-is).
+  // Fills the wire snapshot served by kGetServerStats: one slice per
+  // shard, read from its spine, and the aggregate, which merges each slot
+  // by its kind (gauge-max slots take the largest slice, the rest sum).
+  // Runs on `caller`'s loop thread and syncs fault metrics for its clients
+  // only (other shards' spines are read as-is; every cell is atomic).
   void AggregateStats(ServerStatsWire* out, Shard* caller);
-  // The SIGUSR1 / shutdown text dump; one section per shard when sharded.
-  // sync_clients may only be true when shard threads are not running (or
-  // on a single-shard server's loop thread).
-  std::string DumpStatsText(bool sync_clients = true);
+  // The SIGUSR1 dump: the aggregate snapshot rendered as astat's table,
+  // plus the per-shard breakdown when sharded. Shard 0's loop thread only
+  // (use Post()/RunOnLoop elsewhere).
+  std::string DumpStatsText();
 
   // --- introspection ------------------------------------------------------
 

@@ -9,9 +9,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <optional>
+#include <type_traits>
 
 #include "common/clock.h"
 #include "common/flight_recorder.h"
@@ -86,27 +87,8 @@ Shard::Shard(AFServer& server, uint32_t index)
   ::fcntl(wake_pipe_[1], F_SETFL, O_NONBLOCK);
   poller_.Watch(wake_pipe_[0], true, false);
 
-  const auto counters = metrics_.CounterList();
-  for (size_t i = 0; i < kNumServerCounterSlots; ++i) {
-    registry_.Register(kServerCounterNames[i], counters[i]);
-  }
-  registry_.Register("watched_fds", &metrics_.watched_fds);
-  registry_.Register("poll_wake_micros", &metrics_.poll_wake_micros);
-  for (size_t code = 1; code < kErrorCodeSlots; ++code) {
-    registry_.Register("errors.code" + std::to_string(code),
-                       &metrics_.errors_by_code[code]);
-  }
-
-  if (opts_.num_shards > 1) {
-    const auto extras = metrics_.ExtraCounterList();
-    for (size_t i = 0; i < kNumExtraCounterSlots; ++i) {
-      registry_.Register(kServerCounterNames[kFirstExtraCounterSlot + i], extras[i]);
-    }
-  }
-  const auto repls = metrics_.ReplCounterList();
-  for (size_t i = 0; i < kNumReplCounterSlots; ++i) {
-    registry_.Register(kServerCounterNames[kFirstReplCounterSlot + i], repls[i]);
-  }
+  metrics_.poller_backend.Set(1);  // retired slot: the loop always runs on epoll
+  metrics_.shards.Set(opts_.num_shards);
   // Ring overwrites surface in this shard's stats.
   trace_.AttachDropCounter(&metrics_.trace_dropped_events);
   // All of this server's rings gate on one shared generation counter, so a
@@ -117,26 +99,17 @@ Shard::Shard(AFServer& server, uint32_t index)
   trace_.SetShardIndex(static_cast<uint16_t>(index_));
   trace_.AttachGenerationGate(&server_.trace_gen_);
 
-  static const char* const kFlightNames[] = {
-      "requests_dispatched", "events_sent",         "clients_accepted",
-      "clients_reaped",      "suspends",            "resumes",
-      "faults_applied",      "trace_dropped",       "cross_shard_posted",
-      "cross_shard_drained", "oplog_records",
-  };
-  const Counter* flight_counters[] = {
-      &metrics_.requests_dispatched, &metrics_.events_sent,
-      &metrics_.clients_accepted,    &metrics_.clients_reaped,
-      &metrics_.suspends,            &metrics_.resumes,
-      &metrics_.faults_applied,      &metrics_.trace_dropped_events,
-      &metrics_.cross_shard_posted,  &metrics_.cross_shard_drained,
-      &metrics_.oplog_records,
-  };
-  FlightRecorderCounter flight[std::size(kFlightNames)];
-  for (size_t i = 0; i < std::size(kFlightNames); ++i) {
-    flight[i] = FlightRecorderCounter{kFlightNames[i], flight_counters[i]};
-  }
-  flight_slot_ = FlightRecorderRegisterRing(&trace_, index_, flight,
-                                            std::size(kFlightNames));
+  // The crash flight recorder dumps every counter row of this spine.
+  static_assert(std::count(std::begin(kServerMetricKinds), std::end(kServerMetricKinds),
+                           MetricKind::kCounter) <= int{kFlightRecorderMaxCounters});
+  FlightRecorderCounter flight[kFlightRecorderMaxCounters] = {};
+  size_t n_flight = 0;
+  metrics_.ForEachRow([&](const char* name, const auto& cell) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(cell)>, Counter>) {
+      flight[n_flight++] = FlightRecorderCounter{name, &cell};
+    }
+  });
+  flight_slot_ = FlightRecorderRegisterRing(&trace_, index_, flight, n_flight);
 }
 
 Shard::~Shard() {
@@ -253,9 +226,7 @@ bool Shard::RunOnce(int max_timeout_ms) {
   }
   if (index_ == 0 &&
       g_stats_dump_requested.exchange(false, std::memory_order_relaxed)) {
-    // Other shards' client fault syncs cannot run from this thread; their
-    // spines are read as-is (counters are atomics).
-    const std::string dump = server_.DumpStatsText(server_.num_shards() == 1);
+    const std::string dump = server_.DumpStatsText();
     std::fwrite(dump.data(), 1, dump.size(), stderr);
   }
   tasks_.RunDue(woke_us);
@@ -360,8 +331,8 @@ void Shard::DrainInbox() {
   }
   metrics_.mailbox_wakes.Add();
   metrics_.cross_shard_drained.Add(n);
-  if (n > inbox_depth_hw_.load(std::memory_order_relaxed)) {
-    inbox_depth_hw_.store(n, std::memory_order_relaxed);
+  if (static_cast<int64_t>(n) > metrics_.mailbox_depth_hw.Value()) {
+    metrics_.mailbox_depth_hw.Set(static_cast<int64_t>(n));
   }
   for (auto& fn : action_scratch_) {
     fn();
@@ -777,32 +748,6 @@ void Shard::SnapshotTraceLocal(uint32_t flags, TraceWire* out) {
     tr.Enable(false);
   }
   out->enabled = tr.enabled() ? 1 : 0;
-}
-
-std::string Shard::DumpStatsTextLocal(bool sync_clients) {
-  if (sync_clients) {
-    SyncClientFaultMetrics();
-  }
-  std::string out = "== AudioFile server stats ==\n";
-  out += registry_.DumpText();
-  char line[256];
-  for (size_t op = kMinOpcode; op <= kMaxOpcode; ++op) {
-    const uint64_t count = metrics_.op_count[op].Value();
-    if (count == 0) {
-      continue;
-    }
-    const Histogram& h = metrics_.op_micros[op];
-    uint64_t buckets[Histogram::kBuckets];
-    h.Snapshot(buckets);
-    std::snprintf(line, sizeof line,
-                  "dispatch.%-34s count=%" PRIu64 " sum_us=%" PRIu64 " p50=%" PRIu64
-                  " p95=%" PRIu64 " p99=%" PRIu64 "\n",
-                  OpcodeName(static_cast<Opcode>(op)), count, h.Sum(),
-                  HistogramQuantile(buckets, 0.50), HistogramQuantile(buckets, 0.95),
-                  HistogramQuantile(buckets, 0.99));
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace af

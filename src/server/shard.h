@@ -95,25 +95,16 @@ class Shard {
 
   // The single-shard GetTrace reply, against this shard's ring.
   void SnapshotTraceLocal(uint32_t flags, TraceWire* out);
-  // This shard's text dump section. sync_clients touches clients_, so it
-  // may only be true when called on this shard's thread (or when no shard
-  // threads run).
-  std::string DumpStatsTextLocal(bool sync_clients);
   // Folds live fault-schedule counts into the metrics spine. Loop-thread
   // only.
   void SyncClientFaultMetrics();
 
   ServerMetrics& metrics() { return metrics_; }
   const ServerMetrics& metrics() const { return metrics_; }
-  MetricsRegistry& registry() { return registry_; }
   TaskQueue& tasks() { return tasks_; }
   TraceRing& trace() { return trace_; }
   size_t client_count() const {
     return client_count_.load(std::memory_order_relaxed);
-  }
-  // Largest batch one inbox drain has found.
-  uint64_t inbox_depth_high_water() const {
-    return inbox_depth_hw_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -198,12 +189,10 @@ class Shard {
   std::vector<std::function<void()>> pending_actions_;
   std::vector<std::pair<FaultStream, PeerAddress>> adoption_scratch_;
   std::vector<std::function<void()>> action_scratch_;
-  std::atomic<uint64_t> inbox_depth_hw_{0};
   std::atomic<bool> local_stop_{false};
 
   bool work_pending_ = false;
   ServerMetrics metrics_;
-  MetricsRegistry registry_;
   std::atomic<size_t> client_count_{0};
 
   TraceRing trace_;

@@ -64,12 +64,8 @@ IoResult FdStream::Read(void* buf, size_t len) {
 
 IoResult FdStream::Write(const void* buf, size_t len) {
   for (;;) {
-    // MSG_NOSIGNAL suppresses SIGPIPE when the peer has gone; plain
-    // write(2) is the fallback for non-socket fds.
-    ssize_t n = ::send(fd_, buf, len, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = ::write(fd_, buf, len);
-    }
+    // MSG_NOSIGNAL suppresses SIGPIPE when the peer has gone.
+    const ssize_t n = ::send(fd_, buf, len, MSG_NOSIGNAL);
     if (n >= 0) {
       return {IoStatus::kOk, static_cast<size_t>(n)};
     }
@@ -94,15 +90,11 @@ IoResult FdStream::Writev(const struct iovec* iov, size_t iovcnt) {
     iovcnt = IOV_MAX;  // partial-write semantics make the cap transparent
   }
   for (;;) {
-    // sendmsg carries MSG_NOSIGNAL (writev(2) cannot); plain writev is the
-    // fallback for non-socket fds, mirroring Write.
+    // sendmsg carries MSG_NOSIGNAL (writev(2) cannot).
     struct msghdr msg = {};
     msg.msg_iov = const_cast<struct iovec*>(iov);
     msg.msg_iovlen = iovcnt;
-    ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = ::writev(fd_, iov, static_cast<int>(iovcnt));
-    }
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n >= 0) {
       return {IoStatus::kOk, static_cast<size_t>(n)};
     }

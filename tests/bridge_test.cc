@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <random>
 
 #include "client/audio_context.h"
@@ -35,26 +34,6 @@
 
 namespace af {
 namespace {
-
-size_t DeviceCounterIndex(const char* name) {
-  for (size_t i = 0; i < kNumDeviceCounters; ++i) {
-    if (std::strcmp(kDeviceCounterNames[i], name) == 0) {
-      return i;
-    }
-  }
-  ADD_FAILURE() << "unknown device counter " << name;
-  return 0;
-}
-
-size_t ServerCounterIndex(const char* name) {
-  for (size_t i = 0; i < kNumServerCounters; ++i) {
-    if (std::strcmp(kServerCounterNames[i], name) == 0) {
-      return i;
-    }
-  }
-  ADD_FAILURE() << "unknown server counter " << name;
-  return 0;
-}
 
 int ShardsFromEnv() {
   const char* s = std::getenv("AF_SHARDS");
@@ -542,12 +521,12 @@ TEST(BridgeEndToEndTest, ScriptedPressesDriveTheFloor) {
   ASSERT_GE(stats.value().devices.size(), 1u);
   const auto& counters = stats.value().devices[0].counters;
   ASSERT_EQ(counters.size(), kNumDeviceCounters);
-  EXPECT_EQ(counters[DeviceCounterIndex("mixed_writes")], 60u);
-  EXPECT_EQ(counters[DeviceCounterIndex("preempt_writes")], 0u);
-  EXPECT_EQ(counters[DeviceCounterIndex("mix_fanin_hw")], 3u);
-  EXPECT_GE(counters[DeviceCounterIndex("mix_shared_writes")], 2u);
-  EXPECT_GT(counters[DeviceCounterIndex("gain_fused_writes")], 0u);
-  EXPECT_EQ(counters[DeviceCounterIndex("play_discarded_frames")], 0u);
+  EXPECT_EQ(counters[DeviceCounterSlot("mixed_writes")], 60u);
+  EXPECT_EQ(counters[DeviceCounterSlot("preempt_writes")], 0u);
+  EXPECT_EQ(counters[DeviceCounterSlot("mix_fanin_hw")], 3u);
+  EXPECT_GE(counters[DeviceCounterSlot("mix_shared_writes")], 2u);
+  EXPECT_GT(counters[DeviceCounterSlot("gain_fused_writes")], 0u);
+  EXPECT_EQ(counters[DeviceCounterSlot("play_discarded_frames")], 0u);
 }
 
 TEST(BridgeEndToEndTest, RotationArbitrationNeedsNoDetectors) {
@@ -610,15 +589,15 @@ TEST(BridgeEndToEndTest, CrossShardFanInLosesNothing) {
 
   ASSERT_GE(s.devices.size(), 1u);
   const auto& counters = s.devices[0].counters;
-  EXPECT_EQ(counters[DeviceCounterIndex("mixed_writes")], 120u);  // + fleet
-  EXPECT_EQ(counters[DeviceCounterIndex("play_discarded_frames")], 0u);
-  EXPECT_EQ(counters[DeviceCounterIndex("play_underrun_samples")], 0u);
+  EXPECT_EQ(counters[DeviceCounterSlot("mixed_writes")], 120u);  // + fleet
+  EXPECT_EQ(counters[DeviceCounterSlot("play_discarded_frames")], 0u);
+  EXPECT_EQ(counters[DeviceCounterSlot("play_underrun_samples")], 0u);
 
   if (shards > 1) {
-    const size_t plays_idx = ServerCounterIndex("cross_shard_plays");
-    const size_t posted_idx = ServerCounterIndex("cross_shard_posted");
-    const size_t drained_idx = ServerCounterIndex("cross_shard_drained");
-    const size_t depth_idx = ServerCounterIndex("mailbox_depth_hw");
+    const size_t plays_idx = ServerCounterSlot("cross_shard_plays");
+    const size_t posted_idx = ServerCounterSlot("cross_shard_posted");
+    const size_t drained_idx = ServerCounterSlot("cross_shard_drained");
+    const size_t depth_idx = ServerCounterSlot("mailbox_depth_hw");
     uint64_t xplays = 0, posted = 0, drained = 0, depth_hw = 0;
     ASSERT_EQ(s.shards.size(), static_cast<size_t>(shards));
     for (const ShardStatsWire& sh : s.shards) {
@@ -724,11 +703,11 @@ TEST(BridgeEndToEndTest, KillOnePartyMidMixSurvivorsKeepTheConference) {
     ASSERT_TRUE(stats.ok());
     const ServerStatsWire& s = stats.value();
     ASSERT_GE(s.devices.size(), 1u);
-    EXPECT_GE(s.devices[0].counters[DeviceCounterIndex("mixed_writes")],
+    EXPECT_GE(s.devices[0].counters[DeviceCounterSlot("mixed_writes")],
               survivor_plays);
     if (shards > 1) {
-      const size_t posted_idx = ServerCounterIndex("cross_shard_posted");
-      const size_t drained_idx = ServerCounterIndex("cross_shard_drained");
+      const size_t posted_idx = ServerCounterSlot("cross_shard_posted");
+      const size_t drained_idx = ServerCounterSlot("cross_shard_drained");
       uint64_t posted = 0, drained = 0;
       for (const ShardStatsWire& sh : s.shards) {
         posted += sh.counters[posted_idx];

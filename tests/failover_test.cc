@@ -65,16 +65,6 @@ bool WaitFor(Pred pred, int timeout_ms = 5000) {
   return true;
 }
 
-size_t CounterSlot(const char* name) {
-  for (size_t i = 0; i < kNumServerCounters; ++i) {
-    if (std::strcmp(kServerCounterNames[i], name) == 0) {
-      return i;
-    }
-  }
-  ADD_FAILURE() << "no counter slot named " << name;
-  return 0;
-}
-
 // Reconnect factory that lands the healed connection on `runner` via an
 // adopted socketpair (the in-process stand-in for re-resolving the name).
 AFAudioConn::ReconnectFactory AdoptInto(ServerRunner* runner) {
@@ -363,8 +353,8 @@ TEST(ResyncTimeTest, ReportsServerTimeAndPromotionState) {
 
   auto stats = conn->GetServerStats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats.value().counters[CounterSlot("resyncs")], 1u);
-  EXPECT_EQ(stats.value().counters[CounterSlot("failovers_promoted")], 0u);
+  EXPECT_EQ(stats.value().counters[ServerCounterSlot("resyncs")], 1u);
+  EXPECT_EQ(stats.value().counters[ServerCounterSlot("failovers_promoted")], 0u);
 }
 
 TEST(ResyncTimeTest, EmitsResyncTraceInstantWithMeasuredGap) {
@@ -496,8 +486,8 @@ TEST(FailoverEndToEndTest, ClientRidesOverPrimaryDeathWithBoundedGap) {
 
   auto stats = conn->GetServerStats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats.value().counters[CounterSlot("resyncs")], 1u);
-  EXPECT_EQ(stats.value().counters[CounterSlot("failovers_promoted")], 1u);
+  EXPECT_GE(stats.value().counters[ServerCounterSlot("resyncs")], 1u);
+  EXPECT_EQ(stats.value().counters[ServerCounterSlot("failovers_promoted")], 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -856,7 +846,7 @@ TEST(AstatRestartTest, WatchDetectsRestartInsteadOfZeroDiff) {
   ASSERT_TRUE(cur.ok());
   EXPECT_EQ(conn->reconnects(), 1u);
 
-  const size_t req_slot = CounterSlot("requests_dispatched");
+  const size_t req_slot = ServerCounterSlot("requests_dispatched");
   ASSERT_GT(prev.value().counters[req_slot], cur.value().counters[req_slot]);
 
   // The regression: the saturating diff silently reports an all-zero
@@ -885,22 +875,72 @@ TEST(AstatRestartTest, WatchDetectsRestartInsteadOfZeroDiff) {
   EXPECT_NE(report.find("\"server_restarted\":false"), std::string::npos);
 }
 
+// Regression: astat --watch differences counters only. A gauge is a
+// sample, not a count, so its interval "delta" means nothing: a steady
+// 2-shard server reported shards 0 and poller_backend 0 every interval.
+TEST(AstatRestartTest, WatchKeepsGaugeSlotsAbsolute) {
+  ServerRunner::Config config = ManualConfig();
+  config.server.num_shards = 2;
+  auto runner = ServerRunner::Start(std::move(config));
+  ASSERT_NE(runner, nullptr);
+  auto conn_result = runner->ConnectInProcess();
+  ASSERT_TRUE(conn_result.ok());
+  auto conn = conn_result.take();
+
+  auto prev = conn->GetServerStats();
+  auto cur = conn->GetServerStats();
+  ASSERT_TRUE(prev.ok());
+  ASSERT_TRUE(cur.ok());
+  const ServerStatsWire diff = DiffServerStats(prev.value(), cur.value());
+  ASSERT_EQ(diff.shards.size(), 2u);
+  for (size_t i = 0; i < kNumServerCounters; ++i) {
+    if (!IsServerGaugeSlot(i)) {
+      continue;
+    }
+    EXPECT_EQ(diff.counters[i], cur.value().counters[i]) << kServerCounterNames[i];
+    for (size_t s = 0; s < diff.shards.size(); ++s) {
+      EXPECT_EQ(diff.shards[s].counters[i], cur.value().shards[s].counters[i])
+          << "shard " << s << " " << kServerCounterNames[i];
+    }
+  }
+
+  // The rendered interval, as `astat --shards --json --watch` prints it:
+  // the aggregate and both slices carry the absolute gauges.
+  AstatOptions options;
+  options.json = true;
+  options.shards = true;
+  options.watch_seconds = 0.01;
+  options.watch_count = 1;
+  auto watch = RunAstat(*conn, options);
+  ASSERT_TRUE(watch.ok());
+  const auto occurrences = [&](const std::string& needle) {
+    size_t n = 0;
+    for (size_t at = watch.value().find(needle); at != std::string::npos;
+         at = watch.value().find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(occurrences("\"shards\":2,"), 3u) << watch.value();
+  EXPECT_EQ(occurrences("\"poller_backend\":1,"), 3u) << watch.value();
+}
+
 TEST(AstatRestartTest, GaugeSlotsNeverFlagRestart) {
   ServerStatsWire prev;
   prev.counters.assign(kNumServerCounters, 10);
   ServerStatsWire cur = prev;
   // Gauges legitimately move both ways: dropping one is not a restart.
-  cur.counters[CounterSlot("watched_fds")] = 0;
-  cur.counters[CounterSlot("mailbox_depth_hw")] = 0;
-  cur.counters[CounterSlot("oplog_acked")] = 0;
-  cur.counters[CounterSlot("failovers_promoted")] = 0;
+  cur.counters[ServerCounterSlot("watched_fds")] = 0;
+  cur.counters[ServerCounterSlot("mailbox_depth_hw")] = 0;
+  cur.counters[ServerCounterSlot("oplog_acked")] = 0;
+  cur.counters[ServerCounterSlot("failovers_promoted")] = 0;
   EXPECT_FALSE(ServerStatsRegressed(prev, cur));
   // A monotonic counter going backwards is.
-  cur.counters[CounterSlot("requests_dispatched")] = 9;
+  cur.counters[ServerCounterSlot("requests_dispatched")] = 9;
   EXPECT_TRUE(ServerStatsRegressed(prev, cur));
   // Mismatched lengths (old vs new server) compare only the overlap.
   cur.counters.resize(5);
-  cur.counters[CounterSlot("requests_dispatched")] = 10;
+  cur.counters[ServerCounterSlot("requests_dispatched")] = 10;
   EXPECT_FALSE(ServerStatsRegressed(prev, cur));
 }
 

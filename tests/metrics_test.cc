@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 
 #include "client/audio_context.h"
 #include "clients/cores.h"
@@ -15,26 +14,6 @@
 
 namespace af {
 namespace {
-
-size_t CounterIndex(const char* name) {
-  for (size_t i = 0; i < kNumServerCounters; ++i) {
-    if (std::strcmp(kServerCounterNames[i], name) == 0) {
-      return i;
-    }
-  }
-  ADD_FAILURE() << "unknown counter " << name;
-  return 0;
-}
-
-size_t DeviceCounterIndex(const char* name) {
-  for (size_t i = 0; i < kNumDeviceCounters; ++i) {
-    if (std::strcmp(kDeviceCounterNames[i], name) == 0) {
-      return i;
-    }
-  }
-  ADD_FAILURE() << "unknown device counter " << name;
-  return 0;
-}
 
 // --- primitives -----------------------------------------------------------
 
@@ -106,41 +85,13 @@ TEST(MetricsTest, HistogramQuantiles) {
   EXPECT_LE(HistogramQuantile(buckets, 0.95), HistogramQuantile(buckets, 0.99));
 }
 
-TEST(MetricsTest, RegistryDumpsInRegistrationOrder) {
-  Counter c;
-  c.Add(7);
-  Gauge g;
-  g.Set(-3);
-  Histogram h;
-  h.Record(100);
-
-  MetricsRegistry registry;
-  registry.Register("first_counter", &c);
-  registry.Register("a_gauge", &g);
-  registry.Register("a_histogram", &h);
-  EXPECT_EQ(registry.size(), 3u);
-
-  const std::string dump = registry.DumpText();
-  const size_t at_counter = dump.find("first_counter");
-  const size_t at_gauge = dump.find("a_gauge");
-  const size_t at_hist = dump.find("a_histogram");
-  ASSERT_NE(at_counter, std::string::npos);
-  ASSERT_NE(at_gauge, std::string::npos);
-  ASSERT_NE(at_hist, std::string::npos);
-  EXPECT_LT(at_counter, at_gauge);
-  EXPECT_LT(at_gauge, at_hist);
-  EXPECT_NE(dump.find("7"), std::string::npos);
-  EXPECT_NE(dump.find("-3"), std::string::npos);
-  EXPECT_NE(dump.find("count="), std::string::npos);
-}
-
 // --- wire format ----------------------------------------------------------
 
 ServerStatsWire SampleStats() {
   ServerStatsWire s;
   s.counters.assign(kNumServerCounters, 0);
-  s.counters[CounterIndex("requests_dispatched")] = 1234;
-  s.counters[CounterIndex("bytes_in")] = 987654321;
+  s.counters[ServerCounterSlot("requests_dispatched")] = 1234;
+  s.counters[ServerCounterSlot("bytes_in")] = 987654321;
   s.errors_by_code.assign(16, 0);
   s.errors_by_code[3] = 2;
   s.hist_buckets = Histogram::kBuckets;
@@ -156,7 +107,7 @@ ServerStatsWire SampleStats() {
   s.devices.resize(1);
   s.devices[0].index = 0;
   s.devices[0].counters.assign(kNumDeviceCounters, 0);
-  s.devices[0].counters[DeviceCounterIndex("play_underruns")] = 3;
+  s.devices[0].counters[DeviceCounterSlot("play_underruns")] = 3;
   s.devices[0].update_lag.count = 2;
   s.devices[0].update_lag.sum = 20;
   s.devices[0].update_lag.buckets.assign(Histogram::kBuckets, 0);
@@ -206,6 +157,48 @@ TEST(StatsWireTest, DecodeRejectsDamage) {
   corrupt[32 + 6] = 0xFF;
   corrupt[32 + 7] = 0xFF;
   EXPECT_FALSE(ServerStatsWire::Decode(corrupt, HostWireOrder(), &out));
+}
+
+// The wire layout golden: both name tables in wire order and the gauge
+// slots, as literals. Rows are append-only, so a reordered table or a row
+// inserted mid-list fails here; a row appended at the end does not.
+TEST(StatsWireTest, LayoutGolden) {
+  const std::vector<std::string> server = {
+      "requests_dispatched", "events_sent",         "errors_sent",
+      "clients_accepted",    "clients_reaped",      "loop_iterations",
+      "bytes_in",            "bytes_out",           "highwater_hits",
+      "suspends",            "resumes",             "faults_applied",
+      "trace_dropped_events", "writev_calls",       "writev_iovecs",
+      "poller_backend",      "watched_fds",         "cross_shard_posted",
+      "cross_shard_drained", "cross_shard_events",  "cross_shard_plays",
+      "mailbox_wakes",       "mailbox_spills",      "mailbox_depth_hw",
+      "shards",              "oplog_records",       "resyncs",
+      "oplog_acked",         "repl_overflows",      "failovers_promoted",
+  };
+  const std::vector<std::string> device = {
+      "play_underruns",        "play_underrun_samples", "record_overruns",
+      "record_overrun_frames", "silence_filled_frames", "preempt_writes",
+      "mixed_writes",          "passthrough_plays",     "converted_plays",
+      "updates",               "play_discarded_frames", "mix_shared_writes",
+      "preempt_clobber_writes", "mix_fanin_hw",         "gain_fused_writes",
+  };
+  const std::vector<size_t> gauge_slots = {15, 16, 23, 24, 27, 28, 29};
+
+  ASSERT_GE(kNumServerCounters, server.size());
+  ASSERT_GE(kNumDeviceCounters, device.size());
+  for (size_t i = 0; i < server.size(); ++i) {
+    EXPECT_EQ(kServerCounterNames[i], server[i]) << "server slot " << i;
+  }
+  for (size_t i = 0; i < device.size(); ++i) {
+    EXPECT_EQ(kDeviceCounterNames[i], device[i]) << "device slot " << i;
+  }
+  std::vector<size_t> gauges;
+  for (size_t i = 0; i < server.size(); ++i) {
+    if (IsServerGaugeSlot(i)) {
+      gauges.push_back(i);
+    }
+  }
+  EXPECT_EQ(gauges, gauge_slots);
 }
 
 // --- astat rendering -------------------------------------------------------
@@ -280,12 +273,12 @@ TEST(MetricsEndToEnd, StatsOverTheWireUnderFaultInjection) {
 
   EXPECT_EQ(stats.version, kServerStatsVersion);
   ASSERT_EQ(stats.counters.size(), kNumServerCounters);
-  EXPECT_GT(stats.counters[CounterIndex("requests_dispatched")], 0u);
-  EXPECT_GT(stats.counters[CounterIndex("bytes_in")], 0u);
-  EXPECT_GT(stats.counters[CounterIndex("bytes_out")], 0u);
-  EXPECT_GT(stats.counters[CounterIndex("clients_accepted")], 0u);
-  EXPECT_GT(stats.counters[CounterIndex("faults_applied")], 0u);
-  EXPECT_GT(stats.counters[CounterIndex("errors_sent")], 0u);
+  EXPECT_GT(stats.counters[ServerCounterSlot("requests_dispatched")], 0u);
+  EXPECT_GT(stats.counters[ServerCounterSlot("bytes_in")], 0u);
+  EXPECT_GT(stats.counters[ServerCounterSlot("bytes_out")], 0u);
+  EXPECT_GT(stats.counters[ServerCounterSlot("clients_accepted")], 0u);
+  EXPECT_GT(stats.counters[ServerCounterSlot("faults_applied")], 0u);
+  EXPECT_GT(stats.counters[ServerCounterSlot("errors_sent")], 0u);
 
   uint64_t total_errors = 0;
   for (uint64_t e : stats.errors_by_code) total_errors += e;
@@ -311,17 +304,17 @@ TEST(MetricsEndToEnd, StatsOverTheWireUnderFaultInjection) {
   // The provoked underrun is visible in the device section.
   ASSERT_GE(stats.devices.size(), 1u);
   ASSERT_EQ(stats.devices[0].counters.size(), kNumDeviceCounters);
-  EXPECT_GE(stats.devices[0].counters[DeviceCounterIndex("play_underruns")], 1u);
-  EXPECT_GT(stats.devices[0].counters[DeviceCounterIndex("play_underrun_samples")], 0u);
-  EXPECT_GT(stats.devices[0].counters[DeviceCounterIndex("updates")], 0u);
+  EXPECT_GE(stats.devices[0].counters[DeviceCounterSlot("play_underruns")], 1u);
+  EXPECT_GT(stats.devices[0].counters[DeviceCounterSlot("play_underrun_samples")], 0u);
+  EXPECT_GT(stats.devices[0].counters[DeviceCounterSlot("updates")], 0u);
 
-  // The text dump names the same spine (exercised on the loop thread, the
-  // same path SIGUSR1 and shutdown use).
+  // The text dump is astat's table of the same snapshot (exercised on the
+  // loop thread, the path SIGUSR1 uses).
   std::string dump;
   runner->RunOnLoop([&] { dump = runner->server().DumpStatsText(); });
   EXPECT_NE(dump.find("requests_dispatched"), std::string::npos);
-  EXPECT_NE(dump.find("dev0."), std::string::npos);
-  EXPECT_NE(dump.find("dispatch.GetTime"), std::string::npos);
+  EXPECT_NE(dump.find("device 0:"), std::string::npos);
+  EXPECT_NE(dump.find("GetTime"), std::string::npos);
 
   // And the rendered forms work against live data.
   const std::string json = FormatServerStats(stats, true);
@@ -373,7 +366,7 @@ TEST(MetricsEndToEnd, SamplesLostAccountingConsistentAcrossPaths) {
   const auto discarded = [&]() -> uint64_t {
     auto stats = conn->GetServerStats();
     EXPECT_TRUE(stats.ok());
-    return stats.value().devices[0].counters[DeviceCounterIndex("play_discarded_frames")];
+    return stats.value().devices[0].counters[DeviceCounterSlot("play_discarded_frames")];
   };
   const uint64_t base = discarded();
 
@@ -397,13 +390,13 @@ TEST(MetricsEndToEnd, SamplesLostAccountingConsistentAcrossPaths) {
   auto stats = conn->GetServerStats();
   ASSERT_TRUE(stats.ok());
   const auto& counters = stats.value().devices[0].counters;
-  EXPECT_EQ(counters[DeviceCounterIndex("play_underrun_samples")], 0u);
-  const uint64_t lazy_filled = counters[DeviceCounterIndex("silence_filled_frames")];
+  EXPECT_EQ(counters[DeviceCounterSlot("play_underrun_samples")], 0u);
+  const uint64_t lazy_filled = counters[DeviceCounterSlot("silence_filled_frames")];
   runner->RunOnLoop([&] { runner->codec()->SetLazySilenceFill(false); });
   step(2048);
   auto after = conn->GetServerStats();
   ASSERT_TRUE(after.ok());
-  EXPECT_GE(after.value().devices[0].counters[DeviceCounterIndex("silence_filled_frames")],
+  EXPECT_GE(after.value().devices[0].counters[DeviceCounterSlot("silence_filled_frames")],
             lazy_filled + 2048);
 }
 

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -78,16 +77,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace af {
 namespace {
-
-size_t CounterIndex(const char* name) {
-  for (size_t i = 0; i < kNumServerCounters; ++i) {
-    if (std::strcmp(kServerCounterNames[i], name) == 0) {
-      return i;
-    }
-  }
-  ADD_FAILURE() << "unknown counter " << name;
-  return 0;
-}
 
 // Runs fn on `shard`'s loop thread and waits for it.
 void RunOnShard(AFServer& server, uint32_t shard, std::function<void()> fn) {
@@ -149,7 +138,7 @@ TEST(ShardInboxTest, FifoPerProducer) {
             kProducers * kPerProducer + 1);
   EXPECT_EQ(target->metrics().cross_shard_posted.Value(),
             target->metrics().cross_shard_drained.Value());
-  EXPECT_GE(target->inbox_depth_high_water(), 1u);
+  EXPECT_GE(target->metrics().mailbox_depth_hw.Value(), 1);
 }
 
 // --- four-shard server tests ------------------------------------------------
@@ -347,10 +336,10 @@ TEST_F(ShardServerTest, StatsAggregateAcrossShards) {
   const ServerStatsWire& stats = stats_result.value();
 
   ASSERT_EQ(stats.counters.size(), kNumServerCounters);
-  EXPECT_EQ(stats.counters[CounterIndex("clients_accepted")], 4u);
-  EXPECT_EQ(stats.counters[CounterIndex("shards")], 4u);
-  EXPECT_GT(stats.counters[CounterIndex("cross_shard_posted")], 0u);
-  EXPECT_GT(stats.counters[CounterIndex("cross_shard_drained")], 0u);
+  EXPECT_EQ(stats.counters[ServerCounterSlot("clients_accepted")], 4u);
+  EXPECT_EQ(stats.counters[ServerCounterSlot("shards")], 4u);
+  EXPECT_GT(stats.counters[ServerCounterSlot("cross_shard_posted")], 0u);
+  EXPECT_GT(stats.counters[ServerCounterSlot("cross_shard_drained")], 0u);
 
   // The per-shard slices sum back to the aggregate for pure counters.
   ASSERT_EQ(stats.shards.size(), 4u);
@@ -358,12 +347,31 @@ TEST_F(ShardServerTest, StatsAggregateAcrossShards) {
   for (const ShardStatsWire& sh : stats.shards) {
     EXPECT_EQ(sh.index, &sh - stats.shards.data());
     ASSERT_EQ(sh.counters.size(), kNumServerCounters);
-    accepted += sh.counters[CounterIndex("clients_accepted")];
-    dispatched += sh.counters[CounterIndex("requests_dispatched")];
-    EXPECT_EQ(sh.counters[CounterIndex("clients_accepted")], 1u);
+    accepted += sh.counters[ServerCounterSlot("clients_accepted")];
+    dispatched += sh.counters[ServerCounterSlot("requests_dispatched")];
+    EXPECT_EQ(sh.counters[ServerCounterSlot("clients_accepted")], 1u);
   }
-  EXPECT_EQ(accepted, stats.counters[CounterIndex("clients_accepted")]);
-  EXPECT_EQ(dispatched, stats.counters[CounterIndex("requests_dispatched")]);
+  EXPECT_EQ(accepted, stats.counters[ServerCounterSlot("clients_accepted")]);
+  EXPECT_EQ(dispatched, stats.counters[ServerCounterSlot("requests_dispatched")]);
+
+  // Every slot merges by its kind: the gauge-max slots aggregate to the
+  // largest slice; counters and the watched_fds gauge to the slices' sum.
+  const std::set<std::string> gauge_max = {"poller_backend", "mailbox_depth_hw",
+                                           "shards",         "oplog_acked",
+                                           "repl_overflows", "failovers_promoted"};
+  for (size_t i = 0; i < kNumServerCounters; ++i) {
+    uint64_t sum = 0, max = 0;
+    for (const ShardStatsWire& sh : stats.shards) {
+      sum += sh.counters[i];
+      max = std::max(max, sh.counters[i]);
+    }
+    const bool is_max = gauge_max.count(kServerCounterNames[i]) > 0;
+    EXPECT_EQ(stats.counters[i], is_max ? max : sum) << kServerCounterNames[i];
+  }
+  for (const ShardStatsWire& sh : stats.shards) {
+    EXPECT_EQ(sh.counters[ServerCounterSlot("shards")], 4u) << "shard " << sh.index;
+    EXPECT_EQ(sh.counters[ServerCounterSlot("poller_backend")], 1u) << "shard " << sh.index;
+  }
 }
 
 TEST_F(ShardServerTest, TraceAggregatesAcrossShards) {

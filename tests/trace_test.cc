@@ -113,27 +113,6 @@ TEST(TraceKindTest, EveryKindHasAName) {
   }
 }
 
-// --- RateLimitedLog ---------------------------------------------------------
-
-TEST(RateLimitedLogTest, FirstCallLogsAndWindowSuppresses) {
-  RateLimitedLog log(1000000);
-  uint64_t suppressed = 123;
-  EXPECT_TRUE(log.ShouldLog(10, &suppressed));
-  EXPECT_EQ(suppressed, 0u);
-  // Inside the window: swallowed and counted.
-  EXPECT_FALSE(log.ShouldLog(500000, &suppressed));
-  EXPECT_FALSE(log.ShouldLog(1000000, &suppressed));
-  EXPECT_EQ(log.pending_suppressed(), 2u);
-  // Past the window: logs again and reports what was swallowed.
-  EXPECT_TRUE(log.ShouldLog(10 + 1000000, &suppressed));
-  EXPECT_EQ(suppressed, 2u);
-  EXPECT_EQ(log.pending_suppressed(), 0u);
-  // The window re-anchors on the emitted message.
-  EXPECT_FALSE(log.ShouldLog(10 + 1500000, &suppressed));
-  EXPECT_TRUE(log.ShouldLog(10 + 2000001, &suppressed));
-  EXPECT_EQ(suppressed, 1u);
-}
-
 // --- TraceWire --------------------------------------------------------------
 
 TraceWire MakeSnapshot() {
@@ -421,15 +400,7 @@ TEST_F(TraceEndToEndTest, DroppedEventsSurfaceInServerStats) {
 
   auto stats = conn->GetServerStats();
   ASSERT_TRUE(stats.ok());
-  // trace_dropped_events is the last appended global counter; find it by
-  // name so reordering the table would fail loudly here.
-  size_t index = kNumServerCounters;
-  for (size_t i = 0; i < kNumServerCounters; ++i) {
-    if (std::strcmp(kServerCounterNames[i], "trace_dropped_events") == 0) {
-      index = i;
-    }
-  }
-  ASSERT_LT(index, kNumServerCounters);
+  const size_t index = ServerCounterSlot("trace_dropped_events");
   ASSERT_GT(stats.value().counters.size(), index);
   EXPECT_GE(stats.value().counters[index], 10u);
 }
