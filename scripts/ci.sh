@@ -171,6 +171,19 @@ echo "== asniff decodes a live aplay session =="
 # asniff -demo relays a real aplay/arecord session through the wire
 # decoder; a framing failure (saw_error) makes it exit nonzero.
 ./build/examples/asniff -demo -quiet
+# Without -quiet it prints one line per message; the request lines carry
+# the fields of the body's wire layout (proto/requests.h), so a live play
+# must show its byte count and a live CreateAC its encoding.
+ASNIFF_OUT="$(./build/examples/asniff -demo)"
+printf '%s\n' "$ASNIFF_OUT" | grep -q 'PlaySamples len=[0-9]* .*nbytes=1000' || {
+    echo "asniff: no decoded 'PlaySamples ... nbytes=1000' line" >&2
+    exit 1
+}
+printf '%s\n' "$ASNIFF_OUT" | grep -q 'CreateAC len=[0-9]* .*enc=' || {
+    echo "asniff: no decoded 'CreateAC ... enc=' line" >&2
+    exit 1
+}
+echo "asniff field decode OK"
 
 echo "== astat --json against a live server =="
 # astat -demo starts an in-process server, drives play/record traffic

@@ -12,15 +12,6 @@
 
 namespace af {
 
-namespace {
-
-// An empty request body.
-struct EmptyBody {
-  void Encode(WireWriter&) const {}
-};
-
-}  // namespace
-
 AFAudioConn::AFAudioConn(FaultStream stream, std::string name)
     : stream_(std::move(stream)), name_(std::move(name)), out_(HostWireOrder()) {
   error_handler_ = [](AFAudioConn& conn, const ErrorPacket& error) {
@@ -409,16 +400,16 @@ void AFAudioConn::Sync() {
     return;
   }
   in_sync_ = true;
-  const uint16_t seq = QueueRequest(Opcode::kSyncConnection, EmptyBody{});
+  const uint16_t seq = QueueRequest(Opcode::kSyncConnection, EmptyReq{});
   auto reply = AwaitReply(seq);
   in_sync_ = false;
   (void)reply;
 }
 
-void AFAudioConn::NoOp() { QueueRequest(Opcode::kNoOperation, EmptyBody{}); }
+void AFAudioConn::NoOp() { QueueRequest(Opcode::kNoOperation, EmptyReq{}); }
 
 Result<ServerStatsWire> AFAudioConn::GetServerStats() {
-  const uint16_t seq = QueueRequest(Opcode::kGetServerStats, EmptyBody{});
+  const uint16_t seq = QueueRequest(Opcode::kGetServerStats, EmptyReq{});
   auto reply = AwaitReply(seq);
   if (!reply.ok()) {
     return reply.status();

@@ -3,14 +3,6 @@
 
 namespace af {
 
-namespace {
-
-struct EmptyBody {
-  void Encode(WireWriter&) const {}
-};
-
-}  // namespace
-
 void AFAudioConn::SetInputGain(DeviceId device, int gain_db) {
   SetGainReq req;
   req.device = device;
@@ -124,7 +116,7 @@ void AFAudioConn::RemoveHost(uint16_t family, std::span<const uint8_t> address) 
 }
 
 Result<ListHostsReply> AFAudioConn::ListHosts() {
-  const uint16_t seq = QueueRequest(Opcode::kListHosts, EmptyBody{});
+  const uint16_t seq = QueueRequest(Opcode::kListHosts, EmptyReq{});
   auto reply = AwaitReply(seq);
   if (!reply.ok()) {
     return reply.status();

@@ -5,12 +5,13 @@
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
+#include <tuple>
+#include <type_traits>
 
 #include "common/error.h"
 #include "proto/events.h"
 #include "proto/requests.h"
 #include "proto/setup.h"
-#include "proto/trace_wire.h"
 #include "proto/types.h"
 
 namespace af {
@@ -49,230 +50,49 @@ void AppendQuoted(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
-const char* EncodingName(AEncodeType t) {
-  const uint32_t i = static_cast<uint32_t>(t);
-  return i < kNumEncodeTypes ? SampleTypeOf(t).name : "?";
+// One " name=value" per field of a request body, in its wire order:
+// strings quoted, byte vectors as their length, masks and flags in hex.
+// Counted raw bytes (the play data) are left out; their count is a field.
+template <typename T>
+void AppendFields(std::string* line, const T& body);
+
+template <typename M>
+void AppendValue(std::string* line, const char* name, const M& v, FieldFormat format) {
+  if constexpr (std::is_same_v<M, std::string>) {
+    Appendf(line, " %s=", name);
+    AppendQuoted(line, v);
+  } else if constexpr (std::is_same_v<M, std::vector<uint8_t>>) {
+    Appendf(line, " %s_bytes=%zu", name, v.size());
+  } else if constexpr (HasFields<M>) {
+    AppendFields(line, v);
+  } else if constexpr (std::is_signed_v<M>) {
+    Appendf(line, " %s=%d", name, static_cast<int>(v));
+  } else {
+    Appendf(line, format == FieldFormat::kHex ? " %s=0x%x" : " %s=%u", name,
+            static_cast<uint32_t>(v));
+  }
 }
 
-void AppendACAttributes(std::string* out, uint32_t mask, const ACAttributes& a) {
-  Appendf(out, " mask=0x%x", mask);
-  if (mask & kACPlayGain) Appendf(out, " play_gain=%d", a.play_gain_db);
-  if (mask & kACRecordGain) Appendf(out, " rec_gain=%d", a.record_gain_db);
-  if (mask & kACPreemption) Appendf(out, " %s", a.preempt ? "preempt" : "mix");
-  if (mask & kACEndian) Appendf(out, " %s", a.big_endian_data ? "be" : "le");
-  if (mask & kACEncodingType) Appendf(out, " enc=%s", EncodingName(a.encoding));
-  if (mask & kACChannels) Appendf(out, " ch=%u", a.channels);
+template <typename T, typename M>
+void AppendRow(std::string* line, const T& body, const FieldRow<T, M>& row) {
+  AppendValue(line, row.name, body.*row.member, row.format);
+}
+template <typename T>
+void AppendRow(std::string*, const T&, const CountedBytesRow<T>&) {}
+
+template <typename T>
+void AppendFields(std::string* line, const T& body) {
+  std::apply([&](const auto&... row) { (AppendRow(line, body, row), ...); }, T::Fields());
 }
 
 // Decodes the body of one request into the tail of *line. The reader is
-// positioned after the 4-byte header. Unknown fields never crash: the
-// reader is bounds-checked and the caller appends <truncated> if it went
-// sour.
-void AppendRequestBody(std::string* line, Opcode op, WireReader& r) {
-  switch (op) {
-    case Opcode::kSelectEvents: {
-      SelectEventsReq q;
-      if (SelectEventsReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u mask=0x%x", q.device, q.mask);
-      }
-      return;
-    }
-    case Opcode::kCreateAC: {
-      CreateACReq q;
-      if (CreateACReq::Decode(r, &q)) {
-        Appendf(line, " ac=%u dev=%u", q.ac, q.device);
-        AppendACAttributes(line, q.value_mask, q.attrs);
-      }
-      return;
-    }
-    case Opcode::kChangeACAttributes: {
-      ChangeACAttributesReq q;
-      if (ChangeACAttributesReq::Decode(r, &q)) {
-        Appendf(line, " ac=%u", q.ac);
-        AppendACAttributes(line, q.value_mask, q.attrs);
-      }
-      return;
-    }
-    case Opcode::kFreeAC: {
-      FreeACReq q;
-      if (FreeACReq::Decode(r, &q)) Appendf(line, " ac=%u", q.ac);
-      return;
-    }
-    case Opcode::kPlaySamples: {
-      PlaySamplesReq q;
-      if (PlaySamplesReq::Decode(r, &q)) {
-        Appendf(line, " ac=%u time=%u nbytes=%u flags=0x%x", q.ac, q.start_time,
-                q.nbytes, q.flags);
-      }
-      return;
-    }
-    case Opcode::kRecordSamples: {
-      RecordSamplesReq q;
-      if (RecordSamplesReq::Decode(r, &q)) {
-        Appendf(line, " ac=%u time=%u nbytes=%u flags=0x%x", q.ac, q.start_time,
-                q.nbytes, q.flags);
-      }
-      return;
-    }
-    case Opcode::kGetTime: {
-      GetTimeReq q;
-      if (GetTimeReq::Decode(r, &q)) Appendf(line, " dev=%u", q.device);
-      return;
-    }
-    case Opcode::kQueryPhone: {
-      QueryPhoneReq q;
-      if (QueryPhoneReq::Decode(r, &q)) Appendf(line, " dev=%u", q.device);
-      return;
-    }
-    case Opcode::kEnablePassThrough:
-    case Opcode::kDisablePassThrough: {
-      PassThroughReq q;
-      if (PassThroughReq::Decode(r, &q)) {
-        Appendf(line, " dev_a=%u dev_b=%u", q.device_a, q.device_b);
-      }
-      return;
-    }
-    case Opcode::kHookSwitch: {
-      HookSwitchReq q;
-      if (HookSwitchReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u %s", q.device, q.off_hook ? "off-hook" : "on-hook");
-      }
-      return;
-    }
-    case Opcode::kFlashHook: {
-      FlashHookReq q;
-      if (FlashHookReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u dur=%ums", q.device, q.duration_ms);
-      }
-      return;
-    }
-    case Opcode::kEnableGainControl:
-    case Opcode::kDisableGainControl: {
-      GainControlReq q;
-      if (GainControlReq::Decode(r, &q)) Appendf(line, " dev=%u", q.device);
-      return;
-    }
-    case Opcode::kDialPhone: {
-      DialPhoneReq q;
-      if (DialPhoneReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u number=", q.device);
-        AppendQuoted(line, q.number);
-      }
-      return;
-    }
-    case Opcode::kSetInputGain:
-    case Opcode::kSetOutputGain: {
-      SetGainReq q;
-      if (SetGainReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u gain=%ddB", q.device, q.gain_db);
-      }
-      return;
-    }
-    case Opcode::kQueryInputGain:
-    case Opcode::kQueryOutputGain: {
-      QueryGainReq q;
-      if (QueryGainReq::Decode(r, &q)) Appendf(line, " dev=%u", q.device);
-      return;
-    }
-    case Opcode::kEnableInput:
-    case Opcode::kEnableOutput:
-    case Opcode::kDisableInput:
-    case Opcode::kDisableOutput: {
-      IOEnableReq q;
-      if (IOEnableReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u mask=0x%x", q.device, q.mask);
-      }
-      return;
-    }
-    case Opcode::kSetAccessControl: {
-      SetAccessControlReq q;
-      if (SetAccessControlReq::Decode(r, &q)) {
-        Appendf(line, " %s", q.enabled ? "enabled" : "disabled");
-      }
-      return;
-    }
-    case Opcode::kChangeHosts: {
-      ChangeHostsReq q;
-      if (ChangeHostsReq::Decode(r, &q)) {
-        Appendf(line, " %s family=%u addr_bytes=%zu",
-                q.mode == HostChangeMode::kInsert ? "insert" : "delete", q.family,
-                q.address.size());
-      }
-      return;
-    }
-    case Opcode::kInternAtom: {
-      InternAtomReq q;
-      if (InternAtomReq::Decode(r, &q)) {
-        Appendf(line, " only_if_exists=%u name=", q.only_if_exists);
-        AppendQuoted(line, q.name);
-      }
-      return;
-    }
-    case Opcode::kGetAtomName: {
-      GetAtomNameReq q;
-      if (GetAtomNameReq::Decode(r, &q)) Appendf(line, " atom=%u", q.atom);
-      return;
-    }
-    case Opcode::kChangeProperty: {
-      ChangePropertyReq q;
-      if (ChangePropertyReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u prop=%u type=%u fmt=%u mode=%u nbytes=%zu", q.device,
-                q.property, q.type, q.format, static_cast<uint32_t>(q.mode),
-                q.data.size());
-      }
-      return;
-    }
-    case Opcode::kDeleteProperty: {
-      DeletePropertyReq q;
-      if (DeletePropertyReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u prop=%u", q.device, q.property);
-      }
-      return;
-    }
-    case Opcode::kGetProperty: {
-      GetPropertyReq q;
-      if (GetPropertyReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u prop=%u type=%u off=%u len=%u delete=%u", q.device,
-                q.property, q.type, q.long_offset, q.long_length, q.do_delete);
-      }
-      return;
-    }
-    case Opcode::kListProperties: {
-      ListPropertiesReq q;
-      if (ListPropertiesReq::Decode(r, &q)) Appendf(line, " dev=%u", q.device);
-      return;
-    }
-    case Opcode::kQueryExtension: {
-      QueryExtensionReq q;
-      if (QueryExtensionReq::Decode(r, &q)) {
-        line->append(" name=");
-        AppendQuoted(line, q.name);
-      }
-      return;
-    }
-    case Opcode::kKillClient: {
-      KillClientReq q;
-      if (KillClientReq::Decode(r, &q)) Appendf(line, " resource=%u", q.resource);
-      return;
-    }
-    case Opcode::kGetTrace: {
-      GetTraceReq q;
-      if (GetTraceReq::Decode(r, &q)) Appendf(line, " flags=0x%x", q.flags);
-      return;
-    }
-    case Opcode::kResyncTime: {
-      ResyncTimeReq q;
-      if (ResyncTimeReq::Decode(r, &q)) {
-        Appendf(line, " dev=%u watermark=%u", q.device, q.client_watermark);
-      }
-      return;
-    }
-    case Opcode::kListHosts:
-    case Opcode::kNoOperation:
-    case Opcode::kSyncConnection:
-    case Opcode::kListExtensions:
-    case Opcode::kGetServerStats:
-      return;  // empty bodies
+// positioned after the 4-byte header; the caller appends <truncated> if
+// the bounds-checked read went sour.
+template <typename Body>
+void AppendRequestBody(std::string* line, WireReader& r) {
+  Body body;
+  if (Body::Decode(r, &body)) {
+    AppendFields(line, body);
   }
 }
 
@@ -294,7 +114,14 @@ std::string DecodeRequestLine(std::span<const uint8_t> msg, WireOrder order) {
   if (header.ext != 0) {
     Appendf(&line, " ext=%u", header.ext);
   }
-  AppendRequestBody(&line, header.opcode, r);
+  switch (header.opcode) {
+#define AF_APPEND_REQUEST_BODY(value, name, body) \
+  case Opcode::k##name:                           \
+    AppendRequestBody<body>(&line, r);            \
+    break;
+    AF_REQUESTS(AF_APPEND_REQUEST_BODY)
+#undef AF_APPEND_REQUEST_BODY
+  }
   if (!r.ok()) {
     line.append(" <truncated>");
   }

@@ -5,7 +5,7 @@
 namespace af {
 
 // ---------------------------------------------------------------------------
-// Misc table lookups declared in types.h / opcodes.h
+// Misc table lookups declared in types.h
 
 const SampleTypeInfo& SampleTypeOf(AEncodeType type) {
   static const SampleTypeInfo kTable[kNumEncodeTypes] = {
@@ -31,52 +31,6 @@ size_t BytesToSamples(AEncodeType type, size_t nbytes, unsigned nchannels) {
   const SampleTypeInfo& info = SampleTypeOf(type);
   const size_t units = nbytes / info.bytes_per_unit;
   return units * info.samps_per_unit / (nchannels == 0 ? 1 : nchannels);
-}
-
-const char* OpcodeName(Opcode op) {
-  switch (op) {
-    case Opcode::kSelectEvents: return "SelectEvents";
-    case Opcode::kCreateAC: return "CreateAC";
-    case Opcode::kChangeACAttributes: return "ChangeACAttributes";
-    case Opcode::kFreeAC: return "FreeAC";
-    case Opcode::kPlaySamples: return "PlaySamples";
-    case Opcode::kRecordSamples: return "RecordSamples";
-    case Opcode::kGetTime: return "GetTime";
-    case Opcode::kQueryPhone: return "QueryPhone";
-    case Opcode::kEnablePassThrough: return "EnablePassThrough";
-    case Opcode::kDisablePassThrough: return "DisablePassThrough";
-    case Opcode::kHookSwitch: return "HookSwitch";
-    case Opcode::kFlashHook: return "FlashHook";
-    case Opcode::kEnableGainControl: return "EnableGainControl";
-    case Opcode::kDisableGainControl: return "DisableGainControl";
-    case Opcode::kDialPhone: return "DialPhone";
-    case Opcode::kSetInputGain: return "SetInputGain";
-    case Opcode::kSetOutputGain: return "SetOutputGain";
-    case Opcode::kQueryInputGain: return "QueryInputGain";
-    case Opcode::kQueryOutputGain: return "QueryOutputGain";
-    case Opcode::kEnableInput: return "EnableInput";
-    case Opcode::kEnableOutput: return "EnableOutput";
-    case Opcode::kDisableInput: return "DisableInput";
-    case Opcode::kDisableOutput: return "DisableOutput";
-    case Opcode::kSetAccessControl: return "SetAccessControl";
-    case Opcode::kChangeHosts: return "ChangeHosts";
-    case Opcode::kListHosts: return "ListHosts";
-    case Opcode::kInternAtom: return "InternAtom";
-    case Opcode::kGetAtomName: return "GetAtomName";
-    case Opcode::kChangeProperty: return "ChangeProperty";
-    case Opcode::kDeleteProperty: return "DeleteProperty";
-    case Opcode::kGetProperty: return "GetProperty";
-    case Opcode::kListProperties: return "ListProperties";
-    case Opcode::kNoOperation: return "NoOperation";
-    case Opcode::kSyncConnection: return "SyncConnection";
-    case Opcode::kQueryExtension: return "QueryExtension";
-    case Opcode::kListExtensions: return "ListExtensions";
-    case Opcode::kKillClient: return "KillClient";
-    case Opcode::kGetServerStats: return "GetServerStats";
-    case Opcode::kGetTrace: return "GetTrace";
-    case Opcode::kResyncTime: return "ResyncTime";
-  }
-  return "Unknown";
 }
 
 uint32_t EventMaskFor(EventType type) {
@@ -119,345 +73,6 @@ bool DecodeRequestHeader(WireReader& r, RequestHeader* out) {
   }
   out->opcode = static_cast<Opcode>(op);
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// Request bodies
-
-void SelectEventsReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(mask);
-}
-
-bool SelectEventsReq::Decode(WireReader& r, SelectEventsReq* out) {
-  out->device = r.U32();
-  out->mask = r.U32();
-  return r.ok();
-}
-
-namespace {
-
-void EncodeACAttributes(WireWriter& w, const ACAttributes& a) {
-  w.I32(a.play_gain_db);
-  w.I32(a.record_gain_db);
-  w.U32(a.preempt);
-  w.U32(a.big_endian_data);
-  w.U32(static_cast<uint32_t>(a.encoding));
-  w.U32(a.channels);
-}
-
-bool DecodeACAttributes(WireReader& r, ACAttributes* a) {
-  a->play_gain_db = r.I32();
-  a->record_gain_db = r.I32();
-  a->preempt = r.U32();
-  a->big_endian_data = r.U32();
-  a->encoding = static_cast<AEncodeType>(r.U32());
-  a->channels = r.U32();
-  return r.ok();
-}
-
-}  // namespace
-
-void CreateACReq::Encode(WireWriter& w) const {
-  w.U32(ac);
-  w.U32(device);
-  w.U32(value_mask);
-  EncodeACAttributes(w, attrs);
-}
-
-bool CreateACReq::Decode(WireReader& r, CreateACReq* out) {
-  out->ac = r.U32();
-  out->device = r.U32();
-  out->value_mask = r.U32();
-  return DecodeACAttributes(r, &out->attrs);
-}
-
-void ChangeACAttributesReq::Encode(WireWriter& w) const {
-  w.U32(ac);
-  w.U32(value_mask);
-  EncodeACAttributes(w, attrs);
-}
-
-bool ChangeACAttributesReq::Decode(WireReader& r, ChangeACAttributesReq* out) {
-  out->ac = r.U32();
-  out->value_mask = r.U32();
-  return DecodeACAttributes(r, &out->attrs);
-}
-
-void FreeACReq::Encode(WireWriter& w) const { w.U32(ac); }
-
-bool FreeACReq::Decode(WireReader& r, FreeACReq* out) {
-  out->ac = r.U32();
-  return r.ok();
-}
-
-void PlaySamplesReq::Encode(WireWriter& w) const {
-  w.U32(ac);
-  w.U32(start_time);
-  w.U32(nbytes);
-  w.U32(flags);
-  w.Bytes(data);
-}
-
-bool PlaySamplesReq::Decode(WireReader& r, PlaySamplesReq* out) {
-  out->ac = r.U32();
-  out->start_time = r.U32();
-  out->nbytes = r.U32();
-  out->flags = r.U32();
-  out->data = r.Bytes(out->nbytes);
-  return r.ok();
-}
-
-void RecordSamplesReq::Encode(WireWriter& w) const {
-  w.U32(ac);
-  w.U32(start_time);
-  w.U32(nbytes);
-  w.U32(flags);
-}
-
-bool RecordSamplesReq::Decode(WireReader& r, RecordSamplesReq* out) {
-  out->ac = r.U32();
-  out->start_time = r.U32();
-  out->nbytes = r.U32();
-  out->flags = r.U32();
-  return r.ok();
-}
-
-void GetTimeReq::Encode(WireWriter& w) const { w.U32(device); }
-
-bool GetTimeReq::Decode(WireReader& r, GetTimeReq* out) {
-  out->device = r.U32();
-  return r.ok();
-}
-
-void ResyncTimeReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(client_watermark);
-}
-
-bool ResyncTimeReq::Decode(WireReader& r, ResyncTimeReq* out) {
-  out->device = r.U32();
-  out->client_watermark = r.U32();
-  return r.ok();
-}
-
-void QueryPhoneReq::Encode(WireWriter& w) const { w.U32(device); }
-
-bool QueryPhoneReq::Decode(WireReader& r, QueryPhoneReq* out) {
-  out->device = r.U32();
-  return r.ok();
-}
-
-void PassThroughReq::Encode(WireWriter& w) const {
-  w.U32(device_a);
-  w.U32(device_b);
-}
-
-bool PassThroughReq::Decode(WireReader& r, PassThroughReq* out) {
-  out->device_a = r.U32();
-  out->device_b = r.U32();
-  return r.ok();
-}
-
-void HookSwitchReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(off_hook);
-}
-
-bool HookSwitchReq::Decode(WireReader& r, HookSwitchReq* out) {
-  out->device = r.U32();
-  out->off_hook = r.U32();
-  return r.ok();
-}
-
-void FlashHookReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(duration_ms);
-}
-
-bool FlashHookReq::Decode(WireReader& r, FlashHookReq* out) {
-  out->device = r.U32();
-  out->duration_ms = r.U32();
-  return r.ok();
-}
-
-void GainControlReq::Encode(WireWriter& w) const { w.U32(device); }
-
-bool GainControlReq::Decode(WireReader& r, GainControlReq* out) {
-  out->device = r.U32();
-  return r.ok();
-}
-
-void DialPhoneReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(static_cast<uint32_t>(number.size()));
-  w.PaddedString(number);
-}
-
-bool DialPhoneReq::Decode(WireReader& r, DialPhoneReq* out) {
-  out->device = r.U32();
-  const uint32_t len = r.U32();
-  out->number = r.PaddedString(len);
-  return r.ok();
-}
-
-void SetGainReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.I32(gain_db);
-}
-
-bool SetGainReq::Decode(WireReader& r, SetGainReq* out) {
-  out->device = r.U32();
-  out->gain_db = r.I32();
-  return r.ok();
-}
-
-void QueryGainReq::Encode(WireWriter& w) const { w.U32(device); }
-
-bool QueryGainReq::Decode(WireReader& r, QueryGainReq* out) {
-  out->device = r.U32();
-  return r.ok();
-}
-
-void IOEnableReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(mask);
-}
-
-bool IOEnableReq::Decode(WireReader& r, IOEnableReq* out) {
-  out->device = r.U32();
-  out->mask = r.U32();
-  return r.ok();
-}
-
-void SetAccessControlReq::Encode(WireWriter& w) const { w.U32(enabled); }
-
-bool SetAccessControlReq::Decode(WireReader& r, SetAccessControlReq* out) {
-  out->enabled = r.U32();
-  return r.ok();
-}
-
-void ChangeHostsReq::Encode(WireWriter& w) const {
-  w.U32(static_cast<uint32_t>(mode));
-  w.U32(family);
-  w.U32(static_cast<uint32_t>(address.size()));
-  w.Bytes(address);
-  w.AlignPad();
-}
-
-bool ChangeHostsReq::Decode(WireReader& r, ChangeHostsReq* out) {
-  out->mode = static_cast<HostChangeMode>(r.U32());
-  out->family = r.U32();
-  const uint32_t len = r.U32();
-  auto view = r.Bytes(len);
-  out->address.assign(view.begin(), view.end());
-  r.AlignSkip();
-  return r.ok();
-}
-
-bool ListHostsReq::Decode(WireReader& r, ListHostsReq* out) {
-  (void)r;
-  (void)out;
-  return true;
-}
-
-void InternAtomReq::Encode(WireWriter& w) const {
-  w.U32(only_if_exists);
-  w.U32(static_cast<uint32_t>(name.size()));
-  w.PaddedString(name);
-}
-
-bool InternAtomReq::Decode(WireReader& r, InternAtomReq* out) {
-  out->only_if_exists = r.U32();
-  const uint32_t len = r.U32();
-  out->name = r.PaddedString(len);
-  return r.ok();
-}
-
-void GetAtomNameReq::Encode(WireWriter& w) const { w.U32(atom); }
-
-bool GetAtomNameReq::Decode(WireReader& r, GetAtomNameReq* out) {
-  out->atom = r.U32();
-  return r.ok();
-}
-
-void ChangePropertyReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(property);
-  w.U32(type);
-  w.U32(format);
-  w.U32(static_cast<uint32_t>(mode));
-  w.U32(static_cast<uint32_t>(data.size()));
-  w.Bytes(data);
-  w.AlignPad();
-}
-
-bool ChangePropertyReq::Decode(WireReader& r, ChangePropertyReq* out) {
-  out->device = r.U32();
-  out->property = r.U32();
-  out->type = r.U32();
-  out->format = r.U32();
-  out->mode = static_cast<PropertyMode>(r.U32());
-  const uint32_t len = r.U32();
-  auto view = r.Bytes(len);
-  out->data.assign(view.begin(), view.end());
-  r.AlignSkip();
-  return r.ok();
-}
-
-void DeletePropertyReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(property);
-}
-
-bool DeletePropertyReq::Decode(WireReader& r, DeletePropertyReq* out) {
-  out->device = r.U32();
-  out->property = r.U32();
-  return r.ok();
-}
-
-void GetPropertyReq::Encode(WireWriter& w) const {
-  w.U32(device);
-  w.U32(property);
-  w.U32(type);
-  w.U32(long_offset);
-  w.U32(long_length);
-  w.U32(do_delete);
-}
-
-bool GetPropertyReq::Decode(WireReader& r, GetPropertyReq* out) {
-  out->device = r.U32();
-  out->property = r.U32();
-  out->type = r.U32();
-  out->long_offset = r.U32();
-  out->long_length = r.U32();
-  out->do_delete = r.U32();
-  return r.ok();
-}
-
-void ListPropertiesReq::Encode(WireWriter& w) const { w.U32(device); }
-
-bool ListPropertiesReq::Decode(WireReader& r, ListPropertiesReq* out) {
-  out->device = r.U32();
-  return r.ok();
-}
-
-void QueryExtensionReq::Encode(WireWriter& w) const {
-  w.U32(static_cast<uint32_t>(name.size()));
-  w.PaddedString(name);
-}
-
-bool QueryExtensionReq::Decode(WireReader& r, QueryExtensionReq* out) {
-  const uint32_t len = r.U32();
-  out->name = r.PaddedString(len);
-  return r.ok();
-}
-
-void KillClientReq::Encode(WireWriter& w) const { w.U32(resource); }
-
-bool KillClientReq::Decode(WireReader& r, KillClientReq* out) {
-  out->resource = r.U32();
-  return r.ok();
 }
 
 // ---------------------------------------------------------------------------

@@ -55,13 +55,6 @@ bool DecodeEvent(WireReader& r, uint32_t event_bytes, TraceEvent* out) {
 
 }  // namespace
 
-void GetTraceReq::Encode(WireWriter& w) const { w.U32(flags); }
-
-bool GetTraceReq::Decode(WireReader& r, GetTraceReq* out) {
-  out->flags = r.U32();
-  return r.ok();
-}
-
 void TraceWire::Encode(WireWriter& w, uint16_t seq) const {
   size_t extra = 4 + 4 + 8 + 8;  // version, enabled, dropped, host_now_us
   extra += 4 + 4;                // event_bytes, count

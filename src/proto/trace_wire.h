@@ -30,18 +30,6 @@ constexpr uint32_t kTraceWireVersion = 1;
 constexpr uint32_t kTraceEventWireBytes = 56;
 constexpr uint32_t kTraceEventWireBytesV1 = 40;
 
-// GetTrace request flags. Enable applies before the drain, disable after,
-// so enable|disable captures exactly one window.
-constexpr uint32_t kTraceFlagEnable = 1u << 0;
-constexpr uint32_t kTraceFlagDisable = 1u << 1;
-
-struct GetTraceReq {
-  uint32_t flags = 0;
-
-  void Encode(WireWriter& w) const;
-  static bool Decode(WireReader& r, GetTraceReq* out);
-};
-
 struct TraceWire {
   uint32_t version = kTraceWireVersion;
   uint32_t enabled = 0;       // tracing state after this request's flags

@@ -389,71 +389,4 @@ IoResult FaultStream::FaultyWritev(const struct iovec* iov, size_t iovcnt) {
   return {IoStatus::kOk, total};
 }
 
-Status FaultStream::WritevAll(struct iovec* iov, size_t iovcnt) {
-  if (schedule_ == nullptr) {
-    return inner_.WritevAll(iov, iovcnt);
-  }
-  size_t head = IovecConsume(iov, iovcnt, 0);
-  while (head < iovcnt) {
-    const IoResult r = Writev(iov + head, iovcnt - head);
-    switch (r.status) {
-      case IoStatus::kOk:
-        head += IovecConsume(iov + head, iovcnt - head, r.bytes);
-        break;
-      case IoStatus::kWouldBlock:
-        continue;  // injected stalls are finite; just retry
-      case IoStatus::kClosed:
-      case IoStatus::kError:
-        return Status(AfError::kConnectionLost, "writev failed");
-    }
-  }
-  return Status::Ok();
-}
-
-Status FaultStream::ReadAll(void* buf, size_t len) {
-  if (schedule_ == nullptr) {
-    return inner_.ReadAll(buf, len);
-  }
-  uint8_t* p = static_cast<uint8_t*>(buf);
-  size_t remaining = len;
-  while (remaining > 0) {
-    const IoResult r = Read(p, remaining);
-    switch (r.status) {
-      case IoStatus::kOk:
-        p += r.bytes;
-        remaining -= r.bytes;
-        break;
-      case IoStatus::kWouldBlock:
-        continue;  // injected stalls are finite; just retry
-      case IoStatus::kClosed:
-      case IoStatus::kError:
-        return Status(AfError::kConnectionLost, "read failed");
-    }
-  }
-  return Status::Ok();
-}
-
-Status FaultStream::WriteAll(const void* buf, size_t len) {
-  if (schedule_ == nullptr) {
-    return inner_.WriteAll(buf, len);
-  }
-  const uint8_t* p = static_cast<const uint8_t*>(buf);
-  size_t remaining = len;
-  while (remaining > 0) {
-    const IoResult r = Write(p, remaining);
-    switch (r.status) {
-      case IoStatus::kOk:
-        p += r.bytes;
-        remaining -= r.bytes;
-        break;
-      case IoStatus::kWouldBlock:
-        continue;
-      case IoStatus::kClosed:
-      case IoStatus::kError:
-        return Status(AfError::kConnectionLost, "write failed");
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace af

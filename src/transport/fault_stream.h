@@ -187,11 +187,12 @@ class FaultStream {
   // and the chain stops at the first short or non-kOk entry, so scripted
   // offsets land exactly as they would on the equivalent Write sequence.
   IoResult Writev(const struct iovec* iov, size_t iovcnt);
-  Status ReadAll(void* buf, size_t len);
-  Status WriteAll(const void* buf, size_t len);
-  // Blocking scatter-gather write; consumes the chain in place (resumes
-  // mid-iovec after partial writes and injected kWouldBlock stalls).
-  Status WritevAll(struct iovec* iov, size_t iovcnt);
+  // FdStream's blocking loops run over the faulty Read/Write: an injected
+  // kWouldBlock waits for the fd like a real one.
+  Status ReadAll(void* buf, size_t len) { return TransferAll<IoDir::kRead>(*this, buf, len); }
+  Status WriteAll(const void* buf, size_t len) {
+    return TransferAll<IoDir::kWrite>(*this, buf, len);
+  }
 
   Status SetNonBlocking(bool nonblocking) { return inner_.SetNonBlocking(nonblocking); }
   void SetNoDelay(bool nodelay) { inner_.SetNoDelay(nodelay); }

@@ -111,98 +111,24 @@ IoResult FdStream::Writev(const struct iovec* iov, size_t iovcnt) {
   }
 }
 
-size_t IovecConsume(struct iovec* iov, size_t iovcnt, size_t written) {
-  size_t i = 0;
-  while (i < iovcnt && written > 0) {
-    if (written >= iov[i].iov_len) {
-      written -= iov[i].iov_len;
-      iov[i].iov_base = static_cast<uint8_t*>(iov[i].iov_base) + iov[i].iov_len;
-      iov[i].iov_len = 0;
-      ++i;
-    } else {
-      iov[i].iov_base = static_cast<uint8_t*>(iov[i].iov_base) + written;
-      iov[i].iov_len -= written;
-      written = 0;
-    }
-  }
-  while (i < iovcnt && iov[i].iov_len == 0) {
-    ++i;
-  }
-  return i;
-}
-
-Status FdStream::WritevAll(struct iovec* iov, size_t iovcnt) {
-  size_t head = IovecConsume(iov, iovcnt, 0);  // skip leading empty entries
-  while (head < iovcnt) {
-    const IoResult r = Writev(iov + head, iovcnt - head);
-    switch (r.status) {
-      case IoStatus::kOk:
-        head += IovecConsume(iov + head, iovcnt - head, r.bytes);
-        break;
-      case IoStatus::kWouldBlock: {
-        struct pollfd pfd = {};
-        pfd.fd = fd_;
-        pfd.events = POLLOUT;
-        if (::poll(&pfd, 1, -1) < 0 && errno != EINTR) {
-          return Status(AfError::kConnectionLost, "poll(POLLOUT)");
-        }
-        continue;
-      }
-      case IoStatus::kClosed:
-      case IoStatus::kError:
-        return Status(AfError::kConnectionLost, "writev failed");
+Status WaitForFd(int fd, bool for_read) {
+  struct pollfd pfd = {};
+  pfd.fd = fd;
+  pfd.events = for_read ? POLLIN : POLLOUT;
+  while (::poll(&pfd, 1, -1) < 0) {
+    if (errno != EINTR) {
+      return Status(AfError::kConnectionLost, for_read ? "poll(POLLIN)" : "poll(POLLOUT)");
     }
   }
   return Status::Ok();
 }
 
 Status FdStream::WriteAll(const void* buf, size_t len) {
-  const uint8_t* p = static_cast<const uint8_t*>(buf);
-  size_t remaining = len;
-  while (remaining > 0) {
-    const IoResult r = Write(p, remaining);
-    switch (r.status) {
-      case IoStatus::kOk:
-        p += r.bytes;
-        remaining -= r.bytes;
-        break;
-      case IoStatus::kWouldBlock: {
-        // Non-blocking fd with a full socket buffer: wait for writability
-        // instead of burning CPU in a hot retry loop.
-        struct pollfd pfd = {};
-        pfd.fd = fd_;
-        pfd.events = POLLOUT;
-        if (::poll(&pfd, 1, -1) < 0 && errno != EINTR) {
-          return Status(AfError::kConnectionLost, "poll(POLLOUT)");
-        }
-        continue;
-      }
-      case IoStatus::kClosed:
-      case IoStatus::kError:
-        return Status(AfError::kConnectionLost, "write failed");
-    }
-  }
-  return Status::Ok();
+  return TransferAll<IoDir::kWrite>(*this, buf, len);
 }
 
 Status FdStream::ReadAll(void* buf, size_t len) {
-  uint8_t* p = static_cast<uint8_t*>(buf);
-  size_t remaining = len;
-  while (remaining > 0) {
-    const IoResult r = Read(p, remaining);
-    switch (r.status) {
-      case IoStatus::kOk:
-        p += r.bytes;
-        remaining -= r.bytes;
-        break;
-      case IoStatus::kWouldBlock:
-        continue;
-      case IoStatus::kClosed:
-      case IoStatus::kError:
-        return Status(AfError::kConnectionLost, "read failed");
-    }
-  }
-  return Status::Ok();
+  return TransferAll<IoDir::kRead>(*this, buf, len);
 }
 
 Status FdStream::SetNonBlocking(bool nonblocking) {
@@ -360,8 +286,7 @@ int ConnectWithDeadline(int fd, const struct sockaddr* addr, socklen_t len,
     }
     break;
   }
-  // FdStream::ReadAll busy-spins on kWouldBlock, so the connected fd must
-  // go back to blocking mode.
+  // Connect* hand the stream back in blocking mode (stream.h).
   if (::fcntl(fd, F_SETFL, flags) < 0) {
     return -1;
   }

@@ -19,6 +19,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -62,14 +63,9 @@ class FdStream {
   // partial-write semantics as Write (bytes may stop mid-iovec). Chains
   // longer than IOV_MAX are silently capped; the partial result resumes.
   IoResult Writev(const struct iovec* iov, size_t iovcnt);
-  // Writes the whole buffer, blocking as needed (fd must be blocking, or
-  // the caller tolerates a spin on EAGAIN).
+  // Writes the whole buffer / reads exactly len bytes, waiting in poll(2)
+  // on a nonblocking fd; kClosed/kError become failures.
   Status WriteAll(const void* buf, size_t len);
-  // Writes the whole iovec chain, blocking as needed. The chain is
-  // consumed in place (entries advance past written bytes), so a resumed
-  // call after kWouldBlock picks up exactly mid-iovec.
-  Status WritevAll(struct iovec* iov, size_t iovcnt);
-  // Reads exactly len bytes, blocking; kClosed/kError become failures.
   Status ReadAll(void* buf, size_t len);
 
   Status SetNonBlocking(bool nonblocking);
@@ -121,11 +117,43 @@ Result<FdStream> ConnectServer(const ServerAddr& addr, int deadline_ms = -1);
 // An AF_UNIX socketpair for in-process client/server benchmarking.
 Result<std::pair<FdStream, FdStream>> CreateStreamPair();
 
-// Consumes `written` bytes from the front of an iovec chain in place:
-// fully-written entries become empty, a partially-written entry advances
-// its base/len. Returns the index of the first entry with bytes left
-// (iovcnt when the chain is fully consumed).
-size_t IovecConsume(struct iovec* iov, size_t iovcnt, size_t written);
+// Waits in poll(2) until fd is readable (for_read) or writable. Fails
+// only when poll itself does; EINTR resumes the wait.
+Status WaitForFd(int fd, bool for_read);
+
+enum class IoDir { kRead, kWrite };
+
+// The blocking loop behind ReadAll and WriteAll of FdStream and
+// FaultStream: moves exactly len bytes through s.Read or s.Write, and
+// whenever the stream reports kWouldBlock waits for its fd to be ready.
+template <IoDir kDir, typename Stream, typename Byte>
+Status TransferAll(Stream& s, Byte* buf, size_t len) {
+  constexpr bool kRead = kDir == IoDir::kRead;
+  auto* p = static_cast<std::conditional_t<kRead, uint8_t*, const uint8_t*>>(buf);
+  while (len > 0) {
+    IoResult r;
+    if constexpr (kRead) {
+      r = s.Read(p, len);
+    } else {
+      r = s.Write(p, len);
+    }
+    switch (r.status) {
+      case IoStatus::kOk:
+        p += r.bytes;
+        len -= r.bytes;
+        break;
+      case IoStatus::kWouldBlock:
+        if (Status ready = WaitForFd(s.fd(), kRead); !ready.ok()) {
+          return ready;
+        }
+        break;
+      case IoStatus::kClosed:
+      case IoStatus::kError:
+        return Status(AfError::kConnectionLost, kRead ? "read failed" : "write failed");
+    }
+  }
+  return Status::Ok();
+}
 
 }  // namespace af
 

@@ -6,10 +6,21 @@
 // a seeded FaultStream so the garbage arrives shortened and stalled too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <random>
+#include <string>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "client/audio_context.h"
 #include "clients/server_runner.h"
+#include "proto/decode.h"
+#include "proto/events.h"
+#include "proto/oplog.h"
+#include "proto/stats.h"
 #include "torture_util.h"
 #include "transport/fault_stream.h"
 
@@ -148,6 +159,355 @@ TEST_F(FuzzTest, OversizedNbytesFieldInPlay) {
   ASSERT_TRUE(ErrorPacket::Decode(unit, HostWireOrder(), &error));
   EXPECT_EQ(error.code, AfError::kBadLength);
   ExpectServerAlive();
+}
+
+// --- decoder fuzz budget ------------------------------------------------------
+//
+// The decoders alone, no server. Every AF_REQUESTS row round-trips random
+// field values; random and truncated input then goes through every body
+// decoder, the asniff line and stream decoders, and the stats, trace,
+// op-log, setup and event decoders. Seeds and counts are fixed, so a
+// failure replays exactly. Nothing may crash or hang; the sanitizer builds
+// are the memory oracle.
+
+constexpr uint32_t kDecoderFuzzSeed = 0xDEC0DE;
+constexpr int kRoundsPerRequest = 64;
+constexpr int kStreamRounds = 256;
+constexpr int kBlockRounds = 500;
+constexpr size_t kMaxFieldBytes = 64;  // longest random string or vector
+
+using Rng = std::mt19937;
+
+std::vector<uint8_t> RandomBytes(Rng& rng, size_t max_len) {
+  std::vector<uint8_t> out(rng() % (max_len + 1));
+  for (uint8_t& b : out) {
+    b = static_cast<uint8_t>(rng());
+  }
+  return out;
+}
+
+// Random values for every field of a body, walked from its own field list.
+// `play` backs a counted-bytes field, whose count field is set to match.
+template <typename T>
+void RandomFields(Rng& rng, T* body, std::vector<uint8_t>* play);
+
+template <typename M>
+void RandomValue(Rng& rng, M* v, std::vector<uint8_t>* play) {
+  if constexpr (std::is_same_v<M, std::string>) {
+    const std::vector<uint8_t> bytes = RandomBytes(rng, kMaxFieldBytes);
+    v->assign(bytes.begin(), bytes.end());
+  } else if constexpr (std::is_same_v<M, std::vector<uint8_t>>) {
+    *v = RandomBytes(rng, kMaxFieldBytes);
+  } else if constexpr (HasFields<M>) {
+    RandomFields(rng, v, play);
+  } else {
+    *v = static_cast<M>(rng());
+  }
+}
+
+template <typename T, typename M>
+void RandomRow(Rng& rng, T* body, std::vector<uint8_t>* play, const FieldRow<T, M>& row) {
+  RandomValue(rng, &(body->*row.member), play);
+}
+
+template <typename T>
+void RandomRow(Rng& rng, T* body, std::vector<uint8_t>* play,
+               const CountedBytesRow<T>& row) {
+  *play = RandomBytes(rng, kMaxFieldBytes);
+  body->*row.member = *play;
+  body->*row.count = static_cast<uint32_t>(play->size());
+}
+
+template <typename T>
+void RandomFields(Rng& rng, T* body, std::vector<uint8_t>* play) {
+  std::apply([&](const auto&... row) { (RandomRow(rng, body, play, row), ...); },
+             T::Fields());
+}
+
+template <typename Body>
+std::vector<uint8_t> Framed(Opcode op, const Body& body, WireOrder order) {
+  WireWriter w(order);
+  const size_t header = BeginRequest(w, op);
+  body.Encode(w);
+  EndRequest(w, header);
+  return w.Take();
+}
+
+// A framed request of a random opcode with random field values.
+std::vector<uint8_t> RandomRequest(Rng& rng, WireOrder order) {
+  const auto op = static_cast<Opcode>(kMinOpcode + rng() % (kMaxOpcode - kMinOpcode + 1));
+  std::vector<uint8_t> play;
+  switch (op) {
+#define AF_RANDOM_REQUEST(value, name, type) \
+  case Opcode::k##name: {                    \
+    type body;                               \
+    RandomFields(rng, &body, &play);         \
+    return Framed(op, body, order);          \
+  }
+    AF_REQUESTS(AF_RANDOM_REQUEST)
+#undef AF_RANDOM_REQUEST
+  }
+  return {};
+}
+
+// msg is a request framed under op, possibly cut short or with a random
+// body. Body::Decode must not crash, and DecodeRequestLine must name op and
+// mark the line <truncated> exactly when Body::Decode rejects the body.
+template <typename Body>
+bool DecodersAgree(Opcode op, std::span<const uint8_t> msg, WireOrder order) {
+  WireReader r(msg.subspan(kRequestHeaderBytes), order);
+  Body body;
+  const bool whole = Body::Decode(r, &body);
+  const std::string line = DecodeRequestLine(msg, order);
+  return line.rfind(OpcodeName(op), 0) == 0 &&
+         (line.find("<truncated>") == std::string::npos) == whole;
+}
+
+template <typename Body>
+void FuzzRequestRow(Opcode op) {
+  Rng rng(kDecoderFuzzSeed + static_cast<uint32_t>(op));
+  for (int round = 0; round < kRoundsPerRequest; ++round) {
+    Body body;
+    std::vector<uint8_t> play;
+    RandomFields(rng, &body, &play);
+    for (const WireOrder order : {WireOrder::kLittle, WireOrder::kBig}) {
+      const std::vector<uint8_t> msg = Framed(op, body, order);
+      const std::span<const uint8_t> view(msg);
+      WireReader r(view.subspan(kRequestHeaderBytes), order);
+      Body decoded;
+      ASSERT_TRUE(Body::Decode(r, &decoded)) << OpcodeName(op) << " round " << round;
+      EXPECT_EQ(Framed(op, decoded, order), msg) << OpcodeName(op) << " round " << round;
+      EXPECT_TRUE(DecodersAgree<Body>(op, view, order)) << OpcodeName(op) << " round " << round;
+      for (size_t cut = kRequestHeaderBytes; cut < msg.size(); ++cut) {
+        EXPECT_TRUE(DecodersAgree<Body>(op, view.first(cut), order))
+            << OpcodeName(op) << " round " << round << " cut " << cut;
+      }
+      std::vector<uint8_t> junk(msg.begin(), msg.begin() + kRequestHeaderBytes);
+      const std::vector<uint8_t> tail = RandomBytes(rng, 2 * kMaxFieldBytes);
+      junk.insert(junk.end(), tail.begin(), tail.end());
+      EXPECT_TRUE(DecodersAgree<Body>(op, junk, order))
+          << OpcodeName(op) << " round " << round << " random body";
+    }
+  }
+}
+
+TEST(DecoderFuzzTest, EveryRequestRoundTripsAndSurvivesDamage) {
+#define AF_FUZZ_REQUEST(value, name, body) FuzzRequestRow<body>(Opcode::k##name);
+  AF_REQUESTS(AF_FUZZ_REQUEST)
+#undef AF_FUZZ_REQUEST
+}
+
+// Valid input damaged one of three ways: bytes flipped, cut short, or
+// followed by random bytes.
+std::vector<uint8_t> Damage(Rng& rng, std::vector<uint8_t> bytes) {
+  switch (rng() % 3) {
+    case 0:
+      for (int flips = 1 + rng() % 4; flips > 0 && !bytes.empty(); --flips) {
+        bytes[rng() % bytes.size()] ^= static_cast<uint8_t>(1 + rng() % 255);
+      }
+      break;
+    case 1:
+      bytes.resize(rng() % (bytes.size() + 1));
+      break;
+    default: {
+      const std::vector<uint8_t> tail = RandomBytes(rng, 96);
+      bytes.insert(bytes.end(), tail.begin(), tail.end());
+      break;
+    }
+  }
+  return bytes;
+}
+
+// Feeds a stream in random-sized pieces; every message must come out as
+// one non-empty line, plus one line if the stream was declared dead.
+void FeedInPieces(Rng& rng, StreamDecoder& dec, const std::vector<uint8_t>& stream) {
+  size_t lines = 0;
+  bool empty_line = false;
+  const auto sink = [&](const std::string& line) {
+    ++lines;
+    empty_line |= line.empty();
+  };
+  for (size_t at = 0; at < stream.size();) {
+    const size_t n = std::min<size_t>(1 + rng() % 48, stream.size() - at);
+    dec.Feed(std::span<const uint8_t>(stream).subspan(at, n), sink);
+    at += n;
+  }
+  EXPECT_FALSE(empty_line);
+  EXPECT_EQ(lines, dec.messages() + (dec.saw_error() ? 1 : 0));
+}
+
+TEST(DecoderFuzzTest, StreamDecodersSurviveDamagedTraffic) {
+  Rng rng(kDecoderFuzzSeed);
+  for (int round = 0; round < kStreamRounds; ++round) {
+    const WireOrder order = rng() % 2 == 0 ? WireOrder::kLittle : WireOrder::kBig;
+
+    // Client to server: a setup, then requests, some of them damaged.
+    SetupRequest setup;
+    setup.order = order;
+    std::vector<uint8_t> up = setup.Encode();
+    for (int i = 0; i < 8; ++i) {
+      std::vector<uint8_t> req = RandomRequest(rng, order);
+      if (rng() % 4 == 0) {
+        req = Damage(rng, std::move(req));
+      }
+      up.insert(up.end(), req.begin(), req.end());
+    }
+    StreamDecoder client(StreamDecoder::Dir::kClientToServer);
+    FeedInPieces(rng, client, up);
+    EXPECT_TRUE(client.have_order()) << "round " << round;
+    EXPECT_EQ(client.order(), order) << "round " << round;
+
+    // Server to client: a setup reply, then errors, replies and events,
+    // some of them damaged.
+    SetupReply reply;
+    reply.success = true;
+    reply.vendor = "fuzz";
+    reply.devices.resize(1 + rng() % 3);
+    std::vector<uint8_t> down = reply.Encode(order);
+    for (int i = 0; i < 8; ++i) {
+      WireWriter w(order);
+      switch (rng() % 4) {
+        case 0: {
+          ErrorPacket err;
+          err.code = static_cast<AfError>(rng() % 16);
+          err.opcode = static_cast<Opcode>(rng());
+          err.Encode(w);
+          break;
+        }
+        case 1: {
+          RecordSamplesReply rec;
+          rec.data = RandomBytes(rng, kMaxFieldBytes);
+          rec.actual_bytes = static_cast<uint32_t>(rec.data.size());
+          rec.Encode(w, static_cast<uint16_t>(rng()));
+          break;
+        }
+        case 2: {
+          AEvent ev;
+          ev.type = static_cast<EventType>(kMinEventType + rng() % 5);
+          ev.device = rng() % 4;
+          ev.Encode(w);
+          break;
+        }
+        default: {
+          std::vector<uint8_t> unit = RandomBytes(rng, 2 * kReplyBaseBytes);
+          w.Bytes(unit);
+          break;
+        }
+      }
+      std::vector<uint8_t> unit = w.Take();
+      if (rng() % 4 == 0) {
+        unit = Damage(rng, std::move(unit));
+      }
+      down.insert(down.end(), unit.begin(), unit.end());
+    }
+    StreamDecoder server(StreamDecoder::Dir::kServerToClient);
+    server.SetOrder(order);
+    FeedInPieces(rng, server, down);
+  }
+}
+
+TEST(DecoderFuzzTest, BlockDecodersSurviveDamagedBlocks) {
+  Rng rng(kDecoderFuzzSeed);
+  for (const WireOrder order : {WireOrder::kLittle, WireOrder::kBig}) {
+    // One valid block of every kind, checked whole, then damaged.
+    ServerStatsWire stats;
+    stats.counters.assign(kNumServerCounters, 7);
+    stats.errors_by_code.assign(4, 1);
+    stats.hist_buckets = 4;
+    stats.opcodes.resize(kMaxOpcode + 1);
+    stats.opcodes[5].buckets = {1, 2, 3, 4};
+    stats.devices.resize(2);
+    stats.devices[1].counters.assign(3, 9);
+    stats.shards.resize(2);
+    WireWriter stats_w(order);
+    stats.Encode(stats_w, 1);
+
+    TraceWire trace;
+    trace.events.resize(3);
+    trace.events[1].corr = 0x1234;
+    WireWriter trace_w(order);
+    trace.Encode(trace_w, 2);
+
+    WireWriter hello_w(order);
+    EncodeOplogHello(hello_w);
+    OplogRecord rec;
+    rec.seq = 5;
+    rec.type = static_cast<uint16_t>(OplogType::kACCreate);
+    rec.attrs.encoding = AEncodeType::kLin16;
+    WireWriter rec_w(order);
+    EncodeOplogRecord(rec_w, rec);
+    WireWriter ack_w(order);
+    EncodeOplogAck(ack_w, 99);
+
+    SetupRequest setup;
+    setup.order = order;
+    setup.auth_name = "MIT-MAGIC";
+    const std::vector<uint8_t> setup_bytes = setup.Encode();
+    SetupReply reply;
+    reply.success = true;
+    reply.vendor = "fuzz";
+    reply.devices.resize(2);
+    const std::vector<uint8_t> reply_bytes = reply.Encode(order);
+
+    AEvent event;
+    event.type = EventType::kPropertyChange;
+    WireWriter event_w(order);
+    event.Encode(event_w);
+
+    const auto decode_stats = [order](std::span<const uint8_t> b) {
+      ServerStatsWire out;
+      return ServerStatsWire::Decode(b, order, &out);
+    };
+    const auto decode_trace = [order](std::span<const uint8_t> b) {
+      TraceWire out;
+      return TraceWire::Decode(b, order, &out);
+    };
+    const auto decode_hello = [](std::span<const uint8_t> b) {
+      return DecodeOplogHello(b).has_value();
+    };
+    const auto decode_record = [order](std::span<const uint8_t> b) {
+      OplogRecord out;
+      return DecodeOplogRecord(b, order, kOplogRecordBytes, &out);
+    };
+    const auto decode_ack = [order](std::span<const uint8_t> b) {
+      return DecodeOplogAck(b, order).has_value();
+    };
+    const auto decode_setup = [](std::span<const uint8_t> b) {
+      SetupRequest out;
+      uint16_t name_len = 0;
+      uint16_t data_len = 0;
+      return SetupRequest::DecodeFixed(b, &out, &name_len, &data_len);
+    };
+    const auto decode_reply = [order](std::span<const uint8_t> b) {
+      bool success = false;
+      uint32_t words = 0;
+      SetupReply out;
+      return SetupReply::DecodeFixed(b, order, &success, &words) &&
+             b.size() >= SetupReply::kFixedBytes &&
+             SetupReply::DecodeVariable(b.subspan(SetupReply::kFixedBytes), order, success,
+                                        &out);
+    };
+    const auto decode_event = [order](std::span<const uint8_t> b) {
+      AEvent out;
+      return AEvent::Decode(b, order, &out);
+    };
+
+    const std::vector<std::pair<std::vector<uint8_t>, std::function<bool(std::span<const uint8_t>)>>>
+        blocks = {
+            {stats_w.Take(), decode_stats}, {trace_w.Take(), decode_trace},
+            {hello_w.Take(), decode_hello}, {rec_w.Take(), decode_record},
+            {ack_w.Take(), decode_ack},     {setup_bytes, decode_setup},
+            {reply_bytes, decode_reply},    {event_w.Take(), decode_event},
+        };
+    for (size_t kind = 0; kind < blocks.size(); ++kind) {
+      const auto& [bytes, decode] = blocks[kind];
+      ASSERT_TRUE(decode(bytes)) << "block " << kind;
+      for (int round = 0; round < kBlockRounds; ++round) {
+        decode(Damage(rng, bytes));
+        decode(RandomBytes(rng, bytes.size() + 32));
+      }
+    }
+  }
 }
 
 }  // namespace

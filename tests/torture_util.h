@@ -111,9 +111,6 @@ inline std::vector<uint8_t> CanonicalRequest(Opcode op) {
       req.Encode(w);
       break;
     }
-    case Opcode::kListHosts:
-      ListHostsReq{}.Encode(w);
-      break;
     case Opcode::kInternAtom: {
       InternAtomReq req;
       req.name = "TORTURE";
@@ -143,6 +140,7 @@ inline std::vector<uint8_t> CanonicalRequest(Opcode op) {
     case Opcode::kListProperties:
       ListPropertiesReq{}.Encode(w);
       break;
+    case Opcode::kListHosts:
     case Opcode::kNoOperation:
     case Opcode::kSyncConnection:
     case Opcode::kListExtensions:

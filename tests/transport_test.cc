@@ -146,38 +146,6 @@ TEST(StreamTest, BadFdReportsError) {
 
 // --- scatter-gather writes ---------------------------------------------------
 
-TEST(IovecConsumeTest, AdvancesInPlace) {
-  uint8_t buf_a[4] = {1, 2, 3, 4};
-  uint8_t buf_b[3] = {5, 6, 7};
-  struct iovec iov[2] = {{buf_a, sizeof(buf_a)}, {buf_b, sizeof(buf_b)}};
-
-  // Consume nothing: stays at the first entry, untouched.
-  EXPECT_EQ(IovecConsume(iov, 2, 0), 0u);
-  EXPECT_EQ(iov[0].iov_len, 4u);
-
-  // Partial first entry.
-  EXPECT_EQ(IovecConsume(iov, 2, 3), 0u);
-  EXPECT_EQ(iov[0].iov_len, 1u);
-  EXPECT_EQ(*static_cast<uint8_t*>(iov[0].iov_base), 4);
-
-  // Across the boundary into the middle of the second entry.
-  EXPECT_EQ(IovecConsume(iov, 2, 2), 1u);
-  EXPECT_EQ(iov[0].iov_len, 0u);
-  EXPECT_EQ(iov[1].iov_len, 2u);
-  EXPECT_EQ(*static_cast<uint8_t*>(iov[1].iov_base), 6);
-
-  // Everything left: past the end.
-  EXPECT_EQ(IovecConsume(iov, 2, 2), 2u);
-}
-
-TEST(IovecConsumeTest, SkipsLeadingEmptyEntries) {
-  uint8_t data[2] = {9, 9};
-  struct iovec iov[3] = {{data, 0}, {data, 0}, {data, sizeof(data)}};
-  // With nothing consumed, empty leading entries are still skipped so a
-  // caller can start its chain at the first real segment.
-  EXPECT_EQ(IovecConsume(iov, 3, 0), 2u);
-}
-
 TEST(StreamTest, WritevGathersAcrossBuffers) {
   auto pair = CreateStreamPair();
   ASSERT_TRUE(pair.ok());
@@ -223,45 +191,24 @@ TEST(StreamTest, WritevNonBlockingReportsWouldBlock) {
   (void)b;
 }
 
-TEST(StreamTest, WritevAllDeliversLargeChainInOrder) {
+TEST(StreamTest, BlockingLoopsWaitOnNonBlockingFds) {
   auto pair = CreateStreamPair();
   ASSERT_TRUE(pair.ok());
   auto& [a, b] = pair.value();
   ASSERT_TRUE(a.SetNonBlocking(true).ok());
-  // Total far beyond the socket buffer, so WritevAll must take multiple
-  // kernel writes and resume mid-iovec after kWouldBlock.
-  constexpr size_t kSegments = 8;
-  constexpr size_t kSegmentBytes = 64 * 1024;
-  std::vector<std::vector<uint8_t>> segments(kSegments);
-  struct iovec iov[kSegments];
-  uint8_t fill = 0;
-  for (size_t s = 0; s < kSegments; ++s) {
-    segments[s].resize(kSegmentBytes);
-    for (auto& byte : segments[s]) {
-      byte = fill++;
-    }
-    iov[s] = {segments[s].data(), segments[s].size()};
+  ASSERT_TRUE(b.SetNonBlocking(true).ok());
+  // Far beyond the socket buffer, so both loops meet kWouldBlock and must
+  // wait for their fd instead of failing.
+  std::vector<uint8_t> sent(512 * 1024);
+  for (size_t i = 0; i < sent.size(); ++i) {
+    sent[i] = static_cast<uint8_t>(i * 13);
   }
-  std::vector<uint8_t> received;
-  std::thread reader([&b, &received] {
-    std::vector<uint8_t> buf(1 << 16);
-    while (received.size() < kSegments * kSegmentBytes) {
-      const IoResult r = b.Read(buf.data(), buf.size());
-      if (r.status != IoStatus::kOk) {
-        break;
-      }
-      received.insert(received.end(), buf.begin(), buf.begin() + r.bytes);
-    }
-  });
-  ASSERT_TRUE(a.WritevAll(iov, kSegments).ok());
+  std::vector<uint8_t> received(sent.size());
+  std::thread reader(
+      [&b, &received] { EXPECT_TRUE(b.ReadAll(received.data(), received.size()).ok()); });
+  EXPECT_TRUE(a.WriteAll(sent.data(), sent.size()).ok());
   reader.join();
-  ASSERT_EQ(received.size(), kSegments * kSegmentBytes);
-  uint8_t expect = 0;
-  size_t mismatches = 0;
-  for (const uint8_t byte : received) {
-    mismatches += (byte != expect++);
-  }
-  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(received, sent);
 }
 
 // --- scatter-gather under fault injection ------------------------------------
@@ -290,12 +237,26 @@ TEST(FaultStreamTest, WritevSplitsAtScriptedOffsetMidIovec) {
   EXPECT_EQ(buf[5], 5);
 }
 
-TEST(FaultStreamTest, WritevAllResumesAcrossInjectedStalls) {
+// The chain {part1, part2} from byte `sent` onward, as FlushOutput builds
+// it from its head segment and offset.
+size_t ChainFrom(std::span<uint8_t> part1, std::span<uint8_t> part2, size_t sent,
+                 struct iovec* iov) {
+  size_t iovcnt = 0;
+  if (sent < part1.size()) {
+    iov[iovcnt++] = {part1.data() + sent, part1.size() - sent};
+    sent = part1.size();
+  }
+  iov[iovcnt++] = {part2.data() + (sent - part1.size()), part2.size() - (sent - part1.size())};
+  return iovcnt;
+}
+
+TEST(FaultStreamTest, WritevResumesAcrossInjectedStalls) {
   auto pair = CreateStreamPair();
   ASSERT_TRUE(pair.ok());
   auto faults = std::make_shared<FaultSchedule>();
-  // A split, then a would-block burst landing mid-iovec, then another
-  // split: WritevAll must consume the chain in place and finish.
+  // A split, then a would-block burst landing mid-chain, then another
+  // split. Each Writev stops at the next split or stall; the caller
+  // resumes from the byte count, as ClientConn::FlushOutput does.
   faults->SplitWriteAt(3);
   faults->WouldBlockWriteAt(5, 2);
   faults->SplitWriteAt(9);
@@ -304,8 +265,24 @@ TEST(FaultStreamTest, WritevAllResumesAcrossInjectedStalls) {
 
   uint8_t part1[] = {10, 11, 12, 13, 14};
   uint8_t part2[] = {15, 16, 17, 18, 19, 20};
-  struct iovec iov[2] = {{part1, sizeof(part1)}, {part2, sizeof(part2)}};
-  ASSERT_TRUE(a.WritevAll(iov, 2).ok());
+  const size_t total = sizeof(part1) + sizeof(part2);
+  std::vector<size_t> stops;
+  int stalls = 0;
+  for (size_t sent = 0; sent < total;) {
+    struct iovec iov[2];
+    const IoResult r = a.Writev(iov, ChainFrom(part1, part2, sent, iov));
+    if (r.status == IoStatus::kWouldBlock) {
+      ++stalls;
+      continue;
+    }
+    ASSERT_EQ(r.status, IoStatus::kOk);
+    sent += r.bytes;
+    stops.push_back(sent);
+  }
+  // The first stall ends the call at 5 as a partial write; the second has
+  // no progress to report and surfaces as kWouldBlock.
+  EXPECT_EQ(stops, (std::vector<size_t>{3, 5, 9, 11}));
+  EXPECT_EQ(stalls, 1);
   EXPECT_GE(faults->faults_applied(), 3u);
 
   uint8_t buf[11] = {};
@@ -315,7 +292,7 @@ TEST(FaultStreamTest, WritevAllResumesAcrossInjectedStalls) {
   }
 }
 
-TEST(FaultStreamTest, WritevAllStopsAtScriptedCut) {
+TEST(FaultStreamTest, WritevStopsAtScriptedCut) {
   auto pair = CreateStreamPair();
   ASSERT_TRUE(pair.ok());
   auto faults = std::make_shared<FaultSchedule>();
@@ -324,11 +301,17 @@ TEST(FaultStreamTest, WritevAllStopsAtScriptedCut) {
 
   uint8_t part1[] = {1, 2, 3};
   uint8_t part2[] = {4, 5, 6, 7};
-  struct iovec iov[2] = {{part1, sizeof(part1)}, {part2, sizeof(part2)}};
-  EXPECT_FALSE(a.WritevAll(iov, 2).ok());
+  struct iovec iov[2];
+  // The first call stops at the cut; resuming from its byte count meets
+  // the cut and reports the peer gone.
+  IoResult r = a.Writev(iov, ChainFrom(part1, part2, 0, iov));
+  EXPECT_EQ(r.status, IoStatus::kOk);
+  EXPECT_EQ(r.bytes, 5u);
+  r = a.Writev(iov, ChainFrom(part1, part2, r.bytes, iov));
+  EXPECT_EQ(r.status, IoStatus::kClosed);
   // The bytes before the cut were accepted; the peer can read exactly 5.
   uint8_t buf[8] = {};
-  const IoResult r = pair.value().second.Read(buf, sizeof(buf));
+  r = pair.value().second.Read(buf, sizeof(buf));
   EXPECT_EQ(r.status, IoStatus::kOk);
   EXPECT_EQ(r.bytes, 5u);
 }

@@ -2,10 +2,14 @@
 // the setup handshake, events, atoms, and malformed-input behavior.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <functional>
+
 #include "proto/atoms.h"
 #include "proto/events.h"
 #include "proto/requests.h"
 #include "proto/setup.h"
+#include "proto/trace_wire.h"
 #include "proto/wire.h"
 
 namespace af {
@@ -320,6 +324,238 @@ TEST_P(WireOrderTest, SetupFailureReply) {
 
 INSTANTIATE_TEST_SUITE_P(BothOrders, WireOrderTest,
                          ::testing::Values(WireOrder::kLittle, WireOrder::kBig));
+
+// --- byte golden for every request --------------------------------------------
+
+// One instance of every request body, every field a distinct non-default
+// value, framed under its opcode. The literals pin the wire bytes in both
+// byte orders, so a swapped field, a changed count or a changed pad fails.
+struct RequestGolden {
+  Opcode op;
+  std::function<void(WireWriter&)> body;
+  const char* little;
+  const char* big;
+};
+
+template <typename Req>
+std::function<void(WireWriter&)> Body(Req req) {
+  return [req](WireWriter& w) { req.Encode(w); };
+}
+
+ACAttributes GoldenAttrs() {
+  ACAttributes a;
+  a.play_gain_db = -20;
+  a.record_gain_db = -7;
+  a.preempt = 1;
+  a.big_endian_data = 1;
+  a.encoding = AEncodeType::kLin16;
+  a.channels = 2;
+  return a;
+}
+
+std::vector<RequestGolden> RequestGoldens() {
+  static const uint8_t kPlayBlock[7] = {0xa1, 0xa2, 0xa3, 0xa4, 0xa5, 0xa6, 0xa7};
+  SelectEventsReq select;
+  select.device = 3;
+  select.mask = 0x1f;
+  CreateACReq create;
+  create.ac = 0x100001;
+  create.device = 3;
+  create.value_mask = 0x3f;
+  create.attrs = GoldenAttrs();
+  ChangeACAttributesReq change_ac;
+  change_ac.ac = 0x100002;
+  change_ac.value_mask = 0x11;
+  change_ac.attrs = GoldenAttrs();
+  FreeACReq free_ac;
+  free_ac.ac = 0x100003;
+  PlaySamplesReq play;
+  play.ac = 0x100004;
+  play.start_time = 0xfffffff0u;
+  play.nbytes = sizeof(kPlayBlock);
+  play.flags = kPlaySuppressReply | kPlayBigEndianData;
+  play.data = kPlayBlock;
+  RecordSamplesReq record;
+  record.ac = 0x100005;
+  record.start_time = 0x12345678;
+  record.nbytes = 0x2000;
+  record.flags = kRecordNoBlock | kRecordBigEndianData;
+  GetTimeReq get_time;
+  get_time.device = 3;
+  QueryPhoneReq query_phone;
+  query_phone.device = 3;
+  PassThroughReq pass;
+  pass.device_a = 3;
+  pass.device_b = 5;
+  HookSwitchReq hook;
+  hook.device = 3;
+  hook.off_hook = 1;
+  FlashHookReq flash;
+  flash.device = 3;
+  flash.duration_ms = 250;
+  GainControlReq gain_control;
+  gain_control.device = 3;
+  DialPhoneReq dial;
+  dial.device = 3;
+  dial.number = "5551212";
+  SetGainReq set_gain;
+  set_gain.device = 3;
+  set_gain.gain_db = -20;
+  QueryGainReq query_gain;
+  query_gain.device = 3;
+  IOEnableReq io;
+  io.device = 3;
+  io.mask = 0x1f;
+  SetAccessControlReq access;
+  access.enabled = 1;
+  ChangeHostsReq hosts;
+  hosts.mode = HostChangeMode::kDelete;
+  hosts.family = 1;
+  hosts.address = {10, 0, 0, 1, 2};
+  InternAtomReq intern;
+  intern.only_if_exists = 1;
+  intern.name = "TORTURE!";
+  GetAtomNameReq atom_name;
+  atom_name.atom = 42;
+  ChangePropertyReq change_prop;
+  change_prop.device = 3;
+  change_prop.property = 7;
+  change_prop.type = 31;
+  change_prop.format = 16;
+  change_prop.mode = PropertyMode::kAppend;
+  change_prop.data = {0xd1, 0xd2, 0xd3, 0xd4, 0xd5, 0xd6};
+  DeletePropertyReq delete_prop;
+  delete_prop.device = 3;
+  delete_prop.property = 9;
+  GetPropertyReq get_prop;
+  get_prop.device = 3;
+  get_prop.property = 7;
+  get_prop.type = 31;
+  get_prop.long_offset = 2;
+  get_prop.long_length = 100;
+  get_prop.do_delete = 1;
+  ListPropertiesReq list_props;
+  list_props.device = 3;
+  QueryExtensionReq query_ext;
+  query_ext.name = "X-EXT";
+  KillClientReq kill;
+  kill.resource = 0x100009;
+  GetTraceReq trace;
+  trace.flags = kTraceFlagEnable | kTraceFlagDisable;
+  ResyncTimeReq resync;
+  resync.device = 3;
+  resync.client_watermark = 48000;
+
+  return {
+      {Opcode::kSelectEvents, Body(select),
+       "01000300 03000000 1f000000",
+       "01000003 00000003 0000001f"},
+      {Opcode::kCreateAC, Body(create),
+       "02000a00 01001000 03000000 3f000000 ecffffff f9ffffff 01000000 01000000 02000000 02000000",
+       "0200000a 00100001 00000003 0000003f ffffffec fffffff9 00000001 00000001 00000002 00000002"},
+      {Opcode::kChangeACAttributes, Body(change_ac),
+       "03000900 02001000 11000000 ecffffff f9ffffff 01000000 01000000 02000000 02000000",
+       "03000009 00100002 00000011 ffffffec fffffff9 00000001 00000001 00000002 00000002"},
+      {Opcode::kFreeAC, Body(free_ac), "04000200 03001000", "04000002 00100003"},
+      {Opcode::kPlaySamples, Body(play),
+       "05000700 04001000 f0ffffff 07000000 03000000 a1a2a3a4 a5a6a700",
+       "05000007 00100004 fffffff0 00000007 00000003 a1a2a3a4 a5a6a700"},
+      {Opcode::kRecordSamples, Body(record),
+       "06000500 05001000 78563412 00200000 03000000",
+       "06000005 00100005 12345678 00002000 00000003"},
+      {Opcode::kGetTime, Body(get_time), "07000200 03000000", "07000002 00000003"},
+      {Opcode::kQueryPhone, Body(query_phone), "08000200 03000000", "08000002 00000003"},
+      {Opcode::kEnablePassThrough, Body(pass),
+       "09000300 03000000 05000000",
+       "09000003 00000003 00000005"},
+      {Opcode::kDisablePassThrough, Body(pass),
+       "0a000300 03000000 05000000",
+       "0a000003 00000003 00000005"},
+      {Opcode::kHookSwitch, Body(hook), "0b000300 03000000 01000000", "0b000003 00000003 00000001"},
+      {Opcode::kFlashHook, Body(flash), "0c000300 03000000 fa000000", "0c000003 00000003 000000fa"},
+      {Opcode::kEnableGainControl, Body(gain_control), "0d000200 03000000", "0d000002 00000003"},
+      {Opcode::kDisableGainControl, Body(gain_control), "0e000200 03000000", "0e000002 00000003"},
+      {Opcode::kDialPhone, Body(dial),
+       "0f000500 03000000 07000000 35353531 32313200",
+       "0f000005 00000003 00000007 35353531 32313200"},
+      {Opcode::kSetInputGain, Body(set_gain),
+       "10000300 03000000 ecffffff",
+       "10000003 00000003 ffffffec"},
+      {Opcode::kSetOutputGain, Body(set_gain),
+       "11000300 03000000 ecffffff",
+       "11000003 00000003 ffffffec"},
+      {Opcode::kQueryInputGain, Body(query_gain), "12000200 03000000", "12000002 00000003"},
+      {Opcode::kQueryOutputGain, Body(query_gain), "13000200 03000000", "13000002 00000003"},
+      {Opcode::kEnableInput, Body(io), "14000300 03000000 1f000000", "14000003 00000003 0000001f"},
+      {Opcode::kEnableOutput, Body(io), "15000300 03000000 1f000000", "15000003 00000003 0000001f"},
+      {Opcode::kDisableInput, Body(io), "16000300 03000000 1f000000", "16000003 00000003 0000001f"},
+      {Opcode::kDisableOutput, Body(io),
+       "17000300 03000000 1f000000",
+       "17000003 00000003 0000001f"},
+      {Opcode::kSetAccessControl, Body(access), "18000200 01000000", "18000002 00000001"},
+      {Opcode::kChangeHosts, Body(hosts),
+       "19000600 01000000 01000000 05000000 0a000001 02000000",
+       "19000006 00000001 00000001 00000005 0a000001 02000000"},
+      {Opcode::kListHosts, Body(EmptyReq{}), "1a000100", "1a000001"},
+      {Opcode::kInternAtom, Body(intern),
+       "1b000500 01000000 08000000 544f5254 55524521",
+       "1b000005 00000001 00000008 544f5254 55524521"},
+      {Opcode::kGetAtomName, Body(atom_name), "1c000200 2a000000", "1c000002 0000002a"},
+      {Opcode::kChangeProperty, Body(change_prop),
+       "1d000900 03000000 07000000 1f000000 10000000 02000000 06000000 d1d2d3d4 d5d60000",
+       "1d000009 00000003 00000007 0000001f 00000010 00000002 00000006 d1d2d3d4 d5d60000"},
+      {Opcode::kDeleteProperty, Body(delete_prop),
+       "1e000300 03000000 09000000",
+       "1e000003 00000003 00000009"},
+      {Opcode::kGetProperty, Body(get_prop),
+       "1f000700 03000000 07000000 1f000000 02000000 64000000 01000000",
+       "1f000007 00000003 00000007 0000001f 00000002 00000064 00000001"},
+      {Opcode::kListProperties, Body(list_props), "20000200 03000000", "20000002 00000003"},
+      {Opcode::kNoOperation, Body(EmptyReq{}), "21000100", "21000001"},
+      {Opcode::kSyncConnection, Body(EmptyReq{}), "22000100", "22000001"},
+      {Opcode::kQueryExtension, Body(query_ext),
+       "23000400 05000000 582d4558 54000000",
+       "23000004 00000005 582d4558 54000000"},
+      {Opcode::kListExtensions, Body(EmptyReq{}), "24000100", "24000001"},
+      {Opcode::kKillClient, Body(kill), "25000200 09001000", "25000002 00100009"},
+      {Opcode::kGetServerStats, Body(EmptyReq{}), "26000100", "26000001"},
+      {Opcode::kGetTrace, Body(trace), "27000200 03000000", "27000002 00000003"},
+      {Opcode::kResyncTime, Body(resync),
+       "28000300 03000000 80bb0000",
+       "28000003 00000003 0000bb80"},
+  };
+}
+
+// Lowercase hex with a space between 32-bit words.
+std::string WordsHex(const std::vector<uint8_t>& bytes) {
+  std::string out;
+  char buf[3];
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    if (i != 0 && i % 4 == 0) {
+      out.push_back(' ');
+    }
+    std::snprintf(buf, sizeof(buf), "%02x", bytes[i]);
+    out += buf;
+  }
+  return out;
+}
+
+TEST(RequestGoldenTest, EveryRequestInBothOrders) {
+  const auto goldens = RequestGoldens();
+  ASSERT_EQ(goldens.size(), size_t{kMaxOpcode - kMinOpcode + 1});
+  for (size_t i = 0; i < goldens.size(); ++i) {
+    const RequestGolden& g = goldens[i];
+    EXPECT_EQ(static_cast<size_t>(g.op), kMinOpcode + i) << "rows follow the opcodes";
+    for (const WireOrder order : {WireOrder::kLittle, WireOrder::kBig}) {
+      WireWriter w(order);
+      const size_t header = BeginRequest(w, g.op);
+      g.body(w);
+      EndRequest(w, header);
+      EXPECT_EQ(WordsHex(w.data()), order == WireOrder::kLittle ? g.little : g.big)
+          << OpcodeName(g.op) << (order == WireOrder::kLittle ? " little" : " big");
+    }
+  }
+}
 
 TEST(WireTest, RequestTooLargeIsFatalCheckedByLimit) {
   // The 16-bit length field limits requests to 262144 bytes (Section 5.3).
