@@ -56,6 +56,15 @@ echo "== causal-tracing suite =="
 # plain, plus the _shard4 ENVIRONMENT re-run.
 ctest --test-dir build -L causal --output-on-failure
 
+echo "== allocation-free suite =="
+# The steady-state contracts, counted with an operator-new hook: the
+# server's play/record golden (ZeroAllocation), a play against another
+# shard's device allocating like a local one (ShardAllocTest), the trace
+# ring's record path (CausalZeroAllocTest), and the client library's round
+# trip - play, GetTime and a chunked record, tracing off and on
+# (ClientAllocTest). Each is a filtered re-run of its suite (ctest -L alloc).
+ctest --test-dir build -L alloc --output-on-failure
+
 echo "== kill-the-primary smoke: measured gap is nonzero and bounded =="
 # The end-to-end walk kills a replicated primary mid-stream and prints the
 # audio gap the outage cost as measured by the client's ResyncTime
@@ -325,6 +334,27 @@ print(f"bench smoke OK: mix 16K {got:.1f}us (committed {ref:.1f}us), "
       f"server dispatched {server['requests_dispatched']} requests, "
       f"{server['play_underruns']} underruns")
 EOF
+fi
+
+echo "== sampling profiler smoke =="
+# scripts/afprof.py runs a short inproc bench_play under the LD_PRELOAD
+# sampler (build/bench/libafprof.so) and symbolizes the samples with
+# addr2line. A run that writes no samples, or a report without a single
+# function row, fails CI here.
+if command -v python3 >/dev/null 2>&1 && command -v addr2line >/dev/null 2>&1; then
+    PROF_DIR="build/afprof_smoke"
+    rm -rf "$PROF_DIR"
+    PROF_OUT="$(python3 scripts/afprof.py --out "$PROF_DIR" -- \
+        ./build/bench/bench_play --transports inproc --json build/afprof_bench.json)"
+    printf '%s\n' "$PROF_OUT" | grep -q '^== .*bench_play (pid [0-9]*): [1-9][0-9]* samples' || {
+        echo "afprof: no bench_play profile in the report" >&2
+        exit 1
+    }
+    printf '%s\n' "$PROF_OUT" | grep -Eq '^ *[0-9.]+% +[1-9][0-9]* +(syscall|user) ' || {
+        echo "afprof: the report has no function rows" >&2
+        exit 1
+    }
+    echo "afprof smoke OK: $(printf '%s\n' "$PROF_OUT" | grep -m1 '^== .*bench_play')"
 fi
 
 echo "== fan-out smoke + committed-ablation acceptance =="

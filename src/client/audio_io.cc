@@ -109,16 +109,19 @@ Result<RecordResult> AC::RecordSamples(ATime start_time, std::span<uint8_t> buf,
     if (!reply.ok()) {
       return reply.status();
     }
-    RecordSamplesReply decoded;
-    if (!RecordSamplesReply::Decode(reply.value(), conn_->order(), &decoded)) {
+    // The samples are copied from the reply view straight into the
+    // caller's buffer.
+    ATime time = 0;
+    std::span<const uint8_t> samples;
+    if (!RecordSamplesReply::DecodeView(reply.value(), conn_->order(), &time, &samples)) {
       return Status(AfError::kConnectionLost, "bad RecordSamples reply");
     }
-    const size_t got = std::min<size_t>(decoded.data.size(), n);
+    const size_t got = std::min(samples.size(), n);
     if (got > 0) {  // an empty reply carries a null span; memcpy forbids it
-      std::memcpy(buf.data() + offset, decoded.data.data(), got);
+      std::memcpy(buf.data() + offset, samples.data(), got);
     }
-    result.time = decoded.time;
-    conn_->NoteDeviceTime(device_, decoded.time);
+    result.time = time;
+    conn_->NoteDeviceTime(device_, time);
     offset += got;
     t += static_cast<ATime>(BytesToSamples(attrs_.encoding, got, attrs_.channels));
     if (got < n) {

@@ -213,7 +213,7 @@ void AFAudioConn::Flush() {
     trace_.Record(ev);
   }
   const Status s = stream_.WriteAll(out_.data().data(), out_.size());
-  out_ = WireWriter(HostWireOrder());
+  out_.Reset(kWriterKeepCapacity);
   if (!s.ok()) {
     IOError();
   }
@@ -235,28 +235,28 @@ Status AFAudioConn::FillFromSocket(bool block) {
   if (broken_) {
     return Status(AfError::kConnectionLost);
   }
-  for (;;) {
+  if (!block) {
     struct pollfd pfd = {};
     pfd.fd = stream_.fd();
     pfd.events = POLLIN;
-    const int pr = ::poll(&pfd, 1, block ? -1 : 0);
-    if (pr <= 0) {
-      if (block && pr < 0) {
-        IOError();
-        return Status(AfError::kConnectionLost);
-      }
+    if (::poll(&pfd, 1, 0) <= 0) {
       return Status::Ok();  // nothing available and not blocking
     }
-    const size_t old_size = in_.size();
-    in_.resize(old_size + 16384);
-    const IoResult r = stream_.Read(in_.data() + old_size, 16384);
-    in_.resize(old_size + (r.status == IoStatus::kOk ? r.bytes : 0));
+  }
+  for (;;) {
+    const std::span<uint8_t> tail = in_.Tail();
+    const IoResult r = stream_.Read(tail.data(), tail.size());
     switch (r.status) {
       case IoStatus::kOk:
+        in_.Commit(r.bytes);
         return Status::Ok();
       case IoStatus::kWouldBlock:
         if (!block) {
           return Status::Ok();
+        }
+        if (!WaitForFd(stream_.fd(), /*for_read=*/true).ok()) {
+          IOError();
+          return Status(AfError::kConnectionLost);
         }
         continue;
       case IoStatus::kClosed:
@@ -267,31 +267,28 @@ Status AFAudioConn::FillFromSocket(bool block) {
   }
 }
 
-std::optional<std::vector<uint8_t>> AFAudioConn::TakePacket() {
-  const size_t available = in_.size() - in_consumed_;
-  if (available < kReplyBaseBytes) {
+std::optional<std::span<const uint8_t>> AFAudioConn::TakePacket() {
+  const std::span<const uint8_t> buf = in_.Buffered();
+  if (buf.size() < kReplyBaseBytes) {
     return std::nullopt;
   }
-  const uint8_t* base = in_.data() + in_consumed_;
   size_t need = kReplyBaseBytes;
-  if (base[0] == kReplyPacketType) {
+  if (buf[0] == kReplyPacketType) {
     ReplyHeader header;
-    PeekReplyHeader(std::span<const uint8_t>(base, kReplyBaseBytes), order_, &header);
+    PeekReplyHeader(buf.first(kReplyBaseBytes), order_, &header);
     need += static_cast<size_t>(header.extra_words) * 4u;
-    if (available < need) {
+    if (buf.size() < need) {
       return std::nullopt;
     }
   }
-  std::vector<uint8_t> packet(base, base + need);
-  in_consumed_ += need;
-  if (in_consumed_ >= in_.size()) {
-    in_.clear();
-    in_consumed_ = 0;
-  } else if (in_consumed_ > 65536) {
-    in_.erase(in_.begin(), in_.begin() + static_cast<ptrdiff_t>(in_consumed_));
-    in_consumed_ = 0;
+  in_.Consume(need);
+  return buf.first(need);
+}
+
+void AFAudioConn::RouteBufferedPackets() {
+  while (auto packet = TakePacket()) {
+    RoutePacket(*packet, 0, nullptr, nullptr);
   }
-  return packet;
 }
 
 void AFAudioConn::DispatchError(const ErrorPacket& error) {
@@ -300,8 +297,8 @@ void AFAudioConn::DispatchError(const ErrorPacket& error) {
   }
 }
 
-void AFAudioConn::RoutePacket(std::vector<uint8_t> packet, uint16_t awaited_seq,
-                              bool* got_awaited, std::vector<uint8_t>* awaited_out) {
+void AFAudioConn::RoutePacket(std::span<const uint8_t> packet, uint16_t awaited_seq,
+                              bool* got_awaited, std::span<const uint8_t>* awaited_out) {
   const uint8_t type = packet[0];
   if (type >= kMinEventType && type <= kMaxEventType) {
     AEvent event;
@@ -317,7 +314,7 @@ void AFAudioConn::RoutePacket(std::vector<uint8_t> packet, uint16_t awaited_seq,
         // The awaited request failed: surface it to the caller rather than
         // the asynchronous error handler.
         *got_awaited = true;
-        awaited_out->clear();
+        *awaited_out = {};
         last_awaited_error_ = error;
         return;
       }
@@ -330,14 +327,14 @@ void AFAudioConn::RoutePacket(std::vector<uint8_t> packet, uint16_t awaited_seq,
     PeekReplyHeader(packet, order_, &header);
     if (header.seq == awaited_seq) {
       *got_awaited = true;
-      *awaited_out = std::move(packet);
+      *awaited_out = packet;
       return;
     }
   }
   // An unexpected reply: drop it (all replies are awaited synchronously).
 }
 
-Result<std::vector<uint8_t>> AFAudioConn::AwaitReply(uint16_t seq) {
+Result<std::span<const uint8_t>> AFAudioConn::AwaitReply(uint16_t seq) {
   // One reissue is allowed: if the transport dies mid-await and the
   // reconnect machinery heals it, the awaited request's bytes died with
   // the old connection, so they are re-queued verbatim under a new
@@ -350,14 +347,14 @@ Result<std::vector<uint8_t>> AFAudioConn::AwaitReply(uint16_t seq) {
     }
     bool healed = reconnects_ != gen;
     bool got = false;
-    std::vector<uint8_t> reply;
+    std::span<const uint8_t> reply;
     while (!healed && !got) {
       while (!got) {
         auto packet = TakePacket();
         if (!packet.has_value()) {
           break;
         }
-        RoutePacket(std::move(*packet), seq, &got, &reply);
+        RoutePacket(*packet, seq, &got, &reply);
       }
       if (got) {
         break;
@@ -557,9 +554,8 @@ bool AFAudioConn::TryReconnect() {
     }
     stream_ = FaultStream(fresh.take());
     broken_ = false;
-    in_.clear();
-    in_consumed_ = 0;
-    out_ = WireWriter(HostWireOrder());
+    in_.Clear();
+    out_.Reset(kWriterKeepCapacity);
     seq_ = 0;
     next_resource_ = 0;  // the new connection assigns a new id base
     if (!DoSetup().ok() || broken_) {

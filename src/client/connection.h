@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "proto/stats.h"
 #include "proto/trace_wire.h"
 #include "transport/fault_stream.h"
+#include "transport/recv_buffer.h"
 #include "transport/stream.h"
 
 namespace af {
@@ -248,8 +250,11 @@ class AFAudioConn {
     return seq_;
   }
   // Flushes and blocks until the reply for seq arrives; events are queued,
-  // foreign errors dispatched. The reply bytes (32 + extra) are returned.
-  Result<std::vector<uint8_t>> AwaitReply(uint16_t seq);
+  // foreign errors dispatched. Returns a view of the reply bytes (32 +
+  // extra) framed in place in the receive buffer: it stays valid until the
+  // next call on this connection, so decode it (the *Reply::Decode
+  // functions copy whatever they keep) before issuing another request.
+  Result<std::span<const uint8_t>> AwaitReply(uint16_t seq);
   WireOrder order() const { return order_; }
   uint32_t AllocResourceId();
   bool broken() const { return broken_; }
@@ -264,13 +269,20 @@ class AFAudioConn {
   AFAudioConn(FaultStream stream, std::string name);
   Status DoSetup();
   void MaybeAutoFlush();
-  // Reads until at least one complete packet is buffered (blocking).
+  // One read into the receive buffer. Blocking: read(2) directly, waiting
+  // for the fd only when the stream reports kWouldBlock. Non-blocking: a
+  // zero-timeout poll first, and nothing read when nothing is there.
   Status FillFromSocket(bool block);
-  // Extracts one complete packet from the input buffer, if present.
-  std::optional<std::vector<uint8_t>> TakePacket();
-  // Routes a non-awaited packet (event or error).
-  void RoutePacket(std::vector<uint8_t> packet, uint16_t awaited_seq, bool* got_awaited,
-                   std::vector<uint8_t>* awaited_out);
+  // Frames one complete packet in place at the head of the receive buffer,
+  // if present. The view is valid until the next FillFromSocket.
+  std::optional<std::span<const uint8_t>> TakePacket();
+  // Routes a packet: events are queued, foreign errors dispatched, and the
+  // awaited reply (or the error that failed it, as an empty view) is
+  // handed back through awaited_out.
+  void RoutePacket(std::span<const uint8_t> packet, uint16_t awaited_seq, bool* got_awaited,
+                   std::span<const uint8_t>* awaited_out);
+  // Routes every complete packet already buffered (no reply is awaited).
+  void RouteBufferedPackets();
   void DispatchError(const ErrorPacket& error);
   void IOError();
 
@@ -321,8 +333,7 @@ class AFAudioConn {
   WireWriter out_;
   uint16_t seq_ = 0;        // 16-bit wire sequence
   uint64_t seq_total_ = 0;  // monotonic, for stats
-  std::vector<uint8_t> in_;
-  size_t in_consumed_ = 0;
+  RecvBuffer in_;
 
   std::deque<AEvent> event_queue_;
   ErrorPacket last_awaited_error_;  // error that failed the awaited request

@@ -17,9 +17,7 @@ void AFAudioConn::SelectEvents(DeviceId device, uint32_t mask) {
 
 int AFAudioConn::Pending() {
   FillFromSocket(/*block=*/false);
-  while (auto packet = TakePacket()) {
-    RoutePacket(std::move(*packet), 0, nullptr, nullptr);
-  }
+  RouteBufferedPackets();
   return static_cast<int>(event_queue_.size());
 }
 
@@ -38,6 +36,9 @@ int AFAudioConn::EventsQueued(QueuedMode mode) {
 
 Status AFAudioConn::NextEvent(AEvent* event) {
   for (;;) {
+    // Packets already buffered (e.g. events that arrived behind an awaited
+    // reply) are routed before blocking for more.
+    RouteBufferedPackets();
     if (!event_queue_.empty()) {
       *event = event_queue_.front();
       event_queue_.pop_front();
@@ -47,9 +48,6 @@ Status AFAudioConn::NextEvent(AEvent* event) {
     const Status s = FillFromSocket(/*block=*/true);
     if (!s.ok()) {
       return s;
-    }
-    while (auto packet = TakePacket()) {
-      RoutePacket(std::move(*packet), 0, nullptr, nullptr);
     }
   }
 }
@@ -64,9 +62,7 @@ Status AFAudioConn::IfEvent(AEvent* event, const EventPredicate& predicate) {
     if (!s.ok()) {
       return s;
     }
-    while (auto packet = TakePacket()) {
-      RoutePacket(std::move(*packet), 0, nullptr, nullptr);
-    }
+    RouteBufferedPackets();
   }
 }
 

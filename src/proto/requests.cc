@@ -200,19 +200,29 @@ void RecordSamplesReply::EncodeTo(WireWriter& w, uint16_t seq, ATime time,
   w.AlignPad();
 }
 
-bool RecordSamplesReply::Decode(std::span<const uint8_t> data, WireOrder order,
-                                RecordSamplesReply* out) {
+bool RecordSamplesReply::DecodeView(std::span<const uint8_t> data, WireOrder order,
+                                    ATime* time, std::span<const uint8_t>* samples) {
   WireReader r({});
   if (!OpenReply(data, order, &r)) {
     return false;
   }
-  out->time = r.U32();
-  out->actual_bytes = r.U32();
-  if (!r.ok() || data.size() < kReplyBaseBytes + out->actual_bytes) {
+  *time = r.U32();
+  const uint32_t actual_bytes = r.U32();
+  if (!r.ok() || data.size() < kReplyBaseBytes + actual_bytes) {
     return false;
   }
-  out->data.assign(data.begin() + kReplyBaseBytes,
-                   data.begin() + kReplyBaseBytes + out->actual_bytes);
+  *samples = data.subspan(kReplyBaseBytes, actual_bytes);
+  return true;
+}
+
+bool RecordSamplesReply::Decode(std::span<const uint8_t> data, WireOrder order,
+                                RecordSamplesReply* out) {
+  std::span<const uint8_t> samples;
+  if (!DecodeView(data, order, &out->time, &samples)) {
+    return false;
+  }
+  out->actual_bytes = static_cast<uint32_t>(samples.size());
+  out->data.assign(samples.begin(), samples.end());
   return true;
 }
 
@@ -341,7 +351,9 @@ bool ListPropertiesReply::Decode(std::span<const uint8_t> data, WireOrder order,
     return false;
   }
   const uint32_t count = r.U32();
-  if (!r.ok() || data.size() < kReplyBaseBytes + count * 4u) {
+  // size_t arithmetic: a 32-bit count * 4 would wrap and let a lying count
+  // through to the resize below.
+  if (!r.ok() || data.size() < kReplyBaseBytes + size_t{count} * 4) {
     return false;
   }
   WireReader extra(data.subspan(kReplyBaseBytes), order);

@@ -561,6 +561,11 @@ struct RecordSamplesReply {
   static void EncodeTo(WireWriter& w, uint16_t seq, ATime time,
                        std::span<const uint8_t> data);
   static bool Decode(std::span<const uint8_t> data, WireOrder order, RecordSamplesReply* out);
+  // Copy-free client-side decode: *samples views the sample bytes inside
+  // data (the library's record path copies them straight into the caller's
+  // buffer). Decode is this plus the copy into `data`.
+  static bool DecodeView(std::span<const uint8_t> data, WireOrder order, ATime* time,
+                         std::span<const uint8_t>* samples);
 };
 
 struct QueryPhoneReply {

@@ -27,6 +27,10 @@ constexpr WireOrder HostWireOrder() {
 // Pads n up to the next multiple of 4.
 constexpr size_t Pad4(size_t n) { return (n + 3) & ~size_t{3}; }
 
+// Output buffer capacity either end keeps across flushes (the argument to
+// WireWriter::Reset, and the server's cap on a recycled egress segment).
+constexpr size_t kWriterKeepCapacity = 65536;
+
 class WireWriter {
  public:
   explicit WireWriter(WireOrder order = HostWireOrder()) : order_(order) {}

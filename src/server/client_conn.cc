@@ -1,6 +1,6 @@
 #include "server/client_conn.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "common/clock.h"
 #include "common/trace.h"
@@ -26,12 +26,6 @@ void TraceConnInstant(TraceKind kind, uint32_t conn, uint64_t value) {
   tr.Record(ev);
 }
 
-constexpr size_t kReadChunk = 16384;
-// Compact the input buffer once this much dead space accumulates.
-constexpr size_t kCompactThreshold = 65536;
-// Per-segment capacity kept when recycling egress buffers; larger ones are
-// released so an oversized reply does not pin its memory.
-constexpr size_t kOutKeepCapacity = 65536;
 // Recycled-segment pool size. The steady state ping-pongs two buffers
 // (one staging, one draining); a few extra absorb kWouldBlock pile-ups.
 // One spare per reply a full fairness sweep can stage (16), plus one for
@@ -40,11 +34,6 @@ constexpr size_t kOutKeepCapacity = 65536;
 constexpr size_t kMaxSpareSegments = 17;
 // Iovec chain length per writev; longer chains drain over several calls.
 constexpr size_t kMaxFlushIovecs = 64;
-// Stop draining the socket once this much unconsumed input is buffered;
-// comfortably above the largest possible request (0xFFFF words = 256 KiB)
-// so a complete request always fits, but bounded so a flooding client
-// costs a fixed amount of memory, not whatever it can push.
-constexpr size_t kInHighWater = 1u << 20;
 }  // namespace
 
 ClientConn::ClientConn(FaultStream stream, PeerAddress peer, uint32_t client_number)
@@ -72,23 +61,23 @@ bool ClientConn::ReadAvailable() {
     return true;  // nothing more will arrive
   }
   for (;;) {
-    if (in_.size() - in_consumed_ >= kInHighWater) {
+    if (in_.size() >= kInHighWater) {
       if (metrics_ != nullptr) {
         metrics_->highwater_hits.Add();
       }
-      TraceConnInstant(TraceKind::kHighWater, client_number_, in_.size() - in_consumed_);
+      TraceConnInstant(TraceKind::kHighWater, client_number_, in_.size());
       return true;  // flood guard; the rest stays in the kernel
     }
-    const size_t old_size = in_.size();
-    in_.resize(old_size + kReadChunk);
-    const IoResult r = stream_.Read(in_.data() + old_size, kReadChunk);
-    in_.resize(old_size + (r.status == IoStatus::kOk ? r.bytes : 0));
-    if (r.status == IoStatus::kOk && r.bytes > 0) {
-      TraceConnInstant(TraceKind::kRead, client_number_, r.bytes);
-    }
+    const std::span<uint8_t> tail = in_.Tail();
+    const size_t want = std::min(tail.size(), kInHighWater - in_.size());
+    const IoResult r = stream_.Read(tail.data(), want);
     switch (r.status) {
       case IoStatus::kOk:
-        if (r.bytes < kReadChunk) {
+        in_.Commit(r.bytes);
+        if (r.bytes > 0) {
+          TraceConnInstant(TraceKind::kRead, client_number_, r.bytes);
+        }
+        if (r.bytes < want) {
           return true;  // drained the socket
         }
         continue;
@@ -129,21 +118,6 @@ bool ClientConn::HasCompleteRequest() const {
     return true;
   }
   return buf.size() >= header.TotalBytes();
-}
-
-std::span<const uint8_t> ClientConn::Buffered() const {
-  return std::span<const uint8_t>(in_.data() + in_consumed_, in_.size() - in_consumed_);
-}
-
-void ClientConn::Consume(size_t n) {
-  in_consumed_ += n;
-  if (in_consumed_ >= in_.size()) {
-    in_.clear();
-    in_consumed_ = 0;
-  } else if (in_consumed_ > kCompactThreshold) {
-    in_.erase(in_.begin(), in_.begin() + static_cast<ptrdiff_t>(in_consumed_));
-    in_consumed_ = 0;
-  }
 }
 
 void ClientConn::StageOutput() {
@@ -189,7 +163,7 @@ bool ClientConn::FlushOutput() {
             break;
           }
           left -= avail;
-          if (spare_.size() < kMaxSpareSegments && seg.capacity() <= kOutKeepCapacity) {
+          if (spare_.size() < kMaxSpareSegments && seg.capacity() <= kWriterKeepCapacity) {
             seg.clear();
             spare_.push_back(std::move(seg));
           }

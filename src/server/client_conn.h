@@ -25,6 +25,7 @@
 #include "proto/types.h"
 #include "proto/wire.h"
 #include "transport/fault_stream.h"
+#include "transport/recv_buffer.h"
 #include "transport/stream.h"
 
 namespace af {
@@ -69,6 +70,13 @@ class ClientConn {
 
   // --- input side -----------------------------------------------------
 
+  // ReadAvailable stops draining the socket once this much unconsumed
+  // input is buffered: comfortably above the largest possible request
+  // (0xFFFF words = 256 KiB) so a complete request always fits, but
+  // bounded so a flooding client costs a fixed amount of memory, not
+  // whatever it can push.
+  static constexpr size_t kInHighWater = 1u << 20;
+
   // Pulls whatever the socket has into the input buffer, stopping at the
   // flood high-water mark so one hostile client cannot balloon server
   // memory (the unread remainder stays in the kernel as backpressure).
@@ -85,9 +93,10 @@ class ClientConn {
   // request left can never make progress and is reaped.
   bool HasCompleteRequest() const;
 
-  // Bytes currently buffered and unconsumed.
-  std::span<const uint8_t> Buffered() const;
-  void Consume(size_t n);
+  // Bytes currently buffered and unconsumed. The view stays valid until
+  // the next ReadAvailable(); Consume() moves no bytes.
+  std::span<const uint8_t> Buffered() const { return in_.Buffered(); }
+  void Consume(size_t n) { in_.Consume(n); }
 
   // --- output side ----------------------------------------------------
 
@@ -146,8 +155,7 @@ class ClientConn {
   State state_ = State::kAwaitingSetup;
   WireOrder order_ = HostWireOrder();
 
-  std::vector<uint8_t> in_;
-  size_t in_consumed_ = 0;
+  RecvBuffer in_;
   bool saw_eof_ = false;
 
   std::unique_ptr<WireWriter> out_;

@@ -510,5 +510,111 @@ TEST(DecoderFuzzTest, BlockDecodersSurviveDamagedBlocks) {
   }
 }
 
+// Every per-type reply decoder, fed its valid unit whole, cut short at
+// every length, damaged, replaced by random bytes, and with each 32-bit
+// word of the fixed part overwritten by a lying length. Each unit is
+// decoded from a heap copy of exactly its size: a view into a larger
+// buffer (the client decodes views into its receive buffer) would keep an
+// over-read inside the allocation, where ASan cannot see it.
+constexpr int kReplyRounds = 200;
+constexpr uint32_t kLyingLengths[] = {0,       1,          7,          0x100,      0xFFFF,
+                                      0x10000, 0x3FFFFFFF, 0x40000001, 0x7FFFFFFF, 0xFFFFFFFF};
+
+template <typename Reply>
+bool DecodeExactCopy(std::span<const uint8_t> unit, WireOrder order) {
+  const std::vector<uint8_t> exact(unit.begin(), unit.end());
+  Reply out;
+  return Reply::Decode(exact, order, &out);
+}
+
+struct ReplyCase {
+  const char* name;
+  std::vector<uint8_t> unit;
+  bool (*decode)(std::span<const uint8_t>, WireOrder);
+};
+
+template <typename Reply>
+ReplyCase MakeReplyCase(const char* name, const Reply& reply, WireOrder order) {
+  WireWriter w(order);
+  reply.Encode(w, 0x1234);
+  return {name, w.Take(), &DecodeExactCopy<Reply>};
+}
+
+std::vector<ReplyCase> EveryReplyUnit(Rng& rng, WireOrder order) {
+  GetTimeReply time;  // also PlaySamplesReply
+  time.time = 0x01020304;
+  ResyncTimeReply resync;
+  resync.server_time = 9;
+  resync.promoted_watermark = 7;
+  resync.promoted = 1;
+  RecordSamplesReply record;
+  record.data = RandomBytes(rng, kMaxFieldBytes);
+  record.data.push_back(1);  // odd lengths exercise the pad
+  record.actual_bytes = static_cast<uint32_t>(record.data.size());
+  QueryPhoneReply phone;
+  phone.off_hook = 1;
+  QueryGainReply gain;
+  gain.gain_db = -6;
+  InternAtomReply atom;
+  atom.atom = 77;
+  GetAtomNameReply atom_name;
+  atom_name.name = "FUZZ_ATOM_NAME";
+  GetPropertyReply property;
+  property.type = 31;
+  property.format = 8;
+  property.data = RandomBytes(rng, kMaxFieldBytes);
+  property.data.push_back(2);
+  ListPropertiesReply properties;
+  properties.atoms = {1, 2, 3, 40, 500};
+  ListHostsReply hosts;
+  hosts.enabled = 1;
+  hosts.hosts = {{0, {127, 0, 0, 1}}, {1, std::vector<uint8_t>(16, 0xFE)}, {2, {}}};
+  return {
+      MakeReplyCase("GetTimeReply", time, order),
+      MakeReplyCase("ResyncTimeReply", resync, order),
+      MakeReplyCase("RecordSamplesReply", record, order),
+      MakeReplyCase("QueryPhoneReply", phone, order),
+      MakeReplyCase("QueryGainReply", gain, order),
+      MakeReplyCase("InternAtomReply", atom, order),
+      MakeReplyCase("GetAtomNameReply", atom_name, order),
+      MakeReplyCase("GetPropertyReply", property, order),
+      MakeReplyCase("ListPropertiesReply", properties, order),
+      MakeReplyCase("ListHostsReply", hosts, order),
+      MakeReplyCase("EmptyReply", EmptyReply{}, order),
+  };
+}
+
+TEST(DecoderFuzzTest, EveryReplyDecoderSurvivesDamage) {
+  Rng rng(kDecoderFuzzSeed);
+  for (const WireOrder order : {WireOrder::kLittle, WireOrder::kBig}) {
+    for (const ReplyCase& c : EveryReplyUnit(rng, order)) {
+      const std::span<const uint8_t> unit(c.unit);
+      ASSERT_TRUE(c.decode(unit, order)) << c.name;
+      for (size_t cut = 0; cut < unit.size(); ++cut) {
+        const bool whole = c.decode(unit.first(cut), order);
+        EXPECT_TRUE(cut >= kReplyBaseBytes || !whole) << c.name << " accepted " << cut << " bytes";
+      }
+      for (size_t word = 4; word < kReplyBaseBytes; word += 4) {
+        for (const uint32_t lie : kLyingLengths) {
+          WireWriter w(order);
+          w.Bytes(unit);
+          w.PatchU32(word, lie);
+          const std::vector<uint8_t> lying = w.Take();
+          c.decode(lying, order);
+          c.decode(std::span<const uint8_t>(lying).first(kReplyBaseBytes), order);
+        }
+      }
+      for (int round = 0; round < kReplyRounds; ++round) {
+        c.decode(Damage(rng, c.unit), order);
+        std::vector<uint8_t> random = RandomBytes(rng, c.unit.size() + 32);
+        if (!random.empty() && rng() % 2 == 0) {
+          random[0] = kReplyPacketType;  // past the type check, into the body
+        }
+        c.decode(random, order);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace af

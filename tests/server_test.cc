@@ -3,7 +3,10 @@
 // control, and protocol-violation handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "client/audio_context.h"
@@ -369,6 +372,201 @@ TEST_F(ServerTest, StatsCount) {
     EXPECT_GT(runner_->server().metrics().requests_dispatched.Value(), 0u);
     EXPECT_EQ(runner_->server().client_count(), 1u);
   });
+}
+
+// Request i of a pipelined flood: an InternAtom that only looks its name
+// up, so it changes nothing and is always answered with kNoAtom. The name
+// spells i and its length varies, so request boundaries land everywhere
+// relative to the read chunks and the input high-water mark.
+std::string FloodName(size_t i) {
+  return "flood-" + std::to_string(i) + std::string(100 + i % 197, 'x');
+}
+
+// Flood requests 0, 1, ... until they total at least min_bytes; *count is
+// how many.
+std::vector<uint8_t> EncodeFlood(size_t min_bytes, size_t* count) {
+  WireWriter w;
+  size_t n = 0;
+  while (w.size() < min_bytes) {
+    InternAtomReq req;
+    req.only_if_exists = 1;
+    req.name = FloodName(n++);
+    const size_t header = BeginRequest(w, Opcode::kInternAtom);
+    req.Encode(w);
+    EndRequest(w, header);
+  }
+  *count = n;
+  return w.Take();
+}
+
+TEST(ClientConnTest, BufferedInputStopsAtTheHighWaterMark) {
+  // The flood guard on one connection, driven by hand while the peer
+  // pipelines twice the high-water mark of complete requests. Nothing is
+  // consumed until the guard engages, so the buffer fills to the mark.
+  // Then one request is consumed per read for a few rounds: each fill
+  // lands on a buffer just under the mark whose storage has grown past it,
+  // so only the read cap keeps the fill from overshooting. Then every
+  // complete request is consumed after each read, until EOF. Buffered
+  // input reaches the mark and never passes it, and every request arrives
+  // intact and in order.
+  auto pair = CreateStreamPair();
+  ASSERT_TRUE(pair.ok());
+  FdStream peer = std::move(pair.value().first);
+  ClientConn conn(std::move(pair.value().second), PeerAddress{}, 1);
+  conn.set_state(ClientConn::State::kRunning);  // frame requests, not a setup
+  ServerMetrics metrics;
+  conn.AttachMetrics(&metrics);
+
+  size_t count = 0;
+  const std::vector<uint8_t> flood = EncodeFlood(2 * ClientConn::kInHighWater, &count);
+  std::thread writer([&] {
+    EXPECT_TRUE(peer.WriteAll(flood.data(), flood.size()).ok());
+    peer.Close();
+  });
+
+  size_t framed = 0;
+  size_t peak = 0;
+  bool intact = true;
+  // Frames the request at the head, checks it is the next one of the
+  // flood, and consumes it.
+  const auto take_one = [&] {
+    const std::span<const uint8_t> buf = conn.Buffered();
+    WireReader head(buf);
+    RequestHeader header;
+    InternAtomReq req;
+    intact = DecodeRequestHeader(head, &header) && header.opcode == Opcode::kInternAtom;
+    if (intact) {
+      WireReader body(buf.subspan(kRequestHeaderBytes, header.TotalBytes() - kRequestHeaderBytes));
+      intact = InternAtomReq::Decode(body, &req) && req.name == FloodName(framed);
+    }
+    if (intact) {
+      conn.Consume(header.TotalBytes());
+      ++framed;
+    }
+  };
+  constexpr uint64_t kOneAtATimeHits = 4;
+  while (intact) {
+    if (!conn.ReadAvailable()) {
+      ADD_FAILURE() << "read failed after " << framed << " requests";
+      break;
+    }
+    peak = std::max(peak, conn.Buffered().size());
+    const uint64_t hits = metrics.highwater_hits.Value();
+    if (hits > 0 && hits < kOneAtATimeHits) {
+      take_one();
+    } else if (hits > 0) {
+      while (intact && conn.HasCompleteRequest()) {
+        take_one();
+      }
+    }
+    if (conn.saw_eof()) {
+      break;
+    }
+    if (!WaitForFd(conn.fd(), /*for_read=*/true).ok()) {
+      ADD_FAILURE() << "poll failed after " << framed << " requests";
+      break;
+    }
+  }
+  writer.join();
+  EXPECT_TRUE(intact) << "request " << framed << " arrived damaged";
+  EXPECT_EQ(framed, count);
+  EXPECT_TRUE(conn.Buffered().empty());
+  EXPECT_GE(metrics.highwater_hits.Value(), kOneAtATimeHits);
+  EXPECT_EQ(peak, ClientConn::kInHighWater);
+}
+
+TEST(ServerFloodTest, PipelinedFloodPastTheHighWaterMarkIsServedInFull) {
+  // A client pipelines one and a half high-water marks of complete
+  // requests and reads no reply until it has written them all. Each batch
+  // is written while the server loop is parked in a posted task, and the
+  // fairness cap is one request per sweep, so every read takes whole
+  // batches while dispatch consumes a few requests between parks: the
+  // buffered input climbs to the mark and the flood guard engages, leaving
+  // the rest in the kernel. Once the client drains, every request has been
+  // answered, in order.
+  ServerRunner::Config config;
+  config.realtime = false;
+  config.server.num_shards = 1;
+  config.server.max_requests_per_sweep = 1;
+  auto runner = ServerRunner::Start(config);
+  ASSERT_NE(runner, nullptr);
+  auto pair = CreateStreamPair();
+  ASSERT_TRUE(pair.ok());
+  FdStream client = std::move(pair.value().first);
+  runner->server().AdoptClient(std::move(pair.value().second));
+
+  SetupRequest setup;
+  const auto setup_bytes = setup.Encode();
+  ASSERT_TRUE(client.WriteAll(setup_bytes.data(), setup_bytes.size()).ok());
+  uint8_t fixed[SetupReply::kFixedBytes];
+  ASSERT_TRUE(client.ReadAll(fixed, sizeof(fixed)).ok());
+  bool success = false;
+  uint32_t additional = 0;
+  ASSERT_TRUE(SetupReply::DecodeFixed(fixed, HostWireOrder(), &success, &additional));
+  ASSERT_TRUE(success);
+  std::vector<uint8_t> variable(additional * 4);
+  ASSERT_TRUE(client.ReadAll(variable.data(), variable.size()).ok());
+
+  size_t count = 0;
+  const std::vector<uint8_t> flood = EncodeFlood(3 * ClientConn::kInHighWater / 2, &count);
+
+  // Park n holds the loop thread until the test has released n parks; it
+  // notes the shard's high-water hits so far.
+  std::mutex mu;
+  std::condition_variable cv;
+  int parks = 0;
+  int releases = 0;
+  uint64_t hits = 0;
+  const auto park = [&] {
+    std::unique_lock<std::mutex> lock(mu);
+    hits = runner->server().metrics().highwater_hits.Value();
+    const int n = ++parks;
+    cv.notify_all();
+    cv.wait(lock, [&] { return releases >= n; });
+  };
+  constexpr size_t kBatch = 64 * 1024;  // fits in an idle socket's buffer
+  constexpr int kMaxParks = 2000;       // a bound, far above the ~20 needed
+  ASSERT_TRUE(client.SetNonBlocking(true).ok());
+  size_t sent = 0;
+  runner->server().PostToShard(0, park);
+  for (int n = 1;; ++n) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return parks >= n; });
+    const bool done = hits > 0 || n == kMaxParks;
+    if (!done) {
+      const IoResult r = client.Write(flood.data() + sent, std::min(kBatch, flood.size() - sent));
+      if (r.status == IoStatus::kOk) {
+        sent += r.bytes;
+      }
+      runner->server().PostToShard(0, park);
+    }
+    ++releases;
+    cv.notify_all();
+    if (done) {
+      break;
+    }
+  }
+  EXPECT_GT(hits, 0u) << "the guard never engaged; " << sent << " bytes sent";
+  EXPECT_LT(sent, flood.size());
+
+  ASSERT_TRUE(client.WriteAll(flood.data() + sent, flood.size() - sent).ok());
+  for (size_t i = 0; i < count; ++i) {
+    uint8_t unit[kReplyBaseBytes];
+    ASSERT_TRUE(client.ReadAll(unit, sizeof(unit)).ok()) << "reply " << i;
+    ReplyHeader header;
+    InternAtomReply reply;
+    ASSERT_TRUE(PeekReplyHeader(unit, HostWireOrder(), &header)) << "reply " << i;
+    ASSERT_EQ(header.seq, static_cast<uint16_t>(i + 1)) << "reply " << i;
+    ASSERT_TRUE(InternAtomReply::Decode(unit, HostWireOrder(), &reply)) << "reply " << i;
+    ASSERT_EQ(reply.atom, kNoAtom) << "reply " << i;
+  }
+
+  auto conn = runner->ConnectInProcess();
+  ASSERT_TRUE(conn.ok());
+  auto stats = conn.value()->GetServerStats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GT(stats.value().counters[ServerCounterSlot("highwater_hits")], 0u);
+  EXPECT_EQ(stats.value().opcodes[static_cast<size_t>(Opcode::kInternAtom)].count, count);
 }
 
 }  // namespace

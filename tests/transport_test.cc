@@ -5,13 +5,16 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <algorithm>
 #include <numeric>
 #include <thread>
+#include <vector>
 
 #include "transport/datagram.h"
 #include "transport/fault_stream.h"
 #include "transport/listener.h"
 #include "transport/poller.h"
+#include "transport/recv_buffer.h"
 #include "transport/stream.h"
 
 namespace af {
@@ -329,6 +332,84 @@ TEST(FaultStreamTest, WritevWithoutScheduleIsPassThrough) {
   char buf[4] = {};
   ASSERT_TRUE(pair.value().second.ReadAll(buf, 3).ok());
   EXPECT_STREQ(buf, "abc");
+}
+
+// Writes bytes valued from `first` upward into the buffer's tail.
+void FillTail(RecvBuffer& buf, size_t n, uint8_t first) {
+  const std::span<uint8_t> tail = buf.Tail();
+  ASSERT_GE(tail.size(), n);
+  for (size_t i = 0; i < n; ++i) {
+    tail[i] = static_cast<uint8_t>(first + i);
+  }
+  buf.Commit(n);
+}
+
+TEST(RecvBufferTest, ConsumeMovesNoBytesAndRewindsWhenEmpty) {
+  RecvBuffer buf;
+  EXPECT_EQ(buf.size(), 0u);
+  const uint8_t* base = buf.Tail().data();
+  EXPECT_GE(buf.Tail().size(), RecvBuffer::kReadChunk);
+  FillTail(buf, 100, 0);
+  const std::span<const uint8_t> view = buf.Buffered();
+  buf.Consume(40);
+  // The old view still reads the same bytes; the new one starts 40 in.
+  EXPECT_EQ(view.data(), base);
+  EXPECT_EQ(view[39], 39);
+  EXPECT_EQ(buf.Buffered().data(), base + 40);
+  EXPECT_EQ(buf.Buffered().size(), 60u);
+  buf.Consume(60);
+  EXPECT_EQ(buf.size(), 0u);
+  EXPECT_EQ(buf.Tail().data(), base) << "an emptied buffer rewinds to the front";
+}
+
+TEST(RecvBufferTest, CompactsOnlyWhenLessThanAReadChunkIsFree) {
+  constexpr size_t kChunk = RecvBuffer::kReadChunk;
+  RecvBuffer buf;
+  // Grow to two chunks: a partial packet at the front of a full first
+  // chunk leaves less than a chunk free in total, so the next fill grows.
+  FillTail(buf, kChunk, 0);
+  buf.Consume(kChunk - 10);
+  FillTail(buf, 1, 0);  // fill: 10 live, 16 KiB capacity -> grows
+  buf.Consume(buf.size());
+  const size_t capacity = buf.Tail().size();  // empty: the whole storage
+  EXPECT_GE(capacity, 2 * kChunk);
+
+  // Walk the tail to within a chunk of the end with a packet straddling
+  // the last read: the fill must compact (not grow) and keep its bytes.
+  FillTail(buf, capacity - kChunk + 1, 1);
+  buf.Consume(capacity - kChunk + 1 - 300);  // a 300-byte partial packet stays
+  const std::span<const uint8_t> live = buf.Buffered();
+  const std::vector<uint8_t> before(live.begin(), live.end());
+  ASSERT_EQ(buf.Tail().size(), capacity - 300) << "compacted to the front, not grown";
+  const std::span<const uint8_t> moved = buf.Buffered();
+  EXPECT_EQ(std::vector<uint8_t>(moved.begin(), moved.end()), before);
+  // With enough free space at the tail, a fill moves nothing.
+  const uint8_t* head = buf.Buffered().data();
+  FillTail(buf, 1000, 7);
+  EXPECT_EQ(buf.Buffered().data(), head);
+}
+
+TEST(RecvBufferTest, GrowsPastTheLargestLiveMessage) {
+  RecvBuffer buf;
+  // A 200 KiB message arriving in read-chunk pieces: the buffer grows and
+  // every byte survives each move.
+  constexpr size_t kMessage = 200 * 1024;
+  size_t have = 0;
+  while (have < kMessage) {
+    const size_t n = std::min(RecvBuffer::kReadChunk, kMessage - have);
+    const std::span<uint8_t> tail = buf.Tail();
+    ASSERT_GE(tail.size(), RecvBuffer::kReadChunk);
+    for (size_t i = 0; i < n; ++i) {
+      tail[i] = static_cast<uint8_t>((have + i) * 13);
+    }
+    buf.Commit(n);
+    have += n;
+  }
+  ASSERT_EQ(buf.size(), kMessage);
+  const std::span<const uint8_t> all = buf.Buffered();
+  for (size_t i = 0; i < kMessage; ++i) {
+    ASSERT_EQ(all[i], static_cast<uint8_t>(i * 13)) << "byte " << i;
+  }
 }
 
 TEST(ListenerTest, TcpAcceptAndConnect) {
