@@ -24,24 +24,7 @@ void AC::ChangeAttributes(uint32_t value_mask, const ACAttributes& attrs) {
   req.value_mask = value_mask;
   req.attrs = attrs;
   conn_->QueueRequest(Opcode::kChangeACAttributes, req);
-  if (value_mask & kACPlayGain) {
-    attrs_.play_gain_db = attrs.play_gain_db;
-  }
-  if (value_mask & kACRecordGain) {
-    attrs_.record_gain_db = attrs.record_gain_db;
-  }
-  if (value_mask & kACPreemption) {
-    attrs_.preempt = attrs.preempt;
-  }
-  if (value_mask & kACEndian) {
-    attrs_.big_endian_data = attrs.big_endian_data;
-  }
-  if (value_mask & kACEncodingType) {
-    attrs_.encoding = attrs.encoding;
-  }
-  if (value_mask & kACChannels) {
-    attrs_.channels = attrs.channels;
-  }
+  attrs_ = ApplyACAttributes(attrs_, value_mask, attrs);
 }
 
 Result<ATime> AC::PlaySamples(ATime start_time, std::span<const uint8_t> buf) {
@@ -73,16 +56,12 @@ Result<ATime> AC::PlaySamples(ATime start_time, std::span<const uint8_t> buf) {
     t += static_cast<ATime>(BytesToSamples(attrs_.encoding, n, attrs_.channels));
   } while (offset < buf.size());
 
-  auto reply = conn_->AwaitReply(last_seq);
+  const auto reply = conn_->AwaitDecoded<PlaySamplesReply>(last_seq, Opcode::kPlaySamples);
   if (!reply.ok()) {
     return reply.status();
   }
-  PlaySamplesReply decoded;
-  if (!PlaySamplesReply::Decode(reply.value(), conn_->order(), &decoded)) {
-    return Status(AfError::kConnectionLost, "bad PlaySamples reply");
-  }
-  conn_->NoteDeviceTime(device_, decoded.time);
-  return decoded.time;
+  conn_->NoteDeviceTime(device_, reply.value().time);
+  return reply.value().time;
 }
 
 Result<RecordResult> AC::RecordSamples(ATime start_time, std::span<uint8_t> buf, bool block) {
@@ -104,24 +83,19 @@ Result<RecordResult> AC::RecordSamples(ATime start_time, std::span<uint8_t> buf,
     req.start_time = t;
     req.nbytes = static_cast<uint32_t>(n);
     req.flags = base_flags;
-    const uint16_t seq = conn_->QueueRequest(Opcode::kRecordSamples, req);
-    auto reply = conn_->AwaitReply(seq);
+    // The samples are copied from the reply view straight into the
+    // caller's buffer.
+    const auto reply = conn_->RoundTrip<RecordSamplesView>(Opcode::kRecordSamples, req);
     if (!reply.ok()) {
       return reply.status();
     }
-    // The samples are copied from the reply view straight into the
-    // caller's buffer.
-    ATime time = 0;
-    std::span<const uint8_t> samples;
-    if (!RecordSamplesReply::DecodeView(reply.value(), conn_->order(), &time, &samples)) {
-      return Status(AfError::kConnectionLost, "bad RecordSamples reply");
-    }
+    const std::span<const uint8_t> samples = reply.value().data;
     const size_t got = std::min(samples.size(), n);
     if (got > 0) {  // an empty reply carries a null span; memcpy forbids it
       std::memcpy(buf.data() + offset, samples.data(), got);
     }
-    result.time = time;
-    conn_->NoteDeviceTime(device_, time);
+    result.time = reply.value().time;
+    conn_->NoteDeviceTime(device_, result.time);
     offset += got;
     t += static_cast<ATime>(BytesToSamples(attrs_.encoding, got, attrs_.channels));
     if (got < n) {

@@ -406,63 +406,31 @@ void AFAudioConn::Sync() {
 void AFAudioConn::NoOp() { QueueRequest(Opcode::kNoOperation, EmptyReq{}); }
 
 Result<ServerStatsWire> AFAudioConn::GetServerStats() {
-  const uint16_t seq = QueueRequest(Opcode::kGetServerStats, EmptyReq{});
-  auto reply = AwaitReply(seq);
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  ServerStatsWire decoded;
-  if (!ServerStatsWire::Decode(reply.value(), order_, &decoded)) {
-    return Status(AfError::kConnectionLost, "bad GetServerStats reply");
-  }
-  return decoded;
+  return RoundTrip<ServerStatsWire>(Opcode::kGetServerStats, EmptyReq{});
 }
 
 Result<TraceWire> AFAudioConn::GetTrace(uint32_t flags) {
   GetTraceReq req;
   req.flags = flags;
-  const uint16_t seq = QueueRequest(Opcode::kGetTrace, req);
-  auto reply = AwaitReply(seq);
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  TraceWire decoded;
-  if (!TraceWire::Decode(reply.value(), order_, &decoded)) {
-    return Status(AfError::kConnectionLost, "bad GetTrace reply");
-  }
-  return decoded;
+  return RoundTrip<TraceWire>(Opcode::kGetTrace, req);
 }
 
 Result<ATime> AFAudioConn::GetTime(DeviceId device) {
   GetTimeReq req;
   req.device = device;
-  const uint16_t seq = QueueRequest(Opcode::kGetTime, req);
-  auto reply = AwaitReply(seq);
+  const auto reply = RoundTrip<GetTimeReply>(Opcode::kGetTime, req);
   if (!reply.ok()) {
     return reply.status();
   }
-  GetTimeReply decoded;
-  if (!GetTimeReply::Decode(reply.value(), order_, &decoded)) {
-    return Status(AfError::kConnectionLost, "bad GetTime reply");
-  }
-  NoteDeviceTime(device, decoded.time);
-  return decoded.time;
+  NoteDeviceTime(device, reply.value().time);
+  return reply.value().time;
 }
 
 Result<ResyncTimeReply> AFAudioConn::ResyncTime(DeviceId device, ATime client_watermark) {
   ResyncTimeReq req;
   req.device = device;
   req.client_watermark = client_watermark;
-  const uint16_t seq = QueueRequest(Opcode::kResyncTime, req);
-  auto reply = AwaitReply(seq);
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  ResyncTimeReply decoded;
-  if (!ResyncTimeReply::Decode(reply.value(), order_, &decoded)) {
-    return Status(AfError::kConnectionLost, "bad ResyncTime reply");
-  }
-  return decoded;
+  return RoundTrip<ResyncTimeReply>(Opcode::kResyncTime, req);
 }
 
 Result<AC*> AFAudioConn::CreateAC(DeviceId device, uint32_t value_mask,
@@ -478,20 +446,9 @@ Result<AC*> AFAudioConn::CreateAC(DeviceId device, uint32_t value_mask,
   QueueRequest(Opcode::kCreateAC, req);
 
   // Mirror the server's defaulting so the client-side copy is accurate.
-  ACAttributes effective = attrs;
   const DeviceDesc& desc = setup_.devices[device];
-  if ((value_mask & kACEncodingType) == 0) {
-    effective.encoding = desc.play_encoding;
-  }
-  if ((value_mask & kACChannels) == 0) {
-    effective.channels = desc.play_nchannels;
-  }
-  if ((value_mask & kACPlayGain) == 0) {
-    effective.play_gain_db = 0;
-  }
-  if ((value_mask & kACPreemption) == 0) {
-    effective.preempt = 0;
-  }
+  const ACAttributes effective = ApplyACAttributes(
+      {.encoding = desc.play_encoding, .channels = desc.play_nchannels}, value_mask, attrs);
   acs_.push_back(std::unique_ptr<AC>(new AC(this, req.ac, device, effective)));
   return acs_.back().get();
 }

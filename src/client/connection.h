@@ -255,6 +255,27 @@ class AFAudioConn {
   // next call on this connection, so decode it (the *Reply::Decode
   // functions copy whatever they keep) before issuing another request.
   Result<std::span<const uint8_t>> AwaitReply(uint16_t seq);
+  // Awaits the reply for seq and decodes it as Reply (any type with a
+  // static Decode(bytes, order, Reply*)); a reply that does not decode is
+  // ConnectionLost, naming op. A view type (RecordSamplesView) points into
+  // the receive buffer, with AwaitReply's lifetime.
+  template <typename Reply>
+  Result<Reply> AwaitDecoded(uint16_t seq, Opcode op) {
+    auto reply = AwaitReply(seq);
+    if (!reply.ok()) {
+      return reply.status();
+    }
+    Reply decoded;
+    if (!Reply::Decode(reply.value(), order_, &decoded)) {
+      return Status(AfError::kConnectionLost, std::string("bad ") + OpcodeName(op) + " reply");
+    }
+    return decoded;
+  }
+  // Queues req, then awaits and decodes its reply.
+  template <typename Reply, typename Req>
+  Result<Reply> RoundTrip(Opcode op, const Req& req) {
+    return AwaitDecoded<Reply>(QueueRequest(op, req), op);
+  }
   WireOrder order() const { return order_; }
   uint32_t AllocResourceId();
   bool broken() const { return broken_; }

@@ -26,31 +26,13 @@ void AFAudioConn::SetOutputGain(DeviceId device, int gain_db) {
 Result<QueryGainReply> AFAudioConn::QueryInputGain(DeviceId device) {
   QueryGainReq req;
   req.device = device;
-  const uint16_t seq = QueueRequest(Opcode::kQueryInputGain, req);
-  auto reply = AwaitReply(seq);
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  QueryGainReply decoded;
-  if (!QueryGainReply::Decode(reply.value(), order_, &decoded)) {
-    return Status(AfError::kConnectionLost, "bad QueryGain reply");
-  }
-  return decoded;
+  return RoundTrip<QueryGainReply>(Opcode::kQueryInputGain, req);
 }
 
 Result<QueryGainReply> AFAudioConn::QueryOutputGain(DeviceId device) {
   QueryGainReq req;
   req.device = device;
-  const uint16_t seq = QueueRequest(Opcode::kQueryOutputGain, req);
-  auto reply = AwaitReply(seq);
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  QueryGainReply decoded;
-  if (!QueryGainReply::Decode(reply.value(), order_, &decoded)) {
-    return Status(AfError::kConnectionLost, "bad QueryGain reply");
-  }
-  return decoded;
+  return RoundTrip<QueryGainReply>(Opcode::kQueryOutputGain, req);
 }
 
 void AFAudioConn::EnableInput(DeviceId device, uint32_t mask) {
@@ -116,16 +98,7 @@ void AFAudioConn::RemoveHost(uint16_t family, std::span<const uint8_t> address) 
 }
 
 Result<ListHostsReply> AFAudioConn::ListHosts() {
-  const uint16_t seq = QueueRequest(Opcode::kListHosts, EmptyReq{});
-  auto reply = AwaitReply(seq);
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  ListHostsReply decoded;
-  if (!ListHostsReply::Decode(reply.value(), order_, &decoded)) {
-    return Status(AfError::kConnectionLost, "bad ListHosts reply");
-  }
-  return decoded;
+  return RoundTrip<ListHostsReply>(Opcode::kListHosts, EmptyReq{});
 }
 
 }  // namespace af

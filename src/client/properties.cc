@@ -8,31 +8,21 @@ Result<Atom> AFAudioConn::InternAtom(std::string_view atom_name, bool only_if_ex
   InternAtomReq req;
   req.only_if_exists = only_if_exists ? 1 : 0;
   req.name = std::string(atom_name);
-  const uint16_t seq = QueueRequest(Opcode::kInternAtom, req);
-  auto reply = AwaitReply(seq);
+  const auto reply = RoundTrip<InternAtomReply>(Opcode::kInternAtom, req);
   if (!reply.ok()) {
     return reply.status();
   }
-  InternAtomReply decoded;
-  if (!InternAtomReply::Decode(reply.value(), order_, &decoded)) {
-    return Status(AfError::kConnectionLost, "bad InternAtom reply");
-  }
-  return decoded.atom;
+  return reply.value().atom;
 }
 
 Result<std::string> AFAudioConn::GetAtomName(Atom atom) {
   GetAtomNameReq req;
   req.atom = atom;
-  const uint16_t seq = QueueRequest(Opcode::kGetAtomName, req);
-  auto reply = AwaitReply(seq);
+  auto reply = RoundTrip<GetAtomNameReply>(Opcode::kGetAtomName, req);
   if (!reply.ok()) {
     return reply.status();
   }
-  GetAtomNameReply decoded;
-  if (!GetAtomNameReply::Decode(reply.value(), order_, &decoded)) {
-    return Status(AfError::kConnectionLost, "bad GetAtomName reply");
-  }
-  return decoded.name;
+  return std::move(reply.value().name);
 }
 
 void AFAudioConn::ChangeProperty(DeviceId device, Atom property, Atom type, uint32_t format,
@@ -64,31 +54,17 @@ Result<GetPropertyReply> AFAudioConn::GetProperty(DeviceId device, Atom property
   req.long_offset = long_offset;
   req.long_length = long_length;
   req.do_delete = do_delete ? 1 : 0;
-  const uint16_t seq = QueueRequest(Opcode::kGetProperty, req);
-  auto reply = AwaitReply(seq);
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  GetPropertyReply decoded;
-  if (!GetPropertyReply::Decode(reply.value(), order_, &decoded)) {
-    return Status(AfError::kConnectionLost, "bad GetProperty reply");
-  }
-  return decoded;
+  return RoundTrip<GetPropertyReply>(Opcode::kGetProperty, req);
 }
 
 Result<std::vector<Atom>> AFAudioConn::ListProperties(DeviceId device) {
   ListPropertiesReq req;
   req.device = device;
-  const uint16_t seq = QueueRequest(Opcode::kListProperties, req);
-  auto reply = AwaitReply(seq);
+  auto reply = RoundTrip<ListPropertiesReply>(Opcode::kListProperties, req);
   if (!reply.ok()) {
     return reply.status();
   }
-  ListPropertiesReply decoded;
-  if (!ListPropertiesReply::Decode(reply.value(), order_, &decoded)) {
-    return Status(AfError::kConnectionLost, "bad ListProperties reply");
-  }
-  return decoded.atoms;
+  return std::move(reply.value().atoms);
 }
 
 }  // namespace af

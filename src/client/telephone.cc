@@ -22,16 +22,7 @@ void AFAudioConn::FlashHook(DeviceId device, unsigned duration_ms) {
 Result<QueryPhoneReply> AFAudioConn::QueryPhone(DeviceId device) {
   QueryPhoneReq req;
   req.device = device;
-  const uint16_t seq = QueueRequest(Opcode::kQueryPhone, req);
-  auto reply = AwaitReply(seq);
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  QueryPhoneReply decoded;
-  if (!QueryPhoneReply::Decode(reply.value(), order_, &decoded)) {
-    return Status(AfError::kConnectionLost, "bad QueryPhone reply");
-  }
-  return decoded;
+  return RoundTrip<QueryPhoneReply>(Opcode::kQueryPhone, req);
 }
 
 void AFAudioConn::EnablePassThrough(DeviceId a, DeviceId b) {

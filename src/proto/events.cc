@@ -2,37 +2,12 @@
 
 namespace af {
 
-void AEvent::Encode(WireWriter& w) const {
-  w.U8(static_cast<uint8_t>(type));
-  w.U8(detail);
-  w.U16(seq);
-  w.U32(device);
-  w.U32(dev_time);
-  w.U64(host_time_us);
-  w.U32(w0);
-  w.U32(w1);
-  w.U32(w2);
-}
-
 bool AEvent::Decode(std::span<const uint8_t> data, WireOrder order, AEvent* out) {
-  if (data.size() < kReplyBaseBytes) {
-    return false;
-  }
-  const uint8_t type = data[0];
-  if (type < kMinEventType || type > kMaxEventType) {
+  if (data.size() < kReplyBaseBytes || data[0] < kMinEventType || data[0] > kMaxEventType) {
     return false;
   }
   WireReader r(data, order);
-  out->type = static_cast<EventType>(r.U8());
-  out->detail = r.U8();
-  out->seq = r.U16();
-  out->device = r.U32();
-  out->dev_time = r.U32();
-  out->host_time_us = r.U64();
-  out->w0 = r.U32();
-  out->w1 = r.U32();
-  out->w2 = r.U32();
-  return r.ok();
+  return DecodeFields(r, out);
 }
 
 const char* EventTypeName(EventType type) {

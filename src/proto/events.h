@@ -25,11 +25,21 @@ struct AEvent {
   uint32_t w1 = 0;
   uint32_t w2 = 0;
 
+  // The normative 32-byte layout.
+  static constexpr auto Fields() {
+    return std::tuple(Field("type", &AEvent::type), Field("detail", &AEvent::detail),
+                      Field("seq", &AEvent::seq), Field("dev", &AEvent::device),
+                      Field("dev_time", &AEvent::dev_time),
+                      Field("host_us", &AEvent::host_time_us), Field("w0", &AEvent::w0),
+                      Field("w1", &AEvent::w1), Field("w2", &AEvent::w2));
+  }
+
   // Emits the fixed 32-byte unit.
-  void Encode(WireWriter& w) const;
+  void Encode(WireWriter& w) const { EncodeFields(w, *this); }
   // data must be at least 32 bytes with a type byte in [2, 6].
   static bool Decode(std::span<const uint8_t> data, WireOrder order, AEvent* out);
 };
+static_assert(detail::FixedBytes<AEvent>() == kReplyBaseBytes, "an event is one 32-byte unit");
 
 // Convenience detail values.
 constexpr uint8_t kStateOff = 0;

@@ -1,5 +1,8 @@
 #include "proto/oplog.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace af {
 
 const char* OplogTypeName(OplogType t) {
@@ -56,21 +59,7 @@ std::optional<OplogHello> DecodeOplogHello(std::span<const uint8_t> data) {
 
 void EncodeOplogRecord(WireWriter& w, const OplogRecord& rec) {
   const size_t start = w.size();
-  w.U64(rec.seq);
-  w.U16(rec.type);
-  w.U16(rec.flags);
-  w.U32(rec.client);
-  w.U32(rec.device);
-  w.U32(rec.ac);
-  w.U32(rec.value_mask);
-  w.I32(rec.attrs.play_gain_db);
-  w.I32(rec.attrs.record_gain_db);
-  w.U32(rec.attrs.preempt);
-  w.U32(rec.attrs.big_endian_data);
-  w.U32(static_cast<uint32_t>(rec.attrs.encoding));
-  w.U32(rec.attrs.channels);
-  w.U64(rec.value);
-  w.U64(rec.corr);  // appended in PR 9
+  EncodeFields(w, rec);
   w.Zero(kOplogRecordBytes - (w.size() - start));
 }
 
@@ -79,25 +68,16 @@ bool DecodeOplogRecord(std::span<const uint8_t> data, WireOrder order,
   if (record_bytes < kOplogRecordBytesV1 || data.size() < record_bytes) {
     return false;
   }
-  WireReader r(data.first(record_bytes), order);
-  out->seq = r.U64();
-  out->type = r.U16();
-  out->flags = r.U16();
-  out->client = r.U32();
-  out->device = r.U32();
-  out->ac = r.U32();
-  out->value_mask = r.U32();
-  out->attrs.play_gain_db = r.I32();
-  out->attrs.record_gain_db = r.I32();
-  out->attrs.preempt = r.U32();
-  out->attrs.big_endian_data = r.U32();
-  out->attrs.encoding = static_cast<AEncodeType>(r.U32());
-  out->attrs.channels = r.U32();
-  out->value = r.U64();
-  // Appended in PR 9: present only when the hello advertised a record size
-  // that covers it (a PR 8 primary says 64).
-  if (record_bytes >= kOplogRecordBytes) {
-    out->corr = r.U64();
+  // A shorter record than this build's is an older primary's: decode it
+  // zero-extended, and drop the fields it predates (a version-1 primary's
+  // kOplogRecordBytesV1 record ends before corr). Longer records carry
+  // fields this build does not know; their tail is skipped.
+  uint8_t record[kOplogRecordBytes] = {};
+  std::memcpy(record, data.data(), std::min(record_bytes, kOplogRecordBytes));
+  WireReader r(record, order);
+  DecodeFields(r, out);
+  if (record_bytes < kOplogRecordBytes) {
+    out->corr = 0;
   }
   return r.ok();
 }

@@ -55,6 +55,17 @@ struct OplogRecord {
   ACAttributes attrs;       // kACCreate / kACChange only
   uint64_t value = 0;       // type-specific scalar
   uint64_t corr = 0;        // correlation ID of the causing request, 0 = none
+
+  // The normative layout; zero pad follows to kOplogRecordBytes.
+  static constexpr auto Fields() {
+    return std::tuple(Field("seq", &OplogRecord::seq), Field("type", &OplogRecord::type),
+                      Field("flags", &OplogRecord::flags),
+                      Field("client", &OplogRecord::client),
+                      Field("device", &OplogRecord::device), Field("ac", &OplogRecord::ac),
+                      Field("value_mask", &OplogRecord::value_mask),
+                      Field("attrs", &OplogRecord::attrs), Field("value", &OplogRecord::value),
+                      Field("corr", &OplogRecord::corr));  // appended after V1
+  }
 };
 
 // Fixed record size as this build encodes it. PR 9 appended the
@@ -63,6 +74,7 @@ struct OplogRecord {
 // hello's record_bytes tells the decoder which fields are present.
 constexpr size_t kOplogRecordBytes = 72;
 constexpr size_t kOplogRecordBytesV1 = 64;
+static_assert(detail::FixedBytes<OplogRecord>() <= kOplogRecordBytes);
 constexpr size_t kOplogHelloBytes = 8;
 constexpr size_t kOplogAckBytes = 8;
 

@@ -1,7 +1,7 @@
 // Request bodies, replies and error packets for the requests of the
-// table in proto/opcodes.h. Each request body declares its wire fields
-// once (see "Request body layouts" below); its encoder and decoder derive
-// from that list.
+// table in proto/opcodes.h. Each request body and each reply declares its
+// wire fields once (see "Request body layouts" and ReplyBody below); its
+// encoder and decoder derive from that list.
 //
 // Framing: every request starts with a 4-byte header { opcode, extension,
 // 16-bit length in 32-bit words, including the header }. Request data is
@@ -61,118 +61,32 @@ bool DecodeRequestHeader(WireReader& r, RequestHeader* out);
 // Request body layouts
 //
 // Each body below lists its wire fields once, in wire order, in
-// `static constexpr auto Fields()`; these lists are the normative body
-// layouts. RequestBody<T> derives Encode and Decode from the list, and
-// asniff's decoder (proto/decode.cc) prints it. The member's type decides
-// the wire form:
-//   uint32_t, int32_t, enum            one 32-bit word
-//   std::string, std::vector<uint8_t>  32-bit count, the bytes, zero pad to 4
-//   a struct with its own Fields()     its fields in order (ACAttributes)
-//   std::span<const uint8_t>           raw bytes counted by the row's count
-//                                      field (EndRequest pads them)
-// The rows expand at compile time, so Encode and Decode are the same
-// straight-line word writes and reads a hand-written body would be.
-
-// How asniff prints a word field: masks and flags read best in hex.
-enum class FieldFormat : uint8_t { kDecimal, kHex };
-
-template <typename T, typename M>
-struct FieldRow {
-  const char* name;
-  M T::*member;
-  FieldFormat format;
-};
-
-// Raw bytes whose count travels in another field of the same body.
-template <typename T>
-struct CountedBytesRow {
-  const char* name;
-  std::span<const uint8_t> T::*member;
-  uint32_t T::*count;
-};
-
-template <typename T, typename M>
-constexpr FieldRow<T, M> Field(const char* name, M T::*member,
-                               FieldFormat format = FieldFormat::kDecimal) {
-  return {name, member, format};
-}
-
-template <typename T>
-constexpr CountedBytesRow<T> CountedBytes(const char* name,
-                                          std::span<const uint8_t> T::*member,
-                                          uint32_t T::*count) {
-  return {name, member, count};
-}
-
-template <typename T>
-concept HasFields = requires { T::Fields(); };
+// `static constexpr auto Fields()` (proto/wire.h); these lists are the
+// normative body layouts. RequestBody<T> derives Encode and Decode from the
+// list, and asniff's decoder (proto/decode.cc) prints it. A request body
+// keeps the protocol's word rule: every scalar field is one 32-bit word.
 
 namespace detail {
 
 template <HasFields T>
-void EncodeFields(WireWriter& w, const T& body);
-template <HasFields T>
-void DecodeFields(WireReader& r, T* body);
-
-template <typename M>
-void EncodeValue(WireWriter& w, const M& v) {
-  if constexpr (std::is_same_v<M, std::string>) {
-    w.U32(static_cast<uint32_t>(v.size()));
-    w.PaddedString(v);
-  } else if constexpr (std::is_same_v<M, std::vector<uint8_t>>) {
-    w.U32(static_cast<uint32_t>(v.size()));
-    w.Bytes(v);
-    w.AlignPad();
-  } else if constexpr (HasFields<M>) {
-    EncodeFields(w, v);
+constexpr bool WordRows();
+template <typename T, typename M>
+constexpr bool IsWordRow(const FieldRow<T, M>&) {
+  if constexpr (HasFields<M>) {
+    return WordRows<M>();
   } else {
-    static_assert(sizeof(M) == 4 && (std::is_integral_v<M> || std::is_enum_v<M>),
-                  "a word field is a 32-bit integer or enum");
-    w.U32(static_cast<uint32_t>(v));
+    return std::is_same_v<M, std::string> || std::is_same_v<M, std::vector<uint8_t>> ||
+           sizeof(M) == 4;
   }
 }
-
-template <typename M>
-void DecodeValue(WireReader& r, M* v) {
-  if constexpr (std::is_same_v<M, std::string>) {
-    const uint32_t len = r.U32();
-    *v = r.PaddedString(len);
-  } else if constexpr (std::is_same_v<M, std::vector<uint8_t>>) {
-    const uint32_t len = r.U32();
-    const std::span<const uint8_t> bytes = r.Bytes(len);
-    v->assign(bytes.begin(), bytes.end());
-    r.AlignSkip();
-  } else if constexpr (HasFields<M>) {
-    DecodeFields(r, v);
-  } else {
-    *v = static_cast<M>(r.U32());
-  }
-}
-
-template <typename T, typename M>
-void EncodeRow(WireWriter& w, const T& body, const FieldRow<T, M>& row) {
-  EncodeValue(w, body.*row.member);
-}
 template <typename T>
-void EncodeRow(WireWriter& w, const T& body, const CountedBytesRow<T>& row) {
-  w.Bytes(body.*row.member);
-}
-template <typename T, typename M>
-void DecodeRow(WireReader& r, T* body, const FieldRow<T, M>& row) {
-  DecodeValue(r, &(body->*row.member));
-}
-template <typename T>
-void DecodeRow(WireReader& r, T* body, const CountedBytesRow<T>& row) {
-  body->*row.member = r.Bytes(body->*row.count);  // a view into the request
-}
-
-template <HasFields T>
-void EncodeFields(WireWriter& w, const T& body) {
-  std::apply([&](const auto&... row) { (EncodeRow(w, body, row), ...); }, T::Fields());
+constexpr bool IsWordRow(const CountedBytesRow<T>&) {
+  return true;
 }
 template <HasFields T>
-void DecodeFields(WireReader& r, T* body) {
-  std::apply([&](const auto&... row) { (DecodeRow(r, body, row), ...); }, T::Fields());
+constexpr bool WordRows() {
+  return std::apply([](const auto&... row) { return (true && ... && IsWordRow(row)); },
+                    T::Fields());
 }
 
 }  // namespace detail
@@ -181,17 +95,18 @@ void DecodeFields(WireReader& r, T* body) {
 // Decode fails (bounds-checked reader) on a truncated body.
 template <typename T>
 struct RequestBody {
-  void Encode(WireWriter& w) const { detail::EncodeFields(w, static_cast<const T&>(*this)); }
+  void Encode(WireWriter& w) const { EncodeFields(w, static_cast<const T&>(*this)); }
   static bool Decode(WireReader& r, T* out) {
-    detail::DecodeFields(r, out);
-    return r.ok();
+    static_assert(detail::WordRows<T>(), "a request body's scalar fields are 32-bit words");
+    return DecodeFields(r, out);
   }
 };
 
 // ---------------------------------------------------------------------------
 // Audio context attributes
 
-// Value mask bits for CreateAC / ChangeACAttributes.
+// Value mask bits for CreateAC / ChangeACAttributes: bit i selects row i of
+// ACAttributes::Fields().
 constexpr uint32_t kACPlayGain = 1u << 0;
 constexpr uint32_t kACRecordGain = 1u << 1;
 constexpr uint32_t kACPreemption = 1u << 2;
@@ -216,6 +131,24 @@ struct ACAttributes {
                       Field("ch", &ACAttributes::channels));
   }
 };
+
+static_assert(std::tuple_size_v<decltype(ACAttributes::Fields())> == 6 &&
+                  std::get<0>(ACAttributes::Fields()).member == &ACAttributes::play_gain_db &&
+                  std::get<1>(ACAttributes::Fields()).member == &ACAttributes::record_gain_db &&
+                  std::get<2>(ACAttributes::Fields()).member == &ACAttributes::preempt &&
+                  std::get<3>(ACAttributes::Fields()).member == &ACAttributes::big_endian_data &&
+                  std::get<4>(ACAttributes::Fields()).member == &ACAttributes::encoding &&
+                  std::get<5>(ACAttributes::Fields()).member == &ACAttributes::channels &&
+                  kACPlayGain == 1u << 0 && kACRecordGain == 1u << 1 &&
+                  kACPreemption == 1u << 2 && kACEndian == 1u << 3 &&
+                  kACEncodingType == 1u << 4 && kACChannels == 1u << 5,
+              "bit i of an AC value mask selects row i of ACAttributes::Fields()");
+
+// Returns `base` with each field of `from` whose bit is set in `mask`
+// copied over: the effective set of CreateAC (base: the defaults with the
+// device's encoding and channels) and of ChangeACAttributes (base: the
+// current set), on the server and in the client's mirror.
+ACAttributes ApplyACAttributes(ACAttributes base, uint32_t mask, const ACAttributes& from);
 
 // ---------------------------------------------------------------------------
 // Requests (body layouts; header handled by Begin/End/DecodeRequestHeader)
@@ -531,85 +464,159 @@ struct ReplyHeader {
 // Parses the fixed part of a 32-byte reply unit.
 bool PeekReplyHeader(std::span<const uint8_t> unit, WireOrder order, ReplyHeader* out);
 
-// Replies. Encode emits the full packet (32 bytes + extra, padded);
-// Decode consumes the full packet.
-struct GetTimeReply {
-  ATime time = 0;
-  void Encode(WireWriter& w, uint16_t seq) const;
-  static bool Decode(std::span<const uint8_t> data, WireOrder order, GetTimeReply* out);
+// Base of every reply T with a table layout: Encode and Decode derived
+// from T::Fields(). The 32-byte unit is the type byte 1, a zero data byte,
+// the sequence number and the extra data's length in words, then T's fixed
+// fields and zero pad; a Trailing row's items follow it as the extra data.
+// Decode takes the whole reply (32 bytes + extra) and rejects a wrong type
+// byte, a short unit, or a Trailing count longer than the extra data.
+template <typename T>
+struct ReplyBody {
+  void Encode(WireWriter& w, uint16_t seq) const {
+    const T& self = static_cast<const T&>(*this);
+    const size_t start = w.size();
+    w.U8(kReplyPacketType);
+    w.U8(0);
+    w.U16(seq);
+    w.U32(static_cast<uint32_t>(ExtraBytes(self) / 4));
+    EncodeFields(w, self);
+    w.Zero(kReplyBaseBytes - (w.size() - start));
+    std::apply([&](const auto&... row) { (detail::EncodeTrailing(w, self, row), ...); },
+               T::Fields());
+  }
+  static bool Decode(std::span<const uint8_t> data, WireOrder order, T* out) {
+    static_assert(detail::FixedBytes<T>() <= kReplyBaseBytes - 8,
+                  "a reply's fixed fields fit its 32-byte unit");
+    static_assert(detail::TrailingRowIsLast(T::Fields()), "extra data is the last row");
+    if (data.size() < kReplyBaseBytes || data[0] != kReplyPacketType) {
+      return false;
+    }
+    WireReader r(data, order);
+    r.Skip(8);
+    return DecodeFields(r, out);
+  }
+
+ private:
+  static size_t ExtraBytes(const T& self) {
+    return std::apply(
+        [&](const auto&... row) { return (size_t{0} + ... + detail::TrailingBytes(self, row)); },
+        T::Fields());
+  }
 };
 
-// Also used for PlaySamples replies (paper: play and record return device
+// GetTime's reply, and PlaySamples' (paper: play and record return device
 // time as a convenience).
+struct GetTimeReply : ReplyBody<GetTimeReply> {
+  ATime time = 0;
+  static constexpr auto Fields() { return std::tuple(Field("time", &GetTimeReply::time)); }
+};
 using PlaySamplesReply = GetTimeReply;
 
-struct ResyncTimeReply {
+struct ResyncTimeReply : ReplyBody<ResyncTimeReply> {
   ATime server_time = 0;          // device time when the resync was served
   ATime promoted_watermark = 0;   // op-log device-time watermark at promotion
   uint32_t promoted = 0;          // 1 if this server promoted from a backup
-  void Encode(WireWriter& w, uint16_t seq) const;
-  static bool Decode(std::span<const uint8_t> data, WireOrder order, ResyncTimeReply* out);
+  static constexpr auto Fields() {
+    return std::tuple(Field("server_time", &ResyncTimeReply::server_time),
+                      Field("promoted_watermark", &ResyncTimeReply::promoted_watermark),
+                      Field("promoted", &ResyncTimeReply::promoted));
+  }
 };
 
+// The RecordSamples reply as a view: `data` is the caller's span when
+// encoding (the server writes straight from the device's scratch arena) and
+// a view into the reply when decoding (the library's record path copies it
+// straight into the caller's buffer), so neither direction stages a copy.
+struct RecordSamplesView : ReplyBody<RecordSamplesView> {
+  ATime time = 0;                 // current device time
+  std::span<const uint8_t> data;  // the sample bytes
+  static constexpr auto Fields() {
+    return std::tuple(Field("time", &RecordSamplesView::time),
+                      Trailing("data", &RecordSamplesView::data));
+  }
+};
+
+// The RecordSamples reply holding its samples: RecordSamplesView's layout,
+// with Decode copying the samples out of the reply.
 struct RecordSamplesReply {
-  ATime time = 0;           // current device time
-  uint32_t actual_bytes = 0;  // how many sample bytes follow
+  ATime time = 0;  // current device time
   std::vector<uint8_t> data;
-  void Encode(WireWriter& w, uint16_t seq) const;
-  // Copy-free server-side encode: writes the reply straight from a span
-  // (e.g. the device's scratch arena) without staging it in a vector.
+  void Encode(WireWriter& w, uint16_t seq) const { EncodeTo(w, seq, time, data); }
   static void EncodeTo(WireWriter& w, uint16_t seq, ATime time,
-                       std::span<const uint8_t> data);
-  static bool Decode(std::span<const uint8_t> data, WireOrder order, RecordSamplesReply* out);
-  // Copy-free client-side decode: *samples views the sample bytes inside
-  // data (the library's record path copies them straight into the caller's
-  // buffer). Decode is this plus the copy into `data`.
-  static bool DecodeView(std::span<const uint8_t> data, WireOrder order, ATime* time,
-                         std::span<const uint8_t>* samples);
+                       std::span<const uint8_t> data) {
+    RecordSamplesView view;
+    view.time = time;
+    view.data = data;
+    view.Encode(w, seq);
+  }
+  static bool Decode(std::span<const uint8_t> data, WireOrder order, RecordSamplesReply* out) {
+    RecordSamplesView view;
+    if (!RecordSamplesView::Decode(data, order, &view)) {
+      return false;
+    }
+    out->time = view.time;
+    out->data.assign(view.data.begin(), view.data.end());
+    return true;
+  }
 };
 
-struct QueryPhoneReply {
+struct QueryPhoneReply : ReplyBody<QueryPhoneReply> {
   uint32_t off_hook = 0;      // hookswitch state
   uint32_t loop_current = 0;  // extension phone state
-  void Encode(WireWriter& w, uint16_t seq) const;
-  static bool Decode(std::span<const uint8_t> data, WireOrder order, QueryPhoneReply* out);
+  static constexpr auto Fields() {
+    return std::tuple(Field("off_hook", &QueryPhoneReply::off_hook),
+                      Field("loop_current", &QueryPhoneReply::loop_current));
+  }
 };
 
-struct QueryGainReply {
+struct QueryGainReply : ReplyBody<QueryGainReply> {
   int32_t gain_db = 0;
   int32_t min_db = kGainMinDb;
   int32_t max_db = kGainMaxDb;
-  void Encode(WireWriter& w, uint16_t seq) const;
-  static bool Decode(std::span<const uint8_t> data, WireOrder order, QueryGainReply* out);
+  static constexpr auto Fields() {
+    return std::tuple(Field("gain", &QueryGainReply::gain_db),
+                      Field("min", &QueryGainReply::min_db),
+                      Field("max", &QueryGainReply::max_db));
+  }
 };
 
-struct InternAtomReply {
+struct InternAtomReply : ReplyBody<InternAtomReply> {
   Atom atom = 0;
-  void Encode(WireWriter& w, uint16_t seq) const;
-  static bool Decode(std::span<const uint8_t> data, WireOrder order, InternAtomReply* out);
+  static constexpr auto Fields() { return std::tuple(Field("atom", &InternAtomReply::atom)); }
 };
 
-struct GetAtomNameReply {
+struct GetAtomNameReply : ReplyBody<GetAtomNameReply> {
   std::string name;
-  void Encode(WireWriter& w, uint16_t seq) const;
-  static bool Decode(std::span<const uint8_t> data, WireOrder order, GetAtomNameReply* out);
+  static constexpr auto Fields() { return std::tuple(Trailing("name", &GetAtomNameReply::name)); }
 };
 
-struct GetPropertyReply {
+struct GetPropertyReply : ReplyBody<GetPropertyReply> {
   Atom type = 0;
   uint32_t format = 0;
   uint32_t bytes_after = 0;
   std::vector<uint8_t> data;
-  void Encode(WireWriter& w, uint16_t seq) const;
-  static bool Decode(std::span<const uint8_t> data, WireOrder order, GetPropertyReply* out);
+  static constexpr auto Fields() {
+    return std::tuple(Field("type", &GetPropertyReply::type),
+                      Field("format", &GetPropertyReply::format),
+                      Field("bytes_after", &GetPropertyReply::bytes_after),
+                      Trailing("data", &GetPropertyReply::data));
+  }
 };
 
-struct ListPropertiesReply {
+struct ListPropertiesReply : ReplyBody<ListPropertiesReply> {
   std::vector<Atom> atoms;
-  void Encode(WireWriter& w, uint16_t seq) const;
-  static bool Decode(std::span<const uint8_t> data, WireOrder order, ListPropertiesReply* out);
+  static constexpr auto Fields() {
+    return std::tuple(Trailing("atoms", &ListPropertiesReply::atoms));
+  }
 };
 
+// Empty-bodied acknowledgement (SyncConnection).
+struct EmptyReply : ReplyBody<EmptyReply> {
+  static constexpr auto Fields() { return std::tuple<>(); }
+};
+
+// ListHosts' host entries carry 16-bit counts and pad each entry to 4, so
+// this reply keeps a hand-written codec (DESIGN.md section 5).
 struct HostEntry {
   uint16_t family = 0;
   std::vector<uint8_t> address;
@@ -620,12 +627,6 @@ struct ListHostsReply {
   std::vector<HostEntry> hosts;
   void Encode(WireWriter& w, uint16_t seq) const;
   static bool Decode(std::span<const uint8_t> data, WireOrder order, ListHostsReply* out);
-};
-
-// Empty-bodied acknowledgement (SyncConnection, HookSwitch, SetInputGain...).
-struct EmptyReply {
-  void Encode(WireWriter& w, uint16_t seq) const;
-  static bool Decode(std::span<const uint8_t> data, WireOrder order, EmptyReply* out);
 };
 
 }  // namespace af

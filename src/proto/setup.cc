@@ -38,41 +38,6 @@ bool SetupRequest::DecodeFixed(std::span<const uint8_t> data, SetupRequest* out,
   return r.ok();
 }
 
-void DeviceDesc::Encode(WireWriter& w) const {
-  w.U32(index);
-  w.U32(static_cast<uint32_t>(type));
-  w.U32(play_sample_rate);
-  w.U32(play_buffer_samples);
-  w.U32(play_nchannels);
-  w.U32(static_cast<uint32_t>(play_encoding));
-  w.U32(rec_sample_rate);
-  w.U32(rec_buffer_samples);
-  w.U32(rec_nchannels);
-  w.U32(static_cast<uint32_t>(rec_encoding));
-  w.U32(number_of_inputs);
-  w.U32(number_of_outputs);
-  w.U32(inputs_from_phone);
-  w.U32(outputs_to_phone);
-}
-
-bool DeviceDesc::Decode(WireReader& r, DeviceDesc* out) {
-  out->index = r.U32();
-  out->type = static_cast<DevType>(r.U32());
-  out->play_sample_rate = r.U32();
-  out->play_buffer_samples = r.U32();
-  out->play_nchannels = r.U32();
-  out->play_encoding = static_cast<AEncodeType>(r.U32());
-  out->rec_sample_rate = r.U32();
-  out->rec_buffer_samples = r.U32();
-  out->rec_nchannels = r.U32();
-  out->rec_encoding = static_cast<AEncodeType>(r.U32());
-  out->number_of_inputs = r.U32();
-  out->number_of_outputs = r.U32();
-  out->inputs_from_phone = r.U32();
-  out->outputs_to_phone = r.U32();
-  return r.ok();
-}
-
 std::vector<uint8_t> SetupReply::Encode(WireOrder order) const {
   WireWriter variable(order);
   if (success) {

@@ -53,8 +53,24 @@ struct DeviceDesc {
   uint32_t inputs_from_phone = 0;  // mask: inputs wired to a telephone line
   uint32_t outputs_to_phone = 0;   // mask: outputs wired to a telephone line
 
-  void Encode(WireWriter& w) const;
-  static bool Decode(WireReader& r, DeviceDesc* out);
+  // The normative layout, one 32-bit word per field.
+  static constexpr auto Fields() {
+    return std::tuple(Field("index", &DeviceDesc::index), Field("type", &DeviceDesc::type),
+                      Field("play_rate", &DeviceDesc::play_sample_rate),
+                      Field("play_buffer", &DeviceDesc::play_buffer_samples),
+                      Field("play_channels", &DeviceDesc::play_nchannels),
+                      Field("play_enc", &DeviceDesc::play_encoding),
+                      Field("rec_rate", &DeviceDesc::rec_sample_rate),
+                      Field("rec_buffer", &DeviceDesc::rec_buffer_samples),
+                      Field("rec_channels", &DeviceDesc::rec_nchannels),
+                      Field("rec_enc", &DeviceDesc::rec_encoding),
+                      Field("inputs", &DeviceDesc::number_of_inputs),
+                      Field("outputs", &DeviceDesc::number_of_outputs),
+                      Field("inputs_from_phone", &DeviceDesc::inputs_from_phone),
+                      Field("outputs_to_phone", &DeviceDesc::outputs_to_phone));
+  }
+  void Encode(WireWriter& w) const { EncodeFields(w, *this); }
+  static bool Decode(WireReader& r, DeviceDesc* out) { return DecodeFields(r, out); }
 
   double BufferSeconds() const {
     return play_sample_rate == 0

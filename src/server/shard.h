@@ -138,6 +138,27 @@ class Shard {
   void DispatchRequest(const std::shared_ptr<ClientConn>& client,
                        const RequestHeader& header, std::span<const uint8_t> body,
                        ClientConn::Suspended* resumed);
+  // One request in dispatch. A request that blocks is parked by its header
+  // and raw body; `resumed` is its parked state when it runs again.
+  struct Request {
+    ClientConn& client;
+    const std::shared_ptr<ClientConn>& client_ptr;
+    const RequestHeader& header;
+    Opcode op;
+    std::span<const uint8_t> body;
+    ClientConn::Suspended* resumed;
+  };
+  // The AF_REQUESTS row of opcode Op: decodes its Body (BadLength on
+  // failure), range-checks a `device` member (BadDevice), then runs Handle.
+  template <typename Body, Opcode Op>
+  void DispatchRow(const Request& rq);
+  // The handler of one body type, shared by every opcode of that body.
+  template <typename Body>
+  void Handle(const Request& rq, Body& req);
+  // Validates an AC's effective attributes against its device and builds
+  // its conversion ops, answering the request's error on failure.
+  bool BuildACOps(const Request& rq, AudioDevice& device, const ACAttributes& attrs,
+                  ACOps* ops);
   void SendError(ClientConn& client, AfError code, Opcode opcode, uint32_t value = 0);
   void SuspendClient(const std::shared_ptr<ClientConn>& client,
                      const RequestHeader& header, std::span<const uint8_t> body,

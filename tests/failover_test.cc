@@ -419,6 +419,10 @@ TEST(FailoverEndToEndTest, ClientRidesOverPrimaryDeathWithBoundedGap) {
   conn->SelectEvents(0, 0x1);
   ACAttributes attrs;
   attrs.play_gain_db = -3;
+  // Left out of the mask: the server stores its defaults for these, and so
+  // must the client's mirror that the reconnect replays.
+  attrs.record_gain_db = 12;
+  attrs.big_endian_data = 1;
   auto ac_result = conn->CreateAC(0, kACPlayGain, attrs);
   ASSERT_TRUE(ac_result.ok());
   AC* ac = ac_result.value();

@@ -5,8 +5,11 @@
 // barrier, never a sleep), and the random streams additionally run through
 // a seeded FaultStream so the garbage arrives shortened and stalled too.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
 #include <functional>
 #include <random>
 #include <string>
@@ -16,7 +19,9 @@
 #include <vector>
 
 #include "client/audio_context.h"
+#include "clients/cores.h"
 #include "clients/server_runner.h"
+#include "common/flight_recorder.h"
 #include "proto/decode.h"
 #include "proto/events.h"
 #include "proto/oplog.h"
@@ -377,7 +382,6 @@ TEST(DecoderFuzzTest, StreamDecodersSurviveDamagedTraffic) {
         case 1: {
           RecordSamplesReply rec;
           rec.data = RandomBytes(rng, kMaxFieldBytes);
-          rec.actual_bytes = static_cast<uint32_t>(rec.data.size());
           rec.Encode(w, static_cast<uint16_t>(rng()));
           break;
         }
@@ -550,7 +554,6 @@ std::vector<ReplyCase> EveryReplyUnit(Rng& rng, WireOrder order) {
   RecordSamplesReply record;
   record.data = RandomBytes(rng, kMaxFieldBytes);
   record.data.push_back(1);  // odd lengths exercise the pad
-  record.actual_bytes = static_cast<uint32_t>(record.data.size());
   QueryPhoneReply phone;
   phone.off_hook = 1;
   QueryGainReply gain;
@@ -614,6 +617,125 @@ TEST(DecoderFuzzTest, EveryReplyDecoderSurvivesDamage) {
       }
     }
   }
+}
+
+// --- flight-dump decoder ------------------------------------------------------
+//
+// atrace --dump's loader (LoadFlightRecorderDump) parses the file the crash
+// handler writes, in host byte order. A valid two-ring dump, built here
+// byte by byte, is cut at every header boundary and at seeded lengths,
+// damaged, and given lying ring, counter, name-length and event counts.
+
+constexpr int kFlightCuts = 64;
+constexpr int kFlightRounds = 200;
+constexpr uint64_t kLyingEventCounts[] = {0,           1,          4,
+                                          0xFFFFFFFF,  1ull << 32, 1ull << 58,
+                                          1ull << 61,  ~0ull >> 1, ~0ull};
+
+struct FlightDumpBytes {
+  std::vector<uint8_t> bytes;
+  std::vector<size_t> boundaries;    // offset after every header field
+  std::vector<size_t> count_words;   // ring, counter and name-length words (u32)
+  std::vector<size_t> event_counts;  // each ring's event count (u64)
+
+  template <typename T>
+  void Put(const T& v) {
+    const auto* p = reinterpret_cast<const uint8_t*>(&v);
+    bytes.insert(bytes.end(), p, p + sizeof(T));
+    boundaries.push_back(bytes.size());
+  }
+};
+
+FlightDumpBytes ValidFlightDump() {
+  FlightDumpBytes d;
+  d.Put(kFlightRecorderMagic);
+  d.Put(kFlightRecorderVersion);
+  d.Put(static_cast<uint32_t>(sizeof(TraceEvent)));
+  d.count_words.push_back(d.bytes.size());
+  d.Put(uint32_t{2});  // rings
+  for (uint32_t ring = 0; ring < 2; ++ring) {
+    const std::vector<std::string> names =
+        ring == 0 ? std::vector<std::string>{"requests_dispatched", "errors_sent"}
+                  : std::vector<std::string>{};
+    const uint64_t events = ring == 0 ? 3 : 1;
+    d.Put(ring);  // shard
+    d.count_words.push_back(d.bytes.size());
+    d.Put(static_cast<uint32_t>(names.size()));
+    d.Put(uint64_t{5});            // dropped
+    d.Put(uint64_t{100} + events);  // recorded
+    d.event_counts.push_back(d.bytes.size());
+    d.Put(events);
+    for (const std::string& name : names) {
+      d.count_words.push_back(d.bytes.size());
+      d.Put(static_cast<uint32_t>(name.size()));
+      d.bytes.insert(d.bytes.end(), name.begin(), name.end());
+      d.boundaries.push_back(d.bytes.size());
+      d.Put(uint64_t{40} + name.size());
+    }
+    for (uint64_t i = 0; i < events; ++i) {
+      TraceEvent ev;
+      ev.kind = static_cast<uint8_t>(TraceKind::kRequest);
+      ev.shard = static_cast<uint16_t>(ring);
+      ev.host_us = 1000 + 10 * i + ring;
+      ev.corr = 0x100 + i;
+      ev.seq = i + 1;
+      d.Put(ev);
+    }
+  }
+  return d;
+}
+
+Result<FlightDump> LoadFlightBytes(const std::string& path, std::span<const uint8_t> bytes) {
+  FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) {
+    return Status(AfError::kBadValue);
+  }
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+  return LoadFlightRecorderDump(path);
+}
+
+TEST(DecoderFuzzTest, FlightDumpDecoderSurvivesDamage) {
+  // PID-unique: the plain and _shard4 ctest variants run concurrently.
+  const std::string path =
+      ::testing::TempDir() + "/fuzz_flight." + std::to_string(::getpid()) + ".dump";
+  const FlightDumpBytes dump = ValidFlightDump();
+  const std::span<const uint8_t> valid(dump.bytes);
+  const auto whole = LoadFlightBytes(path, valid);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(whole.value().trace.events.size(), 4u);
+  EXPECT_EQ(whole.value().trace.dropped, 10u);
+
+  // Every dump field is needed, so any cut short of the end must fail.
+  Rng rng(kDecoderFuzzSeed);
+  std::vector<size_t> cuts = dump.boundaries;
+  for (int i = 0; i < kFlightCuts; ++i) {
+    cuts.push_back(rng() % valid.size());
+  }
+  for (const size_t cut : cuts) {
+    if (cut < valid.size()) {
+      EXPECT_FALSE(LoadFlightBytes(path, valid.first(cut)).ok()) << "cut at " << cut;
+    }
+  }
+  for (const size_t at : dump.count_words) {
+    for (const uint32_t lie : kLyingLengths) {
+      std::vector<uint8_t> lying = dump.bytes;
+      std::memcpy(lying.data() + at, &lie, sizeof(lie));
+      LoadFlightBytes(path, lying);
+    }
+  }
+  for (const size_t at : dump.event_counts) {
+    for (const uint64_t lie : kLyingEventCounts) {
+      std::vector<uint8_t> lying = dump.bytes;
+      std::memcpy(lying.data() + at, &lie, sizeof(lie));
+      LoadFlightBytes(path, lying);
+    }
+  }
+  for (int round = 0; round < kFlightRounds; ++round) {
+    LoadFlightBytes(path, Damage(rng, dump.bytes));
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

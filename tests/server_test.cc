@@ -88,6 +88,23 @@ TEST_F(ServerTest, ACWithBadGainIsAcceptedButBadEncodingIsNot) {
   EXPECT_EQ(errors_[0].code, AfError::kBadMatch);
 }
 
+TEST_F(ServerTest, OutOfRangeEncodingIsBadValueForCreateAndChange) {
+  ACAttributes attrs;
+  attrs.encoding = static_cast<AEncodeType>(99);
+  conn_->CreateAC(0, kACEncodingType, attrs);
+  auto ac = conn_->CreateAC(0, 0, ACAttributes{});
+  ASSERT_TRUE(ac.ok());
+  ac.value()->ChangeAttributes(kACEncodingType, attrs);
+  conn_->Sync();
+  ASSERT_EQ(errors_.size(), 2u);
+  EXPECT_EQ(errors_[0].opcode, Opcode::kCreateAC);
+  EXPECT_EQ(errors_[0].code, AfError::kBadValue);
+  EXPECT_EQ(errors_[0].value, 99u);
+  EXPECT_EQ(errors_[1].opcode, Opcode::kChangeACAttributes);
+  EXPECT_EQ(errors_[1].code, AfError::kBadValue);
+  EXPECT_EQ(errors_[1].value, 99u);
+}
+
 TEST_F(ServerTest, ChangeACAttributesValidatesOwnership) {
   ChangeACAttributesReq req;
   req.ac = 0xDEAD;  // nobody's AC

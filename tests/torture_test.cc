@@ -192,5 +192,163 @@ TEST_F(TortureTest, FloodOfGiantRequestHeadersIsBounded) {
   ExpectServerAlive();
 }
 
+// --- dispatch golden ------------------------------------------------------------
+//
+// The dispatcher's answer to every opcode, pinned as literals: its canonical
+// request, the same header with an empty body, and (for a body with a device
+// field) the canonical body aimed at device 99, plus the unassigned opcodes
+// 0 and 41. Each request is chased by a SyncConnection, so a request that
+// answers nothing reads "none". The table pins the order of the decode and
+// device checks and the answers of the retired and unimplemented rows.
+
+std::vector<uint8_t> EmptyBodyRequest(uint8_t op) {
+  WireWriter w;
+  w.U8(op);
+  w.U8(0);
+  w.U16(1);
+  return w.Take();
+}
+
+template <typename Body>
+std::vector<uint8_t> AtDevice99(Opcode op) {
+  if constexpr (requires(Body b) { b.device; }) {
+    const std::vector<uint8_t> canonical = CanonicalRequest(op);
+    WireReader r(std::span<const uint8_t>(canonical).subspan(kRequestHeaderBytes));
+    Body body;
+    EXPECT_TRUE(Body::Decode(r, &body)) << OpcodeName(op);
+    body.device = 99;
+    WireWriter w;
+    const size_t header = BeginRequest(w, op);
+    body.Encode(w);
+    EndRequest(w, header);
+    return w.Take();
+  }
+  return {};
+}
+
+// The canonical request retargeted at device 99; empty when the body has
+// no device field.
+std::vector<uint8_t> AtDevice99(Opcode op) {
+  switch (op) {
+#define AF_AT_DEVICE_99(value, name, body) \
+  case Opcode::k##name:                    \
+    return AtDevice99<body>(op);
+    AF_REQUESTS(AF_AT_DEVICE_99)
+#undef AF_AT_DEVICE_99
+  }
+  return {};
+}
+
+// Sends `req` and a SyncConnection on a set-up raw connection whose last
+// request had sequence number *seq, and reads units up to the sync's reply.
+// Returns what answered `req`: "reply", "<error> <value>", or "none".
+std::string Answer(FdStream& raw, const std::vector<uint8_t>& req, uint16_t* seq) {
+  const uint16_t req_seq = ++*seq;
+  const uint16_t sync_seq = ++*seq;
+  std::vector<uint8_t> wire(req);
+  const std::vector<uint8_t> sync = EmptyBodyRequest(static_cast<uint8_t>(Opcode::kSyncConnection));
+  wire.insert(wire.end(), sync.begin(), sync.end());
+  if (!raw.WriteAll(wire.data(), wire.size()).ok()) {
+    return "<write failed>";
+  }
+  std::string answer;
+  for (;;) {
+    uint8_t unit[kReplyBaseBytes];
+    if (!raw.ReadAll(unit, sizeof(unit)).ok()) {
+      return answer + "<closed>";
+    }
+    if (unit[0] == kErrorPacketType) {
+      ErrorPacket error;
+      EXPECT_TRUE(ErrorPacket::Decode(unit, HostWireOrder(), &error));
+      if (error.seq == req_seq) {
+        const std::string text = ErrorText(error.code);
+        answer += (answer.empty() ? "" : " ") + text.substr(0, text.find(':')) + " " +
+                  std::to_string(error.value);
+      }
+    } else if (unit[0] == kReplyPacketType) {
+      ReplyHeader header;
+      EXPECT_TRUE(PeekReplyHeader(unit, HostWireOrder(), &header));
+      std::vector<uint8_t> extra(size_t{header.extra_words} * 4);
+      if (!raw.ReadAll(extra.data(), extra.size()).ok()) {
+        return answer + "<closed>";
+      }
+      if (header.seq == sync_seq) {
+        return answer.empty() ? "none" : answer;
+      }
+      if (header.seq == req_seq) {
+        answer += answer.empty() ? "reply" : " reply";
+      }
+    }
+  }
+}
+
+struct DispatchGolden {
+  Opcode op;
+  const char* canonical;
+  const char* empty;
+  const char* device99;  // "" when the body has no device field
+};
+
+const DispatchGolden kDispatchGoldens[] = {
+    {Opcode::kSelectEvents, "none", "BadLength 0", "BadDevice 99"},
+    {Opcode::kCreateAC, "BadIDChoice 0", "BadLength 0", "BadDevice 99"},
+    {Opcode::kChangeACAttributes, "BadAC 0", "BadLength 0", ""},
+    {Opcode::kFreeAC, "BadAC 0", "BadLength 0", ""},
+    {Opcode::kPlaySamples, "BadAC 0", "BadLength 0", ""},
+    {Opcode::kRecordSamples, "BadAC 0", "BadLength 0", ""},
+    {Opcode::kGetTime, "reply", "BadLength 0", "BadDevice 99"},
+    {Opcode::kQueryPhone, "BadMatch 0", "BadLength 0", "BadDevice 99"},
+    {Opcode::kEnablePassThrough, "none", "BadLength 0", ""},
+    {Opcode::kDisablePassThrough, "none", "BadLength 0", ""},
+    {Opcode::kHookSwitch, "BadMatch 0", "BadLength 0", "BadDevice 99"},
+    {Opcode::kFlashHook, "BadMatch 0", "BadLength 0", "BadDevice 99"},
+    {Opcode::kEnableGainControl, "none", "BadLength 0", "BadDevice 99"},
+    {Opcode::kDisableGainControl, "none", "BadLength 0", "BadDevice 99"},
+    {Opcode::kDialPhone, "Obsolete 0", "Obsolete 0", "Obsolete 0"},
+    {Opcode::kSetInputGain, "none", "BadLength 0", "BadDevice 99"},
+    {Opcode::kSetOutputGain, "none", "BadLength 0", "BadDevice 99"},
+    {Opcode::kQueryInputGain, "reply", "BadLength 0", "BadDevice 99"},
+    {Opcode::kQueryOutputGain, "reply", "BadLength 0", "BadDevice 99"},
+    {Opcode::kEnableInput, "none", "BadLength 0", "BadDevice 99"},
+    {Opcode::kEnableOutput, "none", "BadLength 0", "BadDevice 99"},
+    {Opcode::kDisableInput, "none", "BadLength 0", "BadDevice 99"},
+    {Opcode::kDisableOutput, "none", "BadLength 0", "BadDevice 99"},
+    {Opcode::kSetAccessControl, "none", "BadLength 0", ""},
+    {Opcode::kChangeHosts, "none", "BadLength 0", ""},
+    {Opcode::kListHosts, "reply", "reply", ""},
+    {Opcode::kInternAtom, "reply", "BadLength 0", ""},
+    {Opcode::kGetAtomName, "reply", "BadLength 0", ""},
+    {Opcode::kChangeProperty, "none", "BadLength 0", "BadDevice 99"},
+    {Opcode::kDeleteProperty, "none", "BadLength 0", "BadDevice 99"},
+    {Opcode::kGetProperty, "reply", "BadLength 0", "BadDevice 99"},
+    {Opcode::kListProperties, "reply", "BadLength 0", "BadDevice 99"},
+    {Opcode::kNoOperation, "none", "none", ""},
+    {Opcode::kSyncConnection, "reply", "reply", ""},
+    {Opcode::kQueryExtension, "NotImplemented 0", "NotImplemented 0", ""},
+    {Opcode::kListExtensions, "NotImplemented 0", "NotImplemented 0", ""},
+    {Opcode::kKillClient, "NotImplemented 0", "NotImplemented 0", ""},
+    {Opcode::kGetServerStats, "reply", "reply", ""},
+    {Opcode::kGetTrace, "reply", "BadLength 0", ""},
+    {Opcode::kResyncTime, "reply", "BadLength 0", "BadDevice 99"},
+};
+
+TEST_F(TortureTest, DispatchGoldenEveryOpcode) {
+  FdStream raw = HostileConnection(nullptr);
+  ASSERT_TRUE(torture::RawSetup(raw));
+  uint16_t seq = 0;
+  ASSERT_EQ(std::size(kDispatchGoldens), size_t{kMaxOpcode - kMinOpcode + 1});
+  for (const DispatchGolden& g : kDispatchGoldens) {
+    const uint8_t op = static_cast<uint8_t>(g.op);
+    EXPECT_EQ(Answer(raw, CanonicalRequest(g.op), &seq), g.canonical) << OpcodeName(g.op);
+    EXPECT_EQ(Answer(raw, EmptyBodyRequest(op), &seq), g.empty) << OpcodeName(g.op) << " empty";
+    const std::vector<uint8_t> at99 = AtDevice99(g.op);
+    EXPECT_EQ(at99.empty() ? "" : Answer(raw, at99, &seq), g.device99)
+        << OpcodeName(g.op) << " device 99";
+  }
+  EXPECT_EQ(Answer(raw, EmptyBodyRequest(0), &seq), "BadRequest 0");
+  EXPECT_EQ(Answer(raw, EmptyBodyRequest(kMaxOpcode + 1), &seq), "BadRequest 41");
+  ExpectServerAlive();
+}
+
 }  // namespace
 }  // namespace af

@@ -7,6 +7,7 @@
 
 #include "proto/atoms.h"
 #include "proto/events.h"
+#include "proto/oplog.h"
 #include "proto/requests.h"
 #include "proto/setup.h"
 #include "proto/trace_wire.h"
@@ -193,7 +194,6 @@ TEST_P(WireOrderTest, RecordReplyWithData) {
   RecordSamplesReply reply;
   reply.time = 999;
   reply.data = {1, 2, 3, 4, 5, 6, 7};
-  reply.actual_bytes = 7;
   reply.Encode(w, 5);
   EXPECT_EQ(w.size(), kReplyBaseBytes + 8);  // 7 bytes padded to 8
 
@@ -554,6 +554,380 @@ TEST(RequestGoldenTest, EveryRequestInBothOrders) {
       EXPECT_EQ(WordsHex(w.data()), order == WireOrder::kLittle ? g.little : g.big)
           << OpcodeName(g.op) << (order == WireOrder::kLittle ? " little" : " big");
     }
+  }
+}
+
+// --- byte goldens for every server-to-client unit and fixed block ------------
+
+// One instance of every reply, the error packet, one event per type, the
+// op-log frames and the setup replies, every field a distinct value and
+// every extra-data field of odd length. `encode` writes the unit in the
+// given order; `reencode` decodes bytes back and encodes what it got, so
+// the decoder must read the same layout the literals pin.
+struct UnitGolden {
+  std::string name;
+  std::function<std::vector<uint8_t>(WireOrder)> encode;
+  std::function<std::vector<uint8_t>(std::span<const uint8_t>, WireOrder)> reencode;
+  const char* little;
+  const char* big;
+};
+
+constexpr uint16_t kGoldenSeq = 0x0a0b;
+
+template <typename Reply>
+UnitGolden ReplyGolden(const char* name, Reply reply, const char* little, const char* big) {
+  return {name,
+          [reply](WireOrder order) {
+            WireWriter w(order);
+            reply.Encode(w, kGoldenSeq);
+            return w.Take();
+          },
+          [](std::span<const uint8_t> bytes, WireOrder order) {
+            Reply out;
+            WireWriter w(order);
+            if (Reply::Decode(bytes, order, &out)) {
+              out.Encode(w, kGoldenSeq);
+            }
+            return w.Take();
+          },
+          little, big};
+}
+
+UnitGolden EventGolden(AEvent event, const char* little, const char* big) {
+  return {std::string("AEvent ") + EventTypeName(event.type),
+          [event](WireOrder order) {
+            WireWriter w(order);
+            event.Encode(w);
+            return w.Take();
+          },
+          [](std::span<const uint8_t> bytes, WireOrder order) {
+            AEvent out;
+            WireWriter w(order);
+            if (AEvent::Decode(bytes, order, &out)) {
+              out.Encode(w);
+            }
+            return w.Take();
+          },
+          little, big};
+}
+
+UnitGolden SetupReplyGolden(const char* name, SetupReply reply, const char* little,
+                            const char* big) {
+  return {name, [reply](WireOrder order) { return reply.Encode(order); },
+          [](std::span<const uint8_t> bytes, WireOrder order) {
+            bool success = false;
+            uint32_t words = 0;
+            SetupReply out;
+            if (!SetupReply::DecodeFixed(bytes, order, &success, &words) ||
+                bytes.size() != SetupReply::kFixedBytes + size_t{words} * 4 ||
+                !SetupReply::DecodeVariable(bytes.subspan(SetupReply::kFixedBytes), order,
+                                            success, &out)) {
+              return std::vector<uint8_t>{};
+            }
+            return out.Encode(order);
+          },
+          little, big};
+}
+
+OplogRecord GoldenOplogRecord() {
+  OplogRecord rec;
+  rec.seq = 0x0102030405060708ull;
+  rec.type = static_cast<uint16_t>(OplogType::kACCreate);
+  rec.flags = 0x0405;
+  rec.client = 6;
+  rec.device = 7;
+  rec.ac = 0x100008;
+  rec.value_mask = 0x3f;
+  rec.attrs = GoldenAttrs();
+  rec.value = 0x1112131415161718ull;
+  rec.corr = 0x2122232425262728ull;
+  return rec;
+}
+
+DeviceDesc GoldenDevice(uint32_t index, DevType type) {
+  DeviceDesc d;
+  d.index = index;
+  d.type = type;
+  d.play_sample_rate = 8000 + index;
+  d.play_buffer_samples = 0x8000 + index;
+  d.play_nchannels = 1 + index;
+  d.play_encoding = AEncodeType::kLin16;
+  d.rec_sample_rate = 16000 + index;
+  d.rec_buffer_samples = 0x4000 + index;
+  d.rec_nchannels = 2 + index;
+  d.rec_encoding = AEncodeType::kAlaw;
+  d.number_of_inputs = 3 + index;
+  d.number_of_outputs = 4 + index;
+  d.inputs_from_phone = 5 + index;
+  d.outputs_to_phone = 6 + index;
+  return d;
+}
+
+std::vector<UnitGolden> UnitGoldens() {
+  GetTimeReply time;  // also PlaySamplesReply
+  time.time = 0x01020304;
+  ResyncTimeReply resync;
+  resync.server_time = 0x11223344;
+  resync.promoted_watermark = 0x55667788;
+  resync.promoted = 1;
+  RecordSamplesReply record;
+  record.time = 0x0badf00d;
+  record.data = {1, 2, 3, 4, 5, 6, 7};
+  QueryPhoneReply phone;
+  phone.off_hook = 1;
+  phone.loop_current = 2;
+  QueryGainReply gain;
+  gain.gain_db = -6;
+  gain.min_db = -29;
+  gain.max_db = 28;
+  InternAtomReply atom;
+  atom.atom = 0x01234567;
+  GetAtomNameReply atom_name;
+  atom_name.name = "SPEAKER";
+  GetPropertyReply property;
+  property.type = 31;
+  property.format = 8;
+  property.bytes_after = 3;
+  property.data = {0xd1, 0xd2, 0xd3, 0xd4, 0xd5};
+  ListPropertiesReply properties;
+  properties.atoms = {1, 0x20, 0x300};
+  ListHostsReply hosts;
+  hosts.enabled = 1;
+  hosts.hosts = {{0, {10, 0, 0, 1}}, {1, {0xfe, 0x80, 0x01}}};
+
+  std::vector<UnitGolden> goldens = {
+      ReplyGolden("GetTimeReply", time,
+                  "01000b0a 00000000 04030201 00000000 00000000 00000000 00000000 00000000",
+                  "01000a0b 00000000 01020304 00000000 00000000 00000000 00000000 00000000"),
+      ReplyGolden("ResyncTimeReply", resync,
+                  "01000b0a 00000000 44332211 88776655 01000000 00000000 00000000 00000000",
+                  "01000a0b 00000000 11223344 55667788 00000001 00000000 00000000 00000000"),
+      ReplyGolden("RecordSamplesReply", record,
+                  "01000b0a 02000000 0df0ad0b 07000000 00000000 00000000 00000000 00000000 "
+                  "01020304 05060700",
+                  "01000a0b 00000002 0badf00d 00000007 00000000 00000000 00000000 00000000 "
+                  "01020304 05060700"),
+      ReplyGolden("QueryPhoneReply", phone,
+                  "01000b0a 00000000 01000000 02000000 00000000 00000000 00000000 00000000",
+                  "01000a0b 00000000 00000001 00000002 00000000 00000000 00000000 00000000"),
+      ReplyGolden("QueryGainReply", gain,
+                  "01000b0a 00000000 faffffff e3ffffff 1c000000 00000000 00000000 00000000",
+                  "01000a0b 00000000 fffffffa ffffffe3 0000001c 00000000 00000000 00000000"),
+      ReplyGolden("InternAtomReply", atom,
+                  "01000b0a 00000000 67452301 00000000 00000000 00000000 00000000 00000000",
+                  "01000a0b 00000000 01234567 00000000 00000000 00000000 00000000 00000000"),
+      ReplyGolden("GetAtomNameReply", atom_name,
+                  "01000b0a 02000000 07000000 00000000 00000000 00000000 00000000 00000000 "
+                  "53504541 4b455200",
+                  "01000a0b 00000002 00000007 00000000 00000000 00000000 00000000 00000000 "
+                  "53504541 4b455200"),
+      ReplyGolden("GetPropertyReply", property,
+                  "01000b0a 02000000 1f000000 08000000 03000000 05000000 00000000 00000000 "
+                  "d1d2d3d4 d5000000",
+                  "01000a0b 00000002 0000001f 00000008 00000003 00000005 00000000 00000000 "
+                  "d1d2d3d4 d5000000"),
+      ReplyGolden("ListPropertiesReply", properties,
+                  "01000b0a 03000000 03000000 00000000 00000000 00000000 00000000 00000000 "
+                  "01000000 20000000 00030000",
+                  "01000a0b 00000003 00000003 00000000 00000000 00000000 00000000 00000000 "
+                  "00000001 00000020 00000300"),
+      ReplyGolden("ListHostsReply", hosts,
+                  "01000b0a 04000000 01000000 02000000 00000000 00000000 00000000 00000000 "
+                  "00000400 0a000001 01000300 fe800100",
+                  "01000a0b 00000004 00000001 00000002 00000000 00000000 00000000 00000000 "
+                  "00000004 0a000001 00010003 fe800100"),
+      ReplyGolden("EmptyReply", EmptyReply{},
+                  "01000b0a 00000000 00000000 00000000 00000000 00000000 00000000 00000000",
+                  "01000a0b 00000000 00000000 00000000 00000000 00000000 00000000 00000000"),
+  };
+
+  ErrorPacket error;
+  error.code = AfError::kBadDevice;
+  error.seq = kGoldenSeq;
+  error.opcode = Opcode::kGetTime;
+  error.ext = 1;
+  error.value = 99;
+  goldens.push_back({"ErrorPacket",
+                     [error](WireOrder order) {
+                       WireWriter w(order);
+                       error.Encode(w);
+                       return w.Take();
+                     },
+                     [](std::span<const uint8_t> bytes, WireOrder order) {
+                       ErrorPacket out;
+                       WireWriter w(order);
+                       if (ErrorPacket::Decode(bytes, order, &out)) {
+                         out.Encode(w);
+                       }
+                       return w.Take();
+                     },
+                     "00030b0a 07010000 63000000 00000000 00000000 00000000 00000000 00000000",
+                     "00030a0b 07010000 00000063 00000000 00000000 00000000 00000000 00000000"});
+
+  const struct {
+    EventType type;
+    const char* little;
+    const char* big;
+  } kEvents[] = {
+      {EventType::kPhoneRing,
+       "02320b0a 02000000 01000080 08070605 04030201 11000000 22000000 33000000",
+       "02320a0b 00000002 80000001 01020304 05060708 00000011 00000022 00000033"},
+      {EventType::kPhoneDTMF,
+       "03330b0a 03000000 01000080 08070605 04030201 11000000 22000000 33000000",
+       "03330a0b 00000003 80000001 01020304 05060708 00000011 00000022 00000033"},
+      {EventType::kPhoneLoop,
+       "04340b0a 04000000 01000080 08070605 04030201 11000000 22000000 33000000",
+       "04340a0b 00000004 80000001 01020304 05060708 00000011 00000022 00000033"},
+      {EventType::kHookSwitch,
+       "05350b0a 05000000 01000080 08070605 04030201 11000000 22000000 33000000",
+       "05350a0b 00000005 80000001 01020304 05060708 00000011 00000022 00000033"},
+      {EventType::kPropertyChange,
+       "06360b0a 06000000 01000080 08070605 04030201 11000000 22000000 33000000",
+       "06360a0b 00000006 80000001 01020304 05060708 00000011 00000022 00000033"},
+  };
+  for (const auto& e : kEvents) {
+    AEvent ev;
+    ev.type = e.type;
+    ev.detail = static_cast<uint8_t>(0x30 + static_cast<uint8_t>(e.type));
+    ev.seq = kGoldenSeq;
+    ev.device = static_cast<uint8_t>(e.type);
+    ev.dev_time = 0x80000001u;
+    ev.host_time_us = 0x0102030405060708ull;
+    ev.w0 = 0x11;
+    ev.w1 = 0x22;
+    ev.w2 = 0x33;
+    goldens.push_back(EventGolden(ev, e.little, e.big));
+  }
+
+  goldens.push_back({"OplogHello",
+                     [](WireOrder order) {
+                       WireWriter w(order);
+                       EncodeOplogHello(w);
+                       return w.Take();
+                     },
+                     [](std::span<const uint8_t> bytes, WireOrder order) {
+                       const auto hello = DecodeOplogHello(bytes);
+                       WireWriter w(order);
+                       if (hello.has_value() && hello->order == order &&
+                           hello->record_bytes == kOplogRecordBytes) {
+                         EncodeOplogHello(w);
+                       }
+                       return w.Take();
+                     },
+                     "4c4f4641 016c4800",
+                     "41464f4c 01420048"});
+  goldens.push_back({"OplogAck",
+                     [](WireOrder order) {
+                       WireWriter w(order);
+                       EncodeOplogAck(w, 0x0102030405060708ull);
+                       return w.Take();
+                     },
+                     [](std::span<const uint8_t> bytes, WireOrder order) {
+                       const auto seq = DecodeOplogAck(bytes, order);
+                       WireWriter w(order);
+                       if (seq.has_value()) {
+                         EncodeOplogAck(w, *seq);
+                       }
+                       return w.Take();
+                     },
+                     "08070605 04030201",
+                     "01020304 05060708"});
+  goldens.push_back({"OplogRecord",
+                     [](WireOrder order) {
+                       WireWriter w(order);
+                       EncodeOplogRecord(w, GoldenOplogRecord());
+                       return w.Take();
+                     },
+                     [](std::span<const uint8_t> bytes, WireOrder order) {
+                       OplogRecord out;
+                       WireWriter w(order);
+                       if (DecodeOplogRecord(bytes, order, kOplogRecordBytes, &out)) {
+                         EncodeOplogRecord(w, out);
+                       }
+                       return w.Take();
+                     },
+                     "08070605 04030201 03000504 06000000 07000000 08001000 3f000000 ecffffff "
+                     "f9ffffff 01000000 01000000 02000000 02000000 18171615 14131211 28272625 "
+                     "24232221 00000000",
+                     "01020304 05060708 00030405 00000006 00000007 00100008 0000003f ffffffec "
+                     "fffffff9 00000001 00000001 00000002 00000002 11121314 15161718 21222324 "
+                     "25262728 00000000"});
+
+  SetupReply accepted;
+  accepted.success = true;
+  accepted.resource_id_base = 0x00300000;
+  accepted.resource_id_mask = 0x000fffff;
+  accepted.vendor = "AF golden";
+  accepted.devices = {GoldenDevice(0, DevType::kCodec), GoldenDevice(1, DevType::kPhone)};
+  goldens.push_back(SetupReplyGolden(
+      "SetupReply accepted", accepted,
+      "01000200 00002200 00003000 ffff0f00 09000200 41462067 6f6c6465 6e000000 "
+      "00000000 00000000 401f0000 00800000 01000000 02000000 803e0000 00400000 "
+      "02000000 01000000 03000000 04000000 05000000 06000000 01000000 02000000 "
+      "411f0000 01800000 02000000 02000000 813e0000 01400000 03000000 01000000 "
+      "04000000 05000000 06000000 07000000",
+      "01000002 00000022 00300000 000fffff 00090200 41462067 6f6c6465 6e000000 "
+      "00000000 00000000 00001f40 00008000 00000001 00000002 00003e80 00004000 "
+      "00000002 00000001 00000003 00000004 00000005 00000006 00000001 00000002 "
+      "00001f41 00008001 00000002 00000002 00003e81 00004001 00000003 00000001 "
+      "00000004 00000005 00000006 00000007"));
+  SetupReply refused;
+  refused.success = false;
+  refused.failure_reason = "no access";
+  goldens.push_back(SetupReplyGolden(
+      "SetupReply refused", refused,
+      "00000200 00000400 09000000 6e6f2061 63636573 73000000",
+      "00000002 00000004 00000009 6e6f2061 63636573 73000000"));
+  return goldens;
+}
+
+TEST(UnitGoldenTest, EveryServerUnitInBothOrders) {
+  for (const UnitGolden& g : UnitGoldens()) {
+    for (const WireOrder order : {WireOrder::kLittle, WireOrder::kBig}) {
+      const char* want = order == WireOrder::kLittle ? g.little : g.big;
+      const std::vector<uint8_t> bytes = g.encode(order);
+      EXPECT_EQ(WordsHex(bytes), want)
+          << g.name << (order == WireOrder::kLittle ? " little" : " big");
+      EXPECT_EQ(WordsHex(g.reencode(bytes, order)), want)
+          << g.name << (order == WireOrder::kLittle ? " little" : " big") << " re-encoded";
+    }
+  }
+}
+
+// Bytes from WordsHex form (spaces ignored).
+std::vector<uint8_t> FromWordsHex(std::string_view hex) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i + 1 < hex.size();) {
+    if (hex[i] == ' ') {
+      ++i;
+      continue;
+    }
+    out.push_back(static_cast<uint8_t>(std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+    i += 2;
+  }
+  return out;
+}
+
+// A version-1 primary's 64-byte record: every field up to value, then pad;
+// the decoder must hand back corr = 0.
+TEST(UnitGoldenTest, VersionOneOplogRecordDecodesWithZeroCorr) {
+  for (const WireOrder order : {WireOrder::kLittle, WireOrder::kBig}) {
+    const std::vector<uint8_t> v1 = FromWordsHex(
+        order == WireOrder::kLittle
+            ? "08070605 04030201 03000504 06000000 07000000 08001000 3f000000 ecffffff "
+              "f9ffffff 01000000 01000000 02000000 02000000 18171615 14131211 00000000"
+            : "01020304 05060708 00030405 00000006 00000007 00100008 0000003f ffffffec "
+              "fffffff9 00000001 00000001 00000002 00000002 11121314 15161718 00000000");
+    ASSERT_EQ(v1.size(), kOplogRecordBytesV1);
+    OplogRecord out;
+    ASSERT_TRUE(DecodeOplogRecord(v1, order, kOplogRecordBytesV1, &out));
+    OplogRecord want = GoldenOplogRecord();
+    want.corr = 0;
+    WireWriter got_w(order);
+    EncodeOplogRecord(got_w, out);
+    WireWriter want_w(order);
+    EncodeOplogRecord(want_w, want);
+    EXPECT_EQ(WordsHex(got_w.data()), WordsHex(want_w.data()));
   }
 }
 
