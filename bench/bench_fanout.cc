@@ -7,12 +7,12 @@
 // hold a mixing lin16 AC on the CODEC device and issue timed play
 // requests round-robin; per-request p50/p95/p99 come from the client
 // side, and the server stats block supplies the mechanism-level axes:
-// syscalls per request (writev_calls / requests_dispatched), egress
-// coalescing (writev_iovecs / writev_calls), and wake-to-drain latency
-// (the poll_wake histogram percentiles).
+// egress syscalls per request (writev_calls / requests_dispatched) and
+// wake-to-drain latency (the poll_wake histogram percentiles).
 //
-// The server runs its one configuration: epoll readiness, writev egress,
-// SIMD kernels ("optimized"). The committed BENCH_fanout.json also keeps
+// The server runs its one configuration: epoll readiness, one send buffer
+// per connection, SIMD kernels ("optimized"). The committed
+// BENCH_fanout.json also keeps
 // the rows of the retired ablations (poll, one write per segment, scalar
 // DSP, each alone at N = 256) that settled those choices.
 //
@@ -82,7 +82,7 @@ struct FanoutResult {
 // Queues `kBurst` reply-bearing play requests back to back, flushes them
 // as one transport write, then collects all the replies. The server reads
 // the whole burst in one wake and dispatches it in one sweep, so its
-// replies stage as separate egress segments that a single writev drains —
+// replies accumulate in the connection's send buffer and leave together —
 // this is the workload where coalesced flushing shows up as fewer
 // syscalls per request (a synchronous client never leaves more than one
 // reply pending).
@@ -263,7 +263,7 @@ int main(int argc, char** argv) {
 
   PrintHeader("Fan-out: per-request play latency (usec)",
               {"clients", "config", "p50", "p95", "burst p50", "burst p95",
-               "sys/req", "iov/flush"});
+               "sys/req"});
   bool ok = true;
   const auto run_one = [&](const FanoutConfig& config, int n,
                            bool burst_phase = true) {
@@ -291,8 +291,6 @@ int main(int argc, char** argv) {
                  result.burst);
     }
     report.SetServer(key, result.server);
-    const double flushes = static_cast<double>(
-        result.server.writev_calls ? result.server.writev_calls : 1);
     PrintCell(std::to_string(n));
     PrintCell(config.name);
     PrintCell(result.play.p50_us, "%.1f");
@@ -302,7 +300,6 @@ int main(int argc, char** argv) {
     PrintCell(static_cast<double>(result.server.writev_calls) /
                   std::max<uint64_t>(result.server.requests_dispatched, 1),
               "%.3f");
-    PrintCell(static_cast<double>(result.server.writev_iovecs) / flushes, "%.2f");
     EndRow();
   };
 
@@ -333,9 +330,7 @@ int main(int argc, char** argv) {
     }
     run_one(kCrossShard, 256);
   }
-  std::printf("\nsys/req counts egress flush syscalls per dispatched request;\n"
-              "iov/flush is the mean number of staged segments one writev\n"
-              "coalesces.\n");
+  std::printf("\nsys/req counts egress write syscalls per dispatched request.\n");
 
   if (!ok) {
     return 1;

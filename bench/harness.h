@@ -281,8 +281,8 @@ struct ServerSide {
   // Scalability counters (the fan-out bench's syscalls-per-request and
   // wake-to-drain axes).
   uint64_t loop_iterations = 0;
-  uint64_t writev_calls = 0;   // egress flush syscalls
-  uint64_t writev_iovecs = 0;  // segments coalesced into them
+  uint64_t writev_calls = 0;   // egress write syscalls
+  uint64_t writev_iovecs = 0;  // buffers sent by them: one per write
   uint64_t poller_backend = 0; // retired slot; 1 (epoll) on every server
   uint64_t watched_fds = 0;    // interest-set size (gauge sample)
   uint64_t poll_wake_p50_us = 0;  // readiness wake latency past the timeout

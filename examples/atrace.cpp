@@ -8,8 +8,8 @@
 // One-shot runs enable tracing, hold the window open for --window
 // seconds (default 1), drain the ring, and disable tracing again.
 // --follow keeps tracing on and polls the ring for the given duration
-// before the final drain (windows are deduplicated by ring sequence and
-// ring-wrap losses appear as synthetic `gap` records). --merge turns on
+// before the final drain (ring-wrap losses appear as synthetic `gap`
+// records). --merge turns on
 // client-side tracing too, aligns the two clocks, and renders one causal
 // timeline with per-request latency budgets (JSON output gains Perfetto
 // flow arrows along each correlation ID). --dump skips the server

@@ -8,9 +8,9 @@
 // PR 9 additions: --merge captures a window with client-side tracing live,
 // aligns the two clocks, splices the client ring into the server window,
 // draws Perfetto flow arrows along each correlation ID, and prints the
-// telescoped latency budget; --follow deduplicates polled windows by
-// (shard, ring sequence) and marks ring-wrap losses with synthetic
-// kTraceGap records; LoadFlightRecorderDump parses a crash handler's
+// telescoped latency budget; --follow appends the polled windows and
+// marks ring-wrap losses with synthetic kTraceGap records;
+// LoadFlightRecorderDump parses a crash handler's
 // native-order dump back into the same renderers.
 #include <algorithm>
 #include <chrono>
@@ -610,26 +610,8 @@ Result<std::string> RunAtrace(AFAudioConn& aud, const AtraceOptions& options) {
   if (span > 0) {
     const bool follow = options.follow_seconds > 0;
     const double poll = follow ? options.poll_interval_seconds : span;
-    // Follow-mode dedup: each shard's records carry its ring sequence, so
-    // a record seen in an earlier poll (drain raced with a cross-shard
-    // gather) is dropped by (shard, seq). seq 0 records (a pre-field
-    // server) always pass.
-    std::map<uint16_t, uint64_t> last_seq;
-    std::vector<TraceEvent> deduped;
-    deduped.reserve(merged.events.size());
-    auto append_window = [&](const std::vector<TraceEvent>& events) {
-      for (const TraceEvent& ev : events) {
-        if (follow && ev.seq != 0) {
-          uint64_t& last = last_seq[ev.shard];
-          if (ev.seq <= last) {
-            continue;
-          }
-          last = ev.seq;
-        }
-        deduped.push_back(ev);
-      }
-    };
-    append_window(merged.events);
+    // Every fetch drains the rings it reads, so no record comes back twice
+    // and the windows simply append.
     uint64_t prev_dropped = merged.dropped;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::duration<double>(span);
@@ -649,15 +631,15 @@ Result<std::string> RunAtrace(AFAudioConn& aud, const AtraceOptions& options) {
         gap.kind = static_cast<uint8_t>(TraceKind::kTraceGap);
         gap.host_us = next.value().host_now_us;
         gap.value = next.value().dropped - prev_dropped;
-        deduped.push_back(gap);
+        merged.events.push_back(gap);
       }
       prev_dropped = next.value().dropped;
-      append_window(next.value().events);
+      merged.events.insert(merged.events.end(), next.value().events.begin(),
+                           next.value().events.end());
       merged.enabled = next.value().enabled;
       merged.dropped = next.value().dropped;
       merged.host_now_us = next.value().host_now_us;
     }
-    merged.events = std::move(deduped);
   }
   return options.json ? FormatTraceJson(merged) : FormatTraceText(merged);
 }

@@ -281,10 +281,10 @@ std::string FormatTraceText(const TraceWire& trace);
 std::string FormatTraceJson(const TraceWire& trace);
 
 // Drains the server's trace ring (polling for follow_seconds when set) and
-// renders the merged result in the chosen format. In follow mode, windows
-// are deduplicated by (shard, ring sequence) across polls and a synthetic
-// kTraceGap record is inserted whenever the server's cumulative drop count
-// advanced between polls (events were lost to a ring wrap mid-follow).
+// renders the merged result in the chosen format. In follow mode, the
+// polled windows are appended in order and a synthetic kTraceGap record is
+// inserted whenever the server's cumulative drop count advanced between
+// polls (events were lost to a ring wrap mid-follow).
 Result<std::string> RunAtrace(AFAudioConn& aud, const AtraceOptions& options);
 
 // --- atrace --merge: one causal timeline across client and server -------------------

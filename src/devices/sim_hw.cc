@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "dsp/g711.h"
-#include "dsp/gain.h"
 #include "dsp/mix.h"
 
 namespace af {
@@ -103,22 +102,7 @@ void SimulatedAudioHw::ApplyOutputGain(std::span<uint8_t> frames) {
     std::memset(frames.data(), play_ring_.silence_byte(), frames.size());
     return;
   }
-  if (output_gain_db_ == 0) {
-    return;
-  }
-  switch (config_.encoding) {
-    case AEncodeType::kMu255:
-      ApplyMulawGain(output_gain_db_, frames);
-      break;
-    case AEncodeType::kAlaw:
-      ApplyAlawGain(output_gain_db_, frames);
-      break;
-    default: {
-      auto* lin = reinterpret_cast<int16_t*>(frames.data());
-      ApplyLin16Gain(output_gain_db_, std::span<int16_t>(lin, frames.size() / 2));
-      break;
-    }
-  }
+  ApplyGainInPlace(config_.encoding, output_gain_db_, frames);
 }
 
 void SimulatedAudioHw::ApplyInputGain(std::span<uint8_t> frames) {
@@ -126,22 +110,7 @@ void SimulatedAudioHw::ApplyInputGain(std::span<uint8_t> frames) {
     std::memset(frames.data(), rec_ring_.silence_byte(), frames.size());
     return;
   }
-  if (input_gain_db_ == 0) {
-    return;
-  }
-  switch (config_.encoding) {
-    case AEncodeType::kMu255:
-      ApplyMulawGain(input_gain_db_, frames);
-      break;
-    case AEncodeType::kAlaw:
-      ApplyAlawGain(input_gain_db_, frames);
-      break;
-    default: {
-      auto* lin = reinterpret_cast<int16_t*>(frames.data());
-      ApplyLin16Gain(input_gain_db_, std::span<int16_t>(lin, frames.size() / 2));
-      break;
-    }
-  }
+  ApplyGainInPlace(config_.encoding, input_gain_db_, frames);
 }
 
 void SimulatedAudioHw::InjectPassThrough(ATime t, std::span<const uint8_t> frames) {

@@ -48,8 +48,8 @@ constexpr uint32_t kServerStatsVersion = 1;
   X(resumes, kCounter)              /* parked requests re-dispatched */                 \
   X(faults_applied, kCounter)       /* fault-injection schedule applications */         \
   X(trace_dropped_events, kCounter) /* trace-ring records overwritten undrained */      \
-  X(writev_calls, kCounter)         /* egress flush syscalls */                         \
-  X(writev_iovecs, kCounter)        /* iovec entries submitted across those calls */    \
+  X(writev_calls, kCounter)         /* egress write syscalls */                         \
+  X(writev_iovecs, kCounter)        /* buffers sent by them: one per write */           \
   X(poller_backend, kGaugeMax)      /* retired backend slot; reads 1 (epoll) */         \
   X(watched_fds, kGauge)            /* current readiness interest-set size */           \
   X(cross_shard_posted, kCounter)   /* messages posted into the shard's inbox */        \

@@ -31,7 +31,8 @@ constexpr WireOrder HostWireOrder() {
 constexpr size_t Pad4(size_t n) { return (n + 3) & ~size_t{3}; }
 
 // Output buffer capacity either end keeps across flushes (the argument to
-// WireWriter::Reset, and the server's cap on a recycled egress segment).
+// WireWriter::Reset after the client's Flush and after a full drain of the
+// server's SendBuffer).
 constexpr size_t kWriterKeepCapacity = 65536;
 
 class WireWriter {
@@ -61,13 +62,9 @@ class WireWriter {
   std::vector<uint8_t> Take() { return std::move(buf_); }
   WireOrder order() const { return order_; }
 
-  // Hands the writer a (recycled) buffer to append into, replacing the
-  // current one. Pairs with Take(): the egress path moves staged bytes out
-  // and gives back a drained segment, so the steady state never allocates.
-  void AdoptBuffer(std::vector<uint8_t> buf) {
-    buf_ = std::move(buf);
-    buf_.clear();
-  }
+  // Drops the first n bytes, moving the rest to the front; the capacity is
+  // kept. Offsets held into the buffer shift down by n.
+  void DropFront(size_t n) { buf_.erase(buf_.begin(), buf_.begin() + n); }
 
   // Clears the buffer for reuse. The heap allocation is kept so
   // steady-state replies do not reallocate each flush cycle; capacity

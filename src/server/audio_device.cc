@@ -362,6 +362,26 @@ Status BuildStandardACOps(const DeviceDesc& desc, const ACAttributes& attrs, ACO
   return Status(AfError::kBadMatch, "device encoding has no conversion modules");
 }
 
+void ApplyGainInPlace(AEncodeType encoding, int gain_db, std::span<uint8_t> samples) {
+  if (gain_db == 0) {
+    return;
+  }
+  switch (encoding) {
+    case AEncodeType::kMu255:
+      ApplyMulawGain(gain_db, samples);
+      break;
+    case AEncodeType::kAlaw:
+      ApplyAlawGain(gain_db, samples);
+      break;
+    default: {
+      const std::span<int16_t> lin(reinterpret_cast<int16_t*>(samples.data()),
+                                   samples.size() / 2);
+      ApplyLin16GainQ15(GainQ15(gain_db), lin, lin);
+      break;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // BufferedAudioDevice
 
@@ -809,6 +829,7 @@ Status BufferedAudioDevice::RecordOnChannel(ServerAC& ac, ATime start, size_t cl
     rec_buf_.Read(cursor, stage.subspan(offset * fb, (frames - offset) * fb));
   }
 
+  std::span<uint8_t> device_bytes = stage;
   if (channel >= 0) {
     // Mono sub-device: extract one interleaved channel before conversion.
     std::span<int16_t> mono16 = arena_.Lin16(ScratchArena::kChannel, frames);
@@ -817,13 +838,15 @@ Status BufferedAudioDevice::RecordOnChannel(ServerAC& ac, ATime start, size_t cl
     for (size_t i = 0; i < frames; ++i) {
       mono16[i] = frames16[i * nchannels + static_cast<unsigned>(channel)];
     }
-    *data = ac.ops.convert_record(
-        std::span<const uint8_t>(reinterpret_cast<const uint8_t*>(mono16.data()),
-                                 frames * 2),
-        big_endian, arena_);
-  } else {
-    *data = ac.ops.convert_record(stage, big_endian, arena_);
+    device_bytes = std::span<uint8_t>(reinterpret_cast<uint8_t*>(mono16.data()), frames * 2);
   }
+  // The context's record gain, applied in the device encoding before
+  // conversion with the play path's kernels (a mono view's channel is
+  // lin16, like its parent's frames).
+  ApplyGainInPlace(desc_.rec_encoding,
+                   std::clamp(ac.attrs.record_gain_db, kGainMinDb, kGainMaxDb),
+                   device_bytes);
+  *data = ac.ops.convert_record(device_bytes, big_endian, arena_);
   out->returned_bytes = data->size();
   return Status::Ok();
 }

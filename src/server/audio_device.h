@@ -304,6 +304,11 @@ class BufferedAudioDevice : public AudioDevice {
 // device's native encoding. Shared by the concrete devices.
 Status BuildStandardACOps(const DeviceDesc& desc, const ACAttributes& attrs, ACOps* ops);
 
+// Scales samples of a device encoding in place with that encoding's gain
+// kernel: the cached mu-law or A-law table, or the lin16 Q15 multiply
+// (any other encoding is treated as lin16). 0 dB leaves them untouched.
+void ApplyGainInPlace(AEncodeType encoding, int gain_db, std::span<uint8_t> samples);
+
 }  // namespace af
 
 #endif  // AF_SERVER_AUDIO_DEVICE_H_

@@ -26,21 +26,12 @@ void TraceConnInstant(TraceKind kind, uint32_t conn, uint64_t value) {
   tr.Record(ev);
 }
 
-// Recycled-segment pool size. The steady state ping-pongs two buffers
-// (one staging, one draining); a few extra absorb kWouldBlock pile-ups.
-// One spare per reply a full fairness sweep can stage (16), plus one for
-// the event/trace bytes that ride along: a drain at the sweep cap still
-// recycles every segment instead of allocating.
-constexpr size_t kMaxSpareSegments = 17;
-// Iovec chain length per writev; longer chains drain over several calls.
-constexpr size_t kMaxFlushIovecs = 64;
 }  // namespace
 
 ClientConn::ClientConn(FaultStream stream, PeerAddress peer, uint32_t client_number)
     : stream_(std::move(stream)),
       peer_(std::move(peer)),
-      client_number_(client_number),
-      out_(std::make_unique<WireWriter>(HostWireOrder())) {
+      client_number_(client_number) {
   stream_.SetNonBlocking(true);
 }
 
@@ -120,73 +111,17 @@ bool ClientConn::HasCompleteRequest() const {
   return buf.size() >= header.TotalBytes();
 }
 
-void ClientConn::StageOutput() {
-  if (out_->size() == 0) {
-    return;
-  }
-  std::vector<uint8_t> recycled;
-  if (!spare_.empty()) {
-    recycled = std::move(spare_.back());
-    spare_.pop_back();
-  }
-  egress_.push_back(out_->Take());
-  out_->AdoptBuffer(std::move(recycled));
-}
-
 bool ClientConn::FlushOutput() {
-  StageOutput();
-  while (egress_head_ < egress_.size()) {
-    struct iovec iov[kMaxFlushIovecs];
-    size_t iovcnt = 0;
-    for (size_t i = egress_head_; i < egress_.size() && iovcnt < kMaxFlushIovecs; ++i) {
-      const size_t off = i == egress_head_ ? egress_head_off_ : 0;
-      iov[iovcnt].iov_base = const_cast<uint8_t*>(egress_[i].data() + off);
-      iov[iovcnt].iov_len = egress_[i].size() - off;
-      ++iovcnt;
+  const IoStatus status = send_.Flush(stream_, [this](size_t bytes) {
+    if (metrics_ != nullptr) {
+      metrics_->bytes_out.Add(bytes);
+      metrics_->writev_calls.Add();
+      metrics_->writev_iovecs.Add();
     }
-    const IoResult r = stream_.Writev(iov, iovcnt);
-    switch (r.status) {
-      case IoStatus::kOk: {
-        if (metrics_ != nullptr) {
-          metrics_->bytes_out.Add(r.bytes);
-          metrics_->writev_calls.Add();
-          metrics_->writev_iovecs.Add(iovcnt);
-        }
-        TraceConnInstant(TraceKind::kFlush, client_number_, r.bytes);
-        // Advance the chain; drained segments go back to the spare pool.
-        size_t left = r.bytes;
-        while (left > 0) {
-          std::vector<uint8_t>& seg = egress_[egress_head_];
-          const size_t avail = seg.size() - egress_head_off_;
-          if (left < avail) {
-            egress_head_off_ += left;
-            break;
-          }
-          left -= avail;
-          if (spare_.size() < kMaxSpareSegments && seg.capacity() <= kWriterKeepCapacity) {
-            seg.clear();
-            spare_.push_back(std::move(seg));
-          }
-          ++egress_head_;
-          egress_head_off_ = 0;
-        }
-        break;
-      }
-      case IoStatus::kWouldBlock:
-        return true;  // poller will tell us when writable
-      case IoStatus::kClosed:
-      case IoStatus::kError:
-        return false;
-    }
-  }
-  egress_.clear();
-  egress_head_ = 0;
-  egress_head_off_ = 0;
-  return true;
-}
-
-bool ClientConn::HasPendingOutput() const {
-  return egress_head_ < egress_.size() || out_->size() > 0;
+    TraceConnInstant(TraceKind::kFlush, client_number_, bytes);
+  });
+  // kWouldBlock: the poller will tell us when writable.
+  return status == IoStatus::kOk || status == IoStatus::kWouldBlock;
 }
 
 void ClientConn::SelectEvents(DeviceId device, uint32_t mask) {

@@ -1,8 +1,8 @@
 // Per-client connection state inside the server.
 //
 // Each client has an input buffer (requests are parsed once fully
-// received), an output buffer (replies, errors, events - flushed by the
-// main loop, with partial-write tracking), a 16-bit sequence counter, the
+// received), a send buffer (replies, errors, events - flushed by the main
+// loop, with partial-write tracking), a 16-bit sequence counter, the
 // wire byte order announced at setup, per-device event interests, and -
 // when a record or play request must block - a suspended request that
 // freezes further input from this connection until a task resumes it
@@ -24,6 +24,7 @@
 #include "proto/requests.h"
 #include "proto/types.h"
 #include "proto/wire.h"
+#include "server/send_buffer.h"
 #include "transport/fault_stream.h"
 #include "transport/recv_buffer.h"
 #include "transport/stream.h"
@@ -59,7 +60,7 @@ class ClientConn {
   // Only valid before any output has been generated (i.e. during setup).
   void set_order(WireOrder order) {
     order_ = order;
-    *out_ = WireWriter(order);  // egress is empty this early: setup only
+    send_ = SendBuffer(order);  // nothing is queued this early: setup only
   }
 
   uint32_t resource_id_base() const { return client_number_ << 20; }
@@ -101,21 +102,14 @@ class ClientConn {
   // --- output side ----------------------------------------------------
 
   // Appends encoded packets; the writer uses the client's byte order.
-  WireWriter& out() { return *out_; }
+  WireWriter& out() { return send_.out(); }
 
-  // Writes as much pending output as the socket accepts: staged writer
-  // bytes move (no copy) onto the egress segment chain, which drains as a
-  // single writev per syscall — replies, events, and trace payloads that
-  // accumulated since the last drain coalesce instead of going out one
-  // write each. Returns false on connection failure.
+  // Writes as much pending output as the socket accepts. Replies, events,
+  // and trace payloads that accumulated since the last drain leave together
+  // in one write instead of one write each. Returns false on connection
+  // failure.
   bool FlushOutput();
-  bool HasPendingOutput() const;
-
-  // Seals the bytes staged so far into their own egress segment (a
-  // zero-copy buffer move). The dispatch loop calls this after every
-  // request, so each reply travels as one iovec of the next drain's
-  // writev.
-  void StageOutput();
+  bool HasPendingOutput() const { return send_.unsent() > 0; }
 
   // --- sequence numbers -------------------------------------------------
 
@@ -158,15 +152,7 @@ class ClientConn {
   RecvBuffer in_;
   bool saw_eof_ = false;
 
-  std::unique_ptr<WireWriter> out_;
-
-  // Egress chain: segments queued oldest-first; the head may be partially
-  // written. Drained segments are recycled through spare_ so the
-  // steady-state flush cycle allocates nothing.
-  std::vector<std::vector<uint8_t>> egress_;
-  size_t egress_head_ = 0;       // first segment with bytes left
-  size_t egress_head_off_ = 0;   // bytes of that segment already written
-  std::vector<std::vector<uint8_t>> spare_;
+  SendBuffer send_;
 
   ServerMetrics* metrics_ = nullptr;
   uint64_t faults_synced_ = 0;

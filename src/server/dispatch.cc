@@ -528,20 +528,11 @@ void Shard::Handle(const Request& rq, EmptyReq&) {
   }
 }
 
+// Every shard's window drains on its own thread; with one shard the reply
+// encodes at once, otherwise when the last window lands (FinishTraceGather).
 template <>
 void Shard::Handle(const Request& rq, GetTraceReq& req) {
-  ClientConn& c = rq.client;
-  if (server_.num_shards() == 1) {
-    TraceWire trace;
-    SnapshotTraceLocal(req.flags, &trace);
-    trace.Encode(c.out(), c.seq());
-    return;
-  }
-  // Every shard's window must drain on its own thread: park the requester
-  // like a blocked play and gather asynchronously. The reply encodes when
-  // the last window lands (FinishTraceGather).
-  c.Suspend(rq.header, rq.body, 0, CurrentTraceCorr());
-  StartTraceGather(rq.client_ptr, req.flags);
+  StartTraceGather(rq, req.flags);
 }
 
 template <typename Body, Opcode Op>

@@ -15,12 +15,10 @@ namespace af {
 
 ReplicationPrimary::ReplicationPrimary(FdStream link) : link_(std::move(link)) {
   // The primary must never block on a slow backup; all sends are
-  // nonblocking with a bounded staging buffer.
+  // nonblocking with a bounded send buffer.
   link_.SetNonBlocking(true);
-  EncodeOplogHello(writer_);
-  pending_.insert(pending_.end(), writer_.data().begin(), writer_.data().end());
-  writer_.Reset(4096);
   std::lock_guard<std::mutex> lock(mu_);
+  EncodeOplogHello(send_.out());
   FlushLocked();
 }
 
@@ -34,20 +32,15 @@ void ReplicationPrimary::Emit(OplogRecord rec) {
   }
   DrainAcksLocked();
   // Window check: a backup that stopped acking is dead or wedged. Drop the
-  // link rather than let its state grow stale without bound (or the
-  // staging buffer grow without bound).
+  // link rather than let its state grow stale without bound (or the send
+  // buffer grow without bound).
   if (seq_ - acked_.load(std::memory_order_relaxed) >= kAckWindow) {
     overflows_.fetch_add(1, std::memory_order_relaxed);
-    up_.store(false, std::memory_order_relaxed);
-    link_.Close();
-    pending_.clear();
-    pending_off_ = 0;
+    DropLinkLocked();
     return;
   }
   rec.seq = ++seq_;
-  EncodeOplogRecord(writer_, rec);
-  pending_.insert(pending_.end(), writer_.data().begin(), writer_.data().end());
-  writer_.Reset(4096);
+  EncodeOplogRecord(send_.out(), rec);
   FlushLocked();
   if (up_.load(std::memory_order_relaxed)) {
     emitted_.store(seq_, std::memory_order_relaxed);
@@ -56,10 +49,13 @@ void ReplicationPrimary::Emit(OplogRecord rec) {
 
 void ReplicationPrimary::DropLink() {
   std::lock_guard<std::mutex> lock(mu_);
+  DropLinkLocked();
+}
+
+void ReplicationPrimary::DropLinkLocked() {
   up_.store(false, std::memory_order_relaxed);
   link_.Close();
-  pending_.clear();
-  pending_off_ = 0;
+  send_.Clear();
 }
 
 void ReplicationPrimary::DrainAcksLocked() {
@@ -70,8 +66,7 @@ void ReplicationPrimary::DrainAcksLocked() {
       return;
     }
     if (r.status != IoStatus::kOk) {
-      up_.store(false, std::memory_order_relaxed);
-      link_.Close();
+      DropLinkLocked();
       return;
     }
     ack_fill_ += r.bytes;
@@ -79,7 +74,7 @@ void ReplicationPrimary::DrainAcksLocked() {
       continue;
     }
     ack_fill_ = 0;
-    const auto seq = DecodeOplogAck({ack_buf_, sizeof(ack_buf_)}, writer_.order());
+    const auto seq = DecodeOplogAck({ack_buf_, sizeof(ack_buf_)}, send_.out().order());
     if (seq.has_value() && *seq > acked_.load(std::memory_order_relaxed)) {
       acked_.store(*seq, std::memory_order_relaxed);
     }
@@ -87,22 +82,12 @@ void ReplicationPrimary::DrainAcksLocked() {
 }
 
 void ReplicationPrimary::FlushLocked() {
-  while (pending_off_ < pending_.size()) {
-    const IoResult r = link_.Write(pending_.data() + pending_off_,
-                                   pending_.size() - pending_off_);
-    if (r.status == IoStatus::kOk) {
-      pending_off_ += r.bytes;
-      continue;
-    }
-    if (r.status == IoStatus::kWouldBlock) {
-      return;  // the window check bounds how much can stage up
-    }
-    up_.store(false, std::memory_order_relaxed);
-    link_.Close();
-    return;
+  // kWouldBlock leaves the rest queued; the window check bounds how much
+  // can queue up.
+  const IoStatus status = send_.Flush(link_, [](size_t) {});
+  if (status == IoStatus::kClosed || status == IoStatus::kError) {
+    DropLinkLocked();
   }
-  pending_.clear();
-  pending_off_ = 0;
 }
 
 // --- backup -----------------------------------------------------------------

@@ -11,10 +11,10 @@
 // clients then re-anchor with ResyncTime (opcode 40).
 //
 // Flow control: the primary's link is nonblocking. Records that do not fit
-// the socket buffer are staged; the backup acks cumulatively, and if the
-// unacked window exceeds kAckWindow records (a dead or wedged backup) the
-// primary drops the link and keeps serving — replication is best-effort
-// protection, never a hazard to the primary's own clients.
+// the socket buffer wait in its send buffer; the backup acks cumulatively,
+// and if the unacked window exceeds kAckWindow records (a dead or wedged
+// backup) the primary drops the link and keeps serving — replication is
+// best-effort protection, never a hazard to the primary's own clients.
 #ifndef AF_SERVER_REPLICATION_H_
 #define AF_SERVER_REPLICATION_H_
 
@@ -24,9 +24,9 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "proto/oplog.h"
+#include "server/send_buffer.h"
 #include "transport/stream.h"
 
 namespace af {
@@ -56,12 +56,11 @@ class ReplicationPrimary {
  private:
   void DrainAcksLocked();
   void FlushLocked();
+  void DropLinkLocked();
 
   std::mutex mu_;
-  FdStream link_;
-  WireWriter writer_;           // scratch for encoding
-  std::vector<uint8_t> pending_;  // bytes the socket would not take yet
-  size_t pending_off_ = 0;
+  FaultStream link_;
+  SendBuffer send_;  // the hello and records the socket has not taken yet
   uint8_t ack_buf_[kOplogAckBytes];
   size_t ack_fill_ = 0;
   uint64_t seq_ = 0;

@@ -452,9 +452,6 @@ void Shard::ProcessBufferedRequests(const std::shared_ptr<ClientConn>& client) {
     if (clients_.count(client->fd()) == 0) {
       return;  // dispatch closed the connection
     }
-    // Seal this request's reply into its own egress segment; the sweep's
-    // replies then leave as one writev when the drain runs.
-    client->StageOutput();
     client->Consume(total);
     ++processed;
   }
@@ -641,33 +638,41 @@ void Shard::ResumeSuspended(const std::shared_ptr<ClientConn>& client) {
   if (client->suspended() || !IsLive(client)) {
     return;  // blocked again, or dispatch closed the connection
   }
-  client->StageOutput();
   // The blocked request completed; pick up anything buffered behind it.
   ProcessBufferedRequests(client);
 }
 
 // --- GetTrace aggregation --------------------------------------------------
 
-void Shard::StartTraceGather(const std::shared_ptr<ClientConn>& client,
-                             uint32_t flags) {
-  // The same steps as SnapshotTraceLocal, with one difference: the other
-  // shards drain their rings on their own threads (Drain is
-  // owner-thread-only) and post the windows back. The rings share one
-  // generation gate, so flipping ours opens or closes every shard's window
-  // at this instant.
+void Shard::StartTraceGather(const Request& rq, uint32_t flags) {
+  // Every shard drains its own ring on its own thread (Drain is
+  // owner-thread-only): the other shards post their windows back. The
+  // rings share one generation gate, so flipping ours opens or closes every
+  // shard's window at this instant.
   if (flags & kTraceFlagEnable) {
     trace_.Enable(true);
   }
+  // Pull faults applied by live schedules into the spine (and the ring)
+  // before the drain, so a fetched trace window is as current as a stats
+  // snapshot.
   SyncClientFaultMetrics();
   TraceGather g;
-  g.client = client;
+  g.client = rq.client_ptr;
   g.remaining = server_.num_shards() - 1;
   trace_.Drain(&g.events);
   g.dropped = trace_.dropped();
   if (flags & kTraceFlagDisable) {
     trace_.Enable(false);
   }
-  const uint32_t token = client->client_number();
+  if (g.remaining == 0) {
+    // No other shard to wait for: answer within this dispatch. The request
+    // is not consumed yet, so the requester is neither parked nor resumed.
+    ReplyTraceGather(g);
+    return;
+  }
+  // Park the requester like a blocked play until the last window lands.
+  rq.client.Suspend(rq.header, rq.body, 0, CurrentTraceCorr());
+  const uint32_t token = rq.client.client_number();
   trace_gathers_[token] = std::move(g);
   for (const auto& s : server_.shards_) {
     Shard* t = s.get();
@@ -699,6 +704,18 @@ void Shard::FinishTraceGather(uint32_t token, std::vector<TraceEvent>& events,
   if (--g.remaining > 0) {
     return;
   }
+  TraceGather done = std::move(g);
+  trace_gathers_.erase(it);
+  if (!IsLive(done.client)) {
+    return;
+  }
+  // The requester sat suspended since dispatch; release it with its reply.
+  done.client->TakeSuspended();
+  ReplyTraceGather(done);
+  ProcessBufferedRequests(done.client);
+}
+
+void Shard::ReplyTraceGather(TraceGather& g) {
   // One timeline: interleave the per-shard windows by host timestamp.
   std::stable_sort(g.events.begin(), g.events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
@@ -710,16 +727,7 @@ void Shard::FinishTraceGather(uint32_t token, std::vector<TraceEvent>& events,
   wire.events = std::move(g.events);
   wire.dropped = g.dropped;
   wire.enabled = trace_.enabled() ? 1 : 0;
-  const std::shared_ptr<ClientConn> client = std::move(g.client);
-  trace_gathers_.erase(it);
-  if (!IsLive(client)) {
-    return;
-  }
-  // The requester sat suspended since dispatch; release it with its reply.
-  client->TakeSuspended();
-  wire.Encode(client->out(), client->seq());
-  client->StageOutput();
-  ProcessBufferedRequests(client);
+  wire.Encode(g.client->out(), g.client->seq());
 }
 
 // --- observability ---------------------------------------------------------
@@ -728,26 +736,6 @@ void Shard::SyncClientFaultMetrics() {
   for (auto& [fd, client] : clients_) {
     client->SyncFaultMetrics();
   }
-}
-
-void Shard::SnapshotTraceLocal(uint32_t flags, TraceWire* out) {
-  TraceRing& tr = trace_;
-  if (flags & kTraceFlagEnable) {
-    tr.Enable(true);
-  }
-  // Pull faults applied by live schedules into the spine (and the ring)
-  // before the drain, so a fetched trace window is as current as a stats
-  // snapshot.
-  SyncClientFaultMetrics();
-  out->version = kTraceWireVersion;
-  out->host_now_us = HostMicros();
-  out->events.clear();
-  tr.Drain(&out->events);
-  out->dropped = tr.dropped();
-  if (flags & kTraceFlagDisable) {
-    tr.Enable(false);
-  }
-  out->enabled = tr.enabled() ? 1 : 0;
 }
 
 }  // namespace af

@@ -93,8 +93,6 @@ class Shard {
 
   // --- observability --------------------------------------------------------
 
-  // The single-shard GetTrace reply, against this shard's ring.
-  void SnapshotTraceLocal(uint32_t flags, TraceWire* out);
   // Folds live fault-schedule counts into the metrics spine. Loop-thread
   // only.
   void SyncClientFaultMetrics();
@@ -171,10 +169,18 @@ class Shard {
 
   void DeliverEventLocal(const AEvent& event);
 
-  // --- GetTrace aggregation (multi-shard) ----------------------------------
-  void StartTraceGather(const std::shared_ptr<ClientConn>& client, uint32_t flags);
+  // --- GetTrace aggregation -------------------------------------------------
+  struct TraceGather {
+    std::shared_ptr<ClientConn> client;
+    size_t remaining = 0;  // other shards' windows still to land
+    uint64_t dropped = 0;
+    std::vector<TraceEvent> events;
+  };
+  void StartTraceGather(const Request& rq, uint32_t flags);
   void FinishTraceGather(uint32_t token, std::vector<TraceEvent>& events,
                          uint64_t dropped);
+  // Sorts the gathered windows into one timeline and encodes the reply.
+  void ReplyTraceGather(TraceGather& g);
 
   AFServer& server_;
   const uint32_t index_;
@@ -221,12 +227,6 @@ class Shard {
 
   uint32_t accept_rr_ = 0;  // round-robin cursor of hand_off listeners
 
-  struct TraceGather {
-    std::shared_ptr<ClientConn> client;
-    size_t remaining = 0;
-    uint64_t dropped = 0;
-    std::vector<TraceEvent> events;
-  };
   std::map<uint32_t, TraceGather> trace_gathers_;  // keyed by client number
 };
 

@@ -367,26 +367,4 @@ IoResult FaultStream::FaultyWrite(const void* buf, size_t len) {
   return r;
 }
 
-IoResult FaultStream::FaultyWritev(const struct iovec* iov, size_t iovcnt) {
-  // Per-iovec execution keeps scripted offsets exact: a cut at byte 7 of a
-  // 4+8 chain fires inside the second entry, just as it would for the
-  // equivalent pair of Write calls. Progress already made is reported as a
-  // partial kOk so the caller's resume logic (not the fault path) retries.
-  size_t total = 0;
-  for (size_t i = 0; i < iovcnt; ++i) {
-    if (iov[i].iov_len == 0) {
-      continue;
-    }
-    const IoResult r = FaultyWrite(iov[i].iov_base, iov[i].iov_len);
-    if (r.status != IoStatus::kOk) {
-      return total > 0 ? IoResult{IoStatus::kOk, total} : r;
-    }
-    total += r.bytes;
-    if (r.bytes < iov[i].iov_len) {
-      break;
-    }
-  }
-  return {IoStatus::kOk, total};
-}
-
 }  // namespace af

@@ -182,11 +182,6 @@ class FaultStream {
 
   IoResult Read(void* buf, size_t len);
   IoResult Write(const void* buf, size_t len);
-  // Scatter-gather write. With a schedule attached, faults apply at iovec
-  // granularity: each entry runs through the scheduled Write path in order
-  // and the chain stops at the first short or non-kOk entry, so scripted
-  // offsets land exactly as they would on the equivalent Write sequence.
-  IoResult Writev(const struct iovec* iov, size_t iovcnt);
   // FdStream's blocking loops run over the faulty Read/Write: an injected
   // kWouldBlock waits for the fd like a real one.
   Status ReadAll(void* buf, size_t len) { return TransferAll<IoDir::kRead>(*this, buf, len); }
@@ -202,7 +197,6 @@ class FaultStream {
  private:
   IoResult FaultyRead(void* buf, size_t len);
   IoResult FaultyWrite(const void* buf, size_t len);
-  IoResult FaultyWritev(const struct iovec* iov, size_t iovcnt);
 
   FdStream inner_;
   std::shared_ptr<FaultSchedule> schedule_;
@@ -222,13 +216,6 @@ inline IoResult FaultStream::Write(const void* buf, size_t len) {
     return inner_.Write(buf, len);
   }
   return FaultyWrite(buf, len);
-}
-
-inline IoResult FaultStream::Writev(const struct iovec* iov, size_t iovcnt) {
-  if (schedule_ == nullptr) {
-    return inner_.Writev(iov, iovcnt);
-  }
-  return FaultyWritev(iov, iovcnt);
 }
 
 }  // namespace af

@@ -82,35 +82,6 @@ IoResult FdStream::Write(const void* buf, size_t len) {
   }
 }
 
-IoResult FdStream::Writev(const struct iovec* iov, size_t iovcnt) {
-  if (iovcnt == 0) {
-    return {IoStatus::kOk, 0};
-  }
-  if (iovcnt > IOV_MAX) {
-    iovcnt = IOV_MAX;  // partial-write semantics make the cap transparent
-  }
-  for (;;) {
-    // sendmsg carries MSG_NOSIGNAL (writev(2) cannot).
-    struct msghdr msg = {};
-    msg.msg_iov = const_cast<struct iovec*>(iov);
-    msg.msg_iovlen = iovcnt;
-    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (n >= 0) {
-      return {IoStatus::kOk, static_cast<size_t>(n)};
-    }
-    if (errno == EINTR) {
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return {IoStatus::kWouldBlock, 0};
-    }
-    if (errno == EPIPE || errno == ECONNRESET) {
-      return {IoStatus::kClosed, 0};
-    }
-    return {IoStatus::kError, 0};
-  }
-}
-
 Status WaitForFd(int fd, bool for_read) {
   struct pollfd pfd = {};
   pfd.fd = fd;

@@ -13,8 +13,6 @@
 #ifndef AF_TRANSPORT_STREAM_H_
 #define AF_TRANSPORT_STREAM_H_
 
-#include <sys/uio.h>
-
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -59,10 +57,6 @@ class FdStream {
 
   IoResult Read(void* buf, size_t len);
   IoResult Write(const void* buf, size_t len);
-  // Scatter-gather write: one syscall over the whole chain, with the same
-  // partial-write semantics as Write (bytes may stop mid-iovec). Chains
-  // longer than IOV_MAX are silently capped; the partial result resumes.
-  IoResult Writev(const struct iovec* iov, size_t iovcnt);
   // Writes the whole buffer / reads exactly len bytes, waiting in poll(2)
   // on a nonblocking fd; kClosed/kError become failures.
   Status WriteAll(const void* buf, size_t len);

@@ -6,7 +6,8 @@
 // new pipeline against them for every client-encoding x device-encoding x
 // byte-order x window combination, checks the cached gain tables against
 // the functional gain form, and proves the steady-state play/record path
-// performs zero heap allocations.
+// and the flush of a connection that never catches up perform zero heap
+// allocations.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include "dsp/g711.h"
 #include "dsp/gain.h"
 #include "server/audio_device.h"
+#include "server/client_conn.h"
 
 // --- allocation counting hook ----------------------------------------------
 //
@@ -521,6 +523,54 @@ TEST(ZeroAllocation, SteadyStatePlayRecordDoesNotAllocate) {
   EXPECT_EQ(dev->metrics().updates.Value() - updates_before, 3000u);
   EXPECT_EQ(dev->metrics().passthrough_plays.Value() - passthrough_before, 1000u);
   EXPECT_EQ(dev->metrics().converted_plays.Value() - converted_before, 1000u);
+}
+
+TEST(ZeroAllocation, NeverDrainedConnectionFlushDoesNotAllocate) {
+  // A peer that reads as fast as the server writes but never catches up:
+  // 1 MiB of 32-byte replies is queued, then each round the peer reads one
+  // reply and the server queues one more and flushes. The output never
+  // fully drains, so only the send buffer's own policy keeps its heap flat.
+  constexpr size_t kReply = 32;
+  auto pair = CreateStreamPair();
+  ASSERT_TRUE(pair.ok());
+  FdStream peer = std::move(pair.value().first);
+  ClientConn conn(std::move(pair.value().second), PeerAddress{}, 1);
+  uint32_t queued = 0;
+  const auto queue_reply = [&] {
+    uint8_t reply[kReply] = {};
+    std::memcpy(reply, &queued, sizeof(queued));
+    ++queued;
+    conn.out().Bytes(reply, sizeof(reply));
+  };
+  for (size_t i = 0; i < (size_t{1} << 20) / kReply; ++i) {
+    queue_reply();
+  }
+  ASSERT_TRUE(conn.FlushOutput());
+
+  // Assertion-free rounds: gtest machinery stays out of the counted region.
+  uint32_t read = 0;
+  const auto rounds = [&](int n) {
+    bool ok = true;
+    for (int i = 0; i < n; ++i) {
+      uint8_t reply[kReply];
+      ok = peer.ReadAll(reply, sizeof(reply)).ok() && ok;
+      uint32_t index;
+      std::memcpy(&index, reply, sizeof(index));
+      ok = index == read++ && ok;
+      queue_reply();
+      ok = conn.FlushOutput() && ok;
+    }
+    return ok && conn.HasPendingOutput();
+  };
+  ASSERT_TRUE(rounds(20000));
+
+  g_alloc_count = 0;
+  g_alloc_armed = true;
+  const bool ok = rounds(20000);
+  g_alloc_armed = false;
+  EXPECT_TRUE(ok) << "replies arrived out of order, or the backlog drained";
+  EXPECT_EQ(g_alloc_count, 0u)
+      << "flushing a connection that never catches up performed heap allocations";
 }
 
 }  // namespace

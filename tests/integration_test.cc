@@ -9,6 +9,7 @@
 #include "client/audio_context.h"
 #include "clients/server_runner.h"
 #include "dsp/g711.h"
+#include "dsp/gain.h"
 #include "dsp/power.h"
 #include "dsp/tones.h"
 
@@ -129,6 +130,54 @@ TEST_F(IntegrationTest, RecordTheRecentPast) {
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(rec.value().actual_bytes, spoken.size());
   EXPECT_EQ(heard, spoken);
+}
+
+TEST_F(IntegrationTest, RecordGainScalesWhatTheContextHears) {
+  // A lin16 context on the mu-law CODEC recording at -6 dB hears the source
+  // through the -6 dB mu-law gain table; changed back to 0 dB it hears the
+  // source itself.
+  ACAttributes attrs;
+  attrs.record_gain_db = -6;
+  attrs.encoding = AEncodeType::kLin16;
+  attrs.big_endian_data = HostIsLittleEndian() ? 0 : 1;
+  AC* ac = MakeAC(kACRecordGain | kACEncodingType | kACEndian, attrs);
+  std::vector<uint8_t> warmup(160);
+  ASSERT_TRUE(ac->RecordSamples(0, warmup, /*block=*/false).ok());
+
+  std::vector<uint8_t> spoken(800);
+  for (size_t i = 0; i < spoken.size(); ++i) {
+    spoken[i] = static_cast<uint8_t>(i % 199 + 17);
+  }
+  // Speaks `spoken` into the recent past and records it back as lin16.
+  std::vector<int16_t> heard(spoken.size());
+  const auto speak_and_record = [&] {
+    auto now = conn_->GetTime(0);
+    ASSERT_TRUE(now.ok());
+    const ATime speak_at = now.value() + 400;
+    runner_->RunOnLoop([&] { source_->PutAt(speak_at, spoken); });
+    WaitUntil(speak_at + spoken.size() + 800);
+    auto rec = ac->RecordSamples(
+        speak_at,
+        std::span<uint8_t>(reinterpret_cast<uint8_t*>(heard.data()), heard.size() * 2),
+        /*block=*/true);
+    ASSERT_TRUE(rec.ok());
+    ASSERT_EQ(rec.value().actual_bytes, spoken.size() * 2);
+  };
+
+  speak_and_record();
+  ASSERT_FALSE(HasFatalFailure());
+  const GainTable& minus6 = MulawGainTable(-6);
+  for (size_t i = 0; i < spoken.size(); ++i) {
+    ASSERT_EQ(heard[i], MulawToLinear16(minus6[spoken[i]])) << "sample " << i;
+  }
+
+  attrs.record_gain_db = 0;
+  ac->ChangeAttributes(kACRecordGain, attrs);
+  speak_and_record();
+  ASSERT_FALSE(HasFatalFailure());
+  for (size_t i = 0; i < spoken.size(); ++i) {
+    ASSERT_EQ(heard[i], MulawToLinear16(spoken[i])) << "sample " << i;
+  }
 }
 
 TEST_F(IntegrationTest, BlockingRecordPacesTheClient) {

@@ -11,6 +11,7 @@
 
 #include "client/audio_context.h"
 #include "clients/server_runner.h"
+#include "server/send_buffer.h"
 
 namespace af {
 namespace {
@@ -490,6 +491,105 @@ TEST(ClientConnTest, BufferedInputStopsAtTheHighWaterMark) {
   EXPECT_TRUE(conn.Buffered().empty());
   EXPECT_GE(metrics.highwater_hits.Value(), kOneAtATimeHits);
   EXPECT_EQ(peak, ClientConn::kInHighWater);
+}
+
+// --- the send buffer under scripted write faults ------------------------------
+
+// A send buffer on one end of a fresh socketpair, holding bytes valued from
+// `first` upward, with `faults` on its writes.
+struct FaultedSendBuffer {
+  FaultedSendBuffer(std::shared_ptr<FaultSchedule> faults, size_t n, uint8_t first) {
+    auto pair = CreateStreamPair();
+    EXPECT_TRUE(pair.ok());
+    stream = FaultStream(std::move(pair.value().first), std::move(faults));
+    peer = std::move(pair.value().second);
+    for (size_t i = 0; i < n; ++i) {
+      buf.out().U8(static_cast<uint8_t>(first + i));
+    }
+  }
+  // Flushes once, appending the running sent count after every write.
+  IoStatus Flush() {
+    return buf.Flush(stream, [this](size_t bytes) {
+      sent += bytes;
+      stops.push_back(sent);
+    });
+  }
+
+  FaultStream stream;
+  FdStream peer;
+  SendBuffer buf;
+  size_t sent = 0;
+  std::vector<size_t> stops;
+};
+
+TEST(SendBufferTest, FlushResumesAcrossInjectedStalls) {
+  // A split, then a would-block burst of two, then another split. Each
+  // write stops at the next split or stall; the buffer resumes from its
+  // own sent count.
+  auto faults = std::make_shared<FaultSchedule>();
+  faults->SplitWriteAt(3);
+  faults->WouldBlockWriteAt(5, 2);
+  faults->SplitWriteAt(9);
+  FaultedSendBuffer f(faults, 11, 10);
+
+  EXPECT_EQ(f.Flush(), IoStatus::kWouldBlock);
+  EXPECT_EQ(f.buf.unsent(), 6u);
+  EXPECT_EQ(f.Flush(), IoStatus::kWouldBlock);  // the burst's second stall
+  EXPECT_EQ(f.Flush(), IoStatus::kOk);
+  EXPECT_EQ(f.stops, (std::vector<size_t>{3, 5, 9, 11}));
+  EXPECT_EQ(f.buf.unsent(), 0u);
+  EXPECT_EQ(f.buf.out().size(), 0u);  // a full drain resets the writer
+  EXPECT_GE(faults->faults_applied(), 3u);
+
+  uint8_t got[11] = {};
+  ASSERT_TRUE(f.peer.ReadAll(got, sizeof(got)).ok());
+  for (size_t i = 0; i < sizeof(got); ++i) {
+    EXPECT_EQ(got[i], 10 + i) << "byte " << i;
+  }
+}
+
+TEST(SendBufferTest, FlushStopsAtScriptedCut) {
+  // The peer "goes away" at byte 5: the first write stops there, and the
+  // next one meets the cut and reports the peer gone.
+  auto faults = std::make_shared<FaultSchedule>();
+  faults->CutWriteAt(5);
+  FaultedSendBuffer f(faults, 7, 1);
+
+  EXPECT_EQ(f.Flush(), IoStatus::kClosed);
+  EXPECT_EQ(f.stops, (std::vector<size_t>{5}));
+  EXPECT_EQ(f.buf.unsent(), 2u);
+  // The bytes before the cut were accepted; the peer can read exactly 5.
+  uint8_t got[8] = {};
+  const IoResult r = f.peer.Read(got, sizeof(got));
+  EXPECT_EQ(r.status, IoStatus::kOk);
+  EXPECT_EQ(r.bytes, 5u);
+  EXPECT_EQ(got[4], 5);
+}
+
+TEST(SendBufferTest, StalledFlushDropsTheSentPrefixOnceItOutweighsTheRest) {
+  // The first stall leaves 4 bytes sent and 6 unsent: nothing moves. The
+  // second leaves 6 sent and 4 unsent: the sent prefix is dropped, so the
+  // writer holds just the unsent rest, and bytes appended after it still
+  // leave in order.
+  auto faults = std::make_shared<FaultSchedule>();
+  faults->WouldBlockWriteAt(4, 1);
+  faults->WouldBlockWriteAt(6, 1);
+  FaultedSendBuffer f(faults, 10, 0);
+
+  EXPECT_EQ(f.Flush(), IoStatus::kWouldBlock);
+  EXPECT_EQ(f.buf.out().size(), 10u);
+  EXPECT_EQ(f.Flush(), IoStatus::kWouldBlock);
+  EXPECT_EQ(f.buf.unsent(), 4u);
+  EXPECT_EQ(f.buf.out().size(), 4u);
+  EXPECT_EQ(f.buf.out().data().front(), 6);
+  f.buf.out().U8(10);
+  EXPECT_EQ(f.Flush(), IoStatus::kOk);
+
+  uint8_t got[11] = {};
+  ASSERT_TRUE(f.peer.ReadAll(got, sizeof(got)).ok());
+  for (size_t i = 0; i < sizeof(got); ++i) {
+    EXPECT_EQ(got[i], i) << "byte " << i;
+  }
 }
 
 TEST(ServerFloodTest, PipelinedFloodPastTheHighWaterMarkIsServedInFull) {

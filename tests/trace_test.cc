@@ -14,10 +14,13 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "client/audio_context.h"
 #include "client/connection.h"
+#include "clients/cores.h"
 #include "clients/server_runner.h"
 #include "common/log.h"
 #include "common/metrics.h"
@@ -403,6 +406,55 @@ TEST_F(TraceEndToEndTest, DroppedEventsSurfaceInServerStats) {
   const size_t index = ServerCounterSlot("trace_dropped_events");
   ASSERT_GT(stats.value().counters.size(), index);
   EXPECT_GE(stats.value().counters[index], 10u);
+}
+
+// Lines of atrace's text output that contain every one of `needles`.
+size_t CountLines(const std::string& text, std::initializer_list<const char*> needles) {
+  size_t n = 0;
+  size_t begin = 0;
+  while (begin < text.size()) {
+    size_t end = text.find('\n', begin);
+    if (end == std::string::npos) {
+      end = text.size();
+    }
+    const std::string_view line(text.data() + begin, end - begin);
+    bool all = true;
+    for (const char* needle : needles) {
+      all = all && line.find(needle) != std::string_view::npos;
+    }
+    n += all ? 1 : 0;
+    begin = end + 1;
+  }
+  return n;
+}
+
+TEST_F(TraceEndToEndTest, FollowPrintsEveryRecordOfEveryPlay) {
+  // Records made before atrace starts following: each play's span is
+  // recorded after the mix_write instant inside it but stamped with its
+  // start time, so a host-sorted window puts the span first. Every record
+  // of every play must still be printed, at any shard count.
+  auto opened = runner_->ConnectInProcess();
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<AFAudioConn> conn = opened.take();
+  ASSERT_TRUE(conn->GetTrace(kTraceFlagEnable).ok());
+  auto ac = conn->CreateAC(0, 0, ACAttributes{});
+  ASSERT_TRUE(ac.ok());
+  auto now = conn->GetTime(0);
+  ASSERT_TRUE(now.ok());
+  constexpr size_t kPlays = 300;
+  const std::vector<uint8_t> block(80, 0x40);
+  for (size_t i = 0; i < kPlays; ++i) {
+    ASSERT_TRUE(ac.value()->PlaySamples(now.value() + 100, block).ok());
+  }
+
+  AtraceOptions options;
+  options.follow_seconds = 0.05;
+  options.poll_interval_seconds = 0.01;
+  options.disable_after = true;
+  auto text = RunAtrace(*conn, options);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_EQ(CountLines(text.value(), {" request ", "PlaySamples"}), kPlays);
+  EXPECT_EQ(CountLines(text.value(), {" mix_write "}), kPlays);
 }
 
 // Every shard records into a ring of its own, so one in-process server's

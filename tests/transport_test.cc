@@ -147,53 +147,6 @@ TEST(StreamTest, BadFdReportsError) {
   (void)b;
 }
 
-// --- scatter-gather writes ---------------------------------------------------
-
-TEST(StreamTest, WritevGathersAcrossBuffers) {
-  auto pair = CreateStreamPair();
-  ASSERT_TRUE(pair.ok());
-  auto& [a, b] = pair.value();
-  uint8_t part1[] = {'h', 'e', 'l'};
-  uint8_t part2[] = {'l', 'o'};
-  uint8_t part3[] = {'!', '!'};
-  struct iovec iov[3] = {
-      {part1, sizeof(part1)}, {part2, sizeof(part2)}, {part3, sizeof(part3)}};
-  const IoResult r = a.Writev(iov, 3);
-  EXPECT_EQ(r.status, IoStatus::kOk);
-  EXPECT_EQ(r.bytes, 7u);
-  char buf[8] = {};
-  ASSERT_TRUE(b.ReadAll(buf, 7).ok());
-  EXPECT_STREQ(buf, "hello!!");
-}
-
-TEST(StreamTest, WritevToClosedPeerReportsClosed) {
-  auto pair = CreateStreamPair();
-  ASSERT_TRUE(pair.ok());
-  auto& [a, b] = pair.value();
-  b.Close();
-  uint8_t byte = 'x';
-  struct iovec iov = {&byte, 1};
-  // EPIPE must surface as kClosed without raising SIGPIPE, exactly like
-  // the plain Write path.
-  EXPECT_EQ(a.Writev(&iov, 1).status, IoStatus::kClosed);
-}
-
-TEST(StreamTest, WritevNonBlockingReportsWouldBlock) {
-  auto pair = CreateStreamPair();
-  ASSERT_TRUE(pair.ok());
-  auto& [a, b] = pair.value();
-  ASSERT_TRUE(a.SetNonBlocking(true).ok());
-  std::vector<uint8_t> chunk(4096, 0x5A);
-  struct iovec iov = {chunk.data(), chunk.size()};
-  IoStatus status = IoStatus::kOk;
-  for (int i = 0; i < 10000 && status == IoStatus::kOk; ++i) {
-    struct iovec attempt = iov;
-    status = a.Writev(&attempt, 1).status;
-  }
-  EXPECT_EQ(status, IoStatus::kWouldBlock);
-  (void)b;
-}
-
 TEST(StreamTest, BlockingLoopsWaitOnNonBlockingFds) {
   auto pair = CreateStreamPair();
   ASSERT_TRUE(pair.ok());
@@ -212,126 +165,6 @@ TEST(StreamTest, BlockingLoopsWaitOnNonBlockingFds) {
   EXPECT_TRUE(a.WriteAll(sent.data(), sent.size()).ok());
   reader.join();
   EXPECT_EQ(received, sent);
-}
-
-// --- scatter-gather under fault injection ------------------------------------
-
-TEST(FaultStreamTest, WritevSplitsAtScriptedOffsetMidIovec) {
-  auto pair = CreateStreamPair();
-  ASSERT_TRUE(pair.ok());
-  auto faults = std::make_shared<FaultSchedule>();
-  faults->SplitWriteAt(6);  // inside the second iovec
-  FaultStream a(std::move(pair.value().first), faults);
-  FdStream& b = pair.value().second;
-
-  uint8_t part1[] = {0, 1, 2, 3};
-  uint8_t part2[] = {4, 5, 6, 7};
-  struct iovec iov[2] = {{part1, sizeof(part1)}, {part2, sizeof(part2)}};
-  // The chain runs iovec by iovec through the scripted write path: entry
-  // one passes whole (4 bytes), entry two is split at absolute offset 6
-  // (2 of its 4 bytes), and the chain stops at the short entry.
-  const IoResult r = a.Writev(iov, 2);
-  EXPECT_EQ(r.status, IoStatus::kOk);
-  EXPECT_EQ(r.bytes, 6u);
-  EXPECT_EQ(faults->faults_applied(), 1u);
-
-  uint8_t buf[8] = {};
-  ASSERT_TRUE(b.ReadAll(buf, 6).ok());
-  EXPECT_EQ(buf[5], 5);
-}
-
-// The chain {part1, part2} from byte `sent` onward, as FlushOutput builds
-// it from its head segment and offset.
-size_t ChainFrom(std::span<uint8_t> part1, std::span<uint8_t> part2, size_t sent,
-                 struct iovec* iov) {
-  size_t iovcnt = 0;
-  if (sent < part1.size()) {
-    iov[iovcnt++] = {part1.data() + sent, part1.size() - sent};
-    sent = part1.size();
-  }
-  iov[iovcnt++] = {part2.data() + (sent - part1.size()), part2.size() - (sent - part1.size())};
-  return iovcnt;
-}
-
-TEST(FaultStreamTest, WritevResumesAcrossInjectedStalls) {
-  auto pair = CreateStreamPair();
-  ASSERT_TRUE(pair.ok());
-  auto faults = std::make_shared<FaultSchedule>();
-  // A split, then a would-block burst landing mid-chain, then another
-  // split. Each Writev stops at the next split or stall; the caller
-  // resumes from the byte count, as ClientConn::FlushOutput does.
-  faults->SplitWriteAt(3);
-  faults->WouldBlockWriteAt(5, 2);
-  faults->SplitWriteAt(9);
-  FaultStream a(std::move(pair.value().first), faults);
-  FdStream& b = pair.value().second;
-
-  uint8_t part1[] = {10, 11, 12, 13, 14};
-  uint8_t part2[] = {15, 16, 17, 18, 19, 20};
-  const size_t total = sizeof(part1) + sizeof(part2);
-  std::vector<size_t> stops;
-  int stalls = 0;
-  for (size_t sent = 0; sent < total;) {
-    struct iovec iov[2];
-    const IoResult r = a.Writev(iov, ChainFrom(part1, part2, sent, iov));
-    if (r.status == IoStatus::kWouldBlock) {
-      ++stalls;
-      continue;
-    }
-    ASSERT_EQ(r.status, IoStatus::kOk);
-    sent += r.bytes;
-    stops.push_back(sent);
-  }
-  // The first stall ends the call at 5 as a partial write; the second has
-  // no progress to report and surfaces as kWouldBlock.
-  EXPECT_EQ(stops, (std::vector<size_t>{3, 5, 9, 11}));
-  EXPECT_EQ(stalls, 1);
-  EXPECT_GE(faults->faults_applied(), 3u);
-
-  uint8_t buf[11] = {};
-  ASSERT_TRUE(b.ReadAll(buf, sizeof(buf)).ok());
-  for (size_t i = 0; i < sizeof(buf); ++i) {
-    EXPECT_EQ(buf[i], 10 + i) << "byte " << i;
-  }
-}
-
-TEST(FaultStreamTest, WritevStopsAtScriptedCut) {
-  auto pair = CreateStreamPair();
-  ASSERT_TRUE(pair.ok());
-  auto faults = std::make_shared<FaultSchedule>();
-  faults->CutWriteAt(5);  // peer "goes away" mid-second-iovec
-  FaultStream a(std::move(pair.value().first), faults);
-
-  uint8_t part1[] = {1, 2, 3};
-  uint8_t part2[] = {4, 5, 6, 7};
-  struct iovec iov[2];
-  // The first call stops at the cut; resuming from its byte count meets
-  // the cut and reports the peer gone.
-  IoResult r = a.Writev(iov, ChainFrom(part1, part2, 0, iov));
-  EXPECT_EQ(r.status, IoStatus::kOk);
-  EXPECT_EQ(r.bytes, 5u);
-  r = a.Writev(iov, ChainFrom(part1, part2, r.bytes, iov));
-  EXPECT_EQ(r.status, IoStatus::kClosed);
-  // The bytes before the cut were accepted; the peer can read exactly 5.
-  uint8_t buf[8] = {};
-  r = pair.value().second.Read(buf, sizeof(buf));
-  EXPECT_EQ(r.status, IoStatus::kOk);
-  EXPECT_EQ(r.bytes, 5u);
-}
-
-TEST(FaultStreamTest, WritevWithoutScheduleIsPassThrough) {
-  auto pair = CreateStreamPair();
-  ASSERT_TRUE(pair.ok());
-  FaultStream a(std::move(pair.value().first));
-  uint8_t part1[] = {'a', 'b'};
-  uint8_t part2[] = {'c'};
-  struct iovec iov[2] = {{part1, sizeof(part1)}, {part2, sizeof(part2)}};
-  const IoResult r = a.Writev(iov, 2);
-  EXPECT_EQ(r.status, IoStatus::kOk);
-  EXPECT_EQ(r.bytes, 3u);
-  char buf[4] = {};
-  ASSERT_TRUE(pair.value().second.ReadAll(buf, 3).ok());
-  EXPECT_STREQ(buf, "abc");
 }
 
 // Writes bytes valued from `first` upward into the buffer's tail.
