@@ -7,8 +7,11 @@
 // hold a mixing lin16 AC on the CODEC device and issue timed play
 // requests round-robin; per-request p50/p95/p99 come from the client
 // side, and the server stats block supplies the mechanism-level axes:
-// egress syscalls per request (writev_calls / requests_dispatched) and
-// wake-to-drain latency (the poll_wake histogram percentiles).
+// egress syscalls per request (writev_calls / requests_dispatched), loop
+// iterations per request (loop_iterations / requests_dispatched, where a
+// client socket's write-space edge that wakes the shard before the next
+// request arrives costs an extra one), and wake-to-drain latency (the
+// poll_wake histogram percentiles).
 //
 // The server runs its one configuration: epoll readiness, one send buffer
 // per connection, SIMD kernels ("optimized"). The committed
@@ -263,7 +266,7 @@ int main(int argc, char** argv) {
 
   PrintHeader("Fan-out: per-request play latency (usec)",
               {"clients", "config", "p50", "p95", "burst p50", "burst p95",
-               "sys/req"});
+               "sys/req", "iter/req"});
   bool ok = true;
   const auto run_one = [&](const FanoutConfig& config, int n,
                            bool burst_phase = true) {
@@ -297,9 +300,9 @@ int main(int argc, char** argv) {
     PrintCell(result.play.p95_us, "%.1f");
     PrintCell(burst_phase ? result.burst.p50_us : 0.0, "%.1f");
     PrintCell(burst_phase ? result.burst.p95_us : 0.0, "%.1f");
-    PrintCell(static_cast<double>(result.server.writev_calls) /
-                  std::max<uint64_t>(result.server.requests_dispatched, 1),
-              "%.3f");
+    const uint64_t dispatched = std::max<uint64_t>(result.server.requests_dispatched, 1);
+    PrintCell(static_cast<double>(result.server.writev_calls) / dispatched, "%.3f");
+    PrintCell(static_cast<double>(result.server.loop_iterations) / dispatched, "%.3f");
     EndRow();
   };
 
@@ -330,7 +333,8 @@ int main(int argc, char** argv) {
     }
     run_one(kCrossShard, 256);
   }
-  std::printf("\nsys/req counts egress write syscalls per dispatched request.\n");
+  std::printf("\nsys/req counts egress write syscalls per dispatched request; iter/req\n"
+              "counts server loop iterations per dispatched request.\n");
 
   if (!ok) {
     return 1;

@@ -1,5 +1,6 @@
 #include "client/connection.h"
 
+#include <errno.h>
 #include <poll.h>
 #include <stdlib.h>
 
@@ -212,11 +213,46 @@ void AFAudioConn::Flush() {
     ev.corr = last_corr_;
     trace_.Record(ev);
   }
-  const Status s = stream_.WriteAll(out_.data().data(), out_.size());
+  const bool sent = WriteQueued();
   out_.Reset(kWriterKeepCapacity);
-  if (!s.ok()) {
+  if (!sent) {
     IOError();
   }
+}
+
+bool AFAudioConn::WriteQueued() {
+  const uint8_t* p = out_.data().data();
+  size_t left = out_.size();
+  while (left > 0) {
+    const IoResult w = stream_.Write(p, left);
+    if (w.status == IoStatus::kOk) {
+      p += w.bytes;
+      left -= w.bytes;
+      continue;
+    }
+    if (w.status != IoStatus::kWouldBlock) {
+      return false;
+    }
+    struct pollfd pfd = {};
+    pfd.fd = stream_.fd();
+    pfd.events = POLLIN | POLLOUT;
+    if (::poll(&pfd, 1, -1) < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return false;
+    }
+    if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+      const std::span<uint8_t> tail = in_.Tail();
+      const IoResult r = stream_.Read(tail.data(), tail.size());
+      if (r.status == IoStatus::kOk) {
+        in_.Commit(r.bytes);
+      } else if (r.status != IoStatus::kWouldBlock) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 void AFAudioConn::MaybeAutoFlush() {

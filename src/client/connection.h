@@ -290,6 +290,13 @@ class AFAudioConn {
   AFAudioConn(FaultStream stream, std::string name);
   Status DoSetup();
   void MaybeAutoFlush();
+  // Writes the request queue; false when the connection failed. While it
+  // waits to write it also reads, as Xlib's _XWaitForWritable does: the
+  // server stops reading a client whose unsent replies pass its egress
+  // guard, so a client pipelining past both socket buffers that waited for
+  // POLLOUT alone would deadlock against it. What it reads waits in the
+  // receive buffer for the next await.
+  bool WriteQueued();
   // One read into the receive buffer. Blocking: read(2) directly, waiting
   // for the fd only when the stream reports kWouldBlock. Non-blocking: a
   // zero-timeout poll first, and nothing read when nothing is there.

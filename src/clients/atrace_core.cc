@@ -533,7 +533,7 @@ Result<FlightDump> LoadFlightRecorderDump(const std::string& path) {
       pos += sizeof(TraceEvent);
       // The handler copies slots the victim threads may have been
       // mid-store into; a kind outside the enum marks the record torn.
-      if (ev.kind == 0 || ev.kind > static_cast<uint8_t>(TraceKind::kTraceGap)) {
+      if (ev.kind == 0 || ev.kind > static_cast<uint8_t>(kLastTraceKind)) {
         ++torn;
         continue;
       }

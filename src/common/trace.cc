@@ -37,6 +37,7 @@ const char* TraceKindName(TraceKind k) {
     case TraceKind::kRemoteExec: return "remote_exec";
     case TraceKind::kOplogEmit: return "oplog_emit";
     case TraceKind::kTraceGap: return "gap";
+    case TraceKind::kEgressHighWater: return "egress_highwater";
   }
   return "?";
 }

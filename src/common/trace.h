@@ -83,7 +83,9 @@ enum class TraceKind : uint8_t {
   kRemoteExec = 26,
   kOplogEmit = 27,     // replication op-log record emitted; arg = record type
   kTraceGap = 28,      // synthetic (atrace --follow): value = events dropped
+  kEgressHighWater = 29,  // conn, value = unsent output bytes
 };
+constexpr TraceKind kLastTraceKind = TraceKind::kEgressHighWater;
 
 const char* TraceKindName(TraceKind k);
 

@@ -64,7 +64,8 @@ constexpr uint32_t kServerStatsVersion = 1;
   X(resyncs, kCounter)              /* ResyncTime requests served after reconnect */    \
   X(oplog_acked, kGaugeMax)         /* backup's cumulative ack watermark (shard 0) */   \
   X(repl_overflows, kGaugeMax)      /* link drops on ack-window overflow (shard 0) */   \
-  X(failovers_promoted, kGaugeMax)  /* 1 once promoted from backup (shard 0) */
+  X(failovers_promoted, kGaugeMax)  /* 1 once promoted from backup (shard 0) */         \
+  X(egress_highwater_hits, kCounter) /* egress guard engaged: unsent output capped */
 
 // The per-device table (DeviceMetrics in server/audio_device.h), same rules.
 #define AF_DEVICE_METRICS(X)                                                            \

@@ -69,10 +69,14 @@ bool ClientConn::ReadAvailable() {
           TraceConnInstant(TraceKind::kRead, client_number_, r.bytes);
         }
         if (r.bytes < want) {
-          return true;  // drained the socket
+          // A short read from the kernel drained the socket, up to an
+          // announced EOF; one a fault schedule shortened did not.
+          in_pending_ = r.injected || hangup_;
+          return true;
         }
         continue;
       case IoStatus::kWouldBlock:
+        in_pending_ = r.injected;  // an EOF would have been read
         return true;
       case IoStatus::kClosed:
         // Half-close: requests buffered before the EOF are still valid and
@@ -112,7 +116,7 @@ bool ClientConn::HasCompleteRequest() const {
 }
 
 bool ClientConn::FlushOutput() {
-  const IoStatus status = send_.Flush(stream_, [this](size_t bytes) {
+  const IoResult r = send_.Flush(stream_, [this](size_t bytes) {
     if (metrics_ != nullptr) {
       metrics_->bytes_out.Add(bytes);
       metrics_->writev_calls.Add();
@@ -120,8 +124,24 @@ bool ClientConn::FlushOutput() {
     }
     TraceConnInstant(TraceKind::kFlush, client_number_, bytes);
   });
-  // kWouldBlock: the poller will tell us when writable.
-  return status == IoStatus::kOk || status == IoStatus::kWouldBlock;
+  // A real kWouldBlock resumes on the socket's next write-space edge; a
+  // stall the fault schedule injected raises none, so the shard retries.
+  flush_retry_ = r.status == IoStatus::kWouldBlock && r.injected;
+  UpdateEgressGuard();
+  return r.status == IoStatus::kOk || r.status == IoStatus::kWouldBlock;
+}
+
+void ClientConn::UpdateEgressGuard() {
+  const size_t unsent = send_.unsent();
+  if (!out_blocked_ && unsent >= kOutHighWater) {
+    out_blocked_ = true;
+    if (metrics_ != nullptr) {
+      metrics_->egress_highwater_hits.Add();
+    }
+    TraceConnInstant(TraceKind::kEgressHighWater, client_number_, unsent);
+  } else if (out_blocked_ && unsent <= kOutLowWater) {
+    out_blocked_ = false;
+  }
 }
 
 void ClientConn::SelectEvents(DeviceId device, uint32_t mask) {

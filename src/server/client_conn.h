@@ -83,8 +83,43 @@ class ClientConn {
   // memory (the unread remainder stays in the kernel as backpressure).
   // EOF is not fatal: it sets saw_eof() and returns true, so requests the
   // peer sent before closing its write side are still served. Returns
-  // false only on a hard transport error.
+  // false only on a hard transport error. Clears the pending-input flag
+  // (see NoteReadable) only when the kernel proved the socket drained:
+  // kWouldBlock or a short read.
   bool ReadAvailable();
+
+  // --- readiness --------------------------------------------------------
+  //
+  // The socket is registered edge-triggered: the shard hears once that
+  // bytes arrived, not on every wait while they sit there. So the
+  // connection remembers it, from the edge until a read proves the socket
+  // drained. (Bytes that arrived before adoption raise the first edge: the
+  // registration reports what is already readable.) After a hangup edge a
+  // short read proves nothing: it may have stopped just before the EOF
+  // that edge announced.
+  void NoteReadable(bool hangup) {
+    in_pending_ = true;
+    hangup_ = hangup_ || hangup;
+  }
+
+  // The shard may dispatch this client's requests: not suspended, not
+  // closing, and unsent output under the egress guard.
+  bool CanDispatch() const {
+    return suspended_ == nullptr && state_ != State::kClosing && !out_blocked_;
+  }
+  // The shard may read this client's socket: it may dispatch, no EOF was
+  // seen, and buffered input is under the flood guard. A client the shard
+  // may not read leaves its bytes in the kernel, which is how the server
+  // blocks it.
+  bool CanRead() const { return CanDispatch() && !saw_eof_ && in_.size() < kInHighWater; }
+  // The shard may read the socket and the kernel may hold bytes for it.
+  bool WantsRead() const { return in_pending_ && CanRead(); }
+  // Work the shard must do without waiting for another edge: a read it
+  // wants, a complete request it may dispatch, or a flush a fault schedule
+  // stalled on a writable socket.
+  bool NeedsService() const {
+    return WantsRead() || flush_retry_ || (CanDispatch() && HasCompleteRequest());
+  }
 
   // The peer has closed its write side; no further input will arrive.
   bool saw_eof() const { return saw_eof_; }
@@ -104,12 +139,23 @@ class ClientConn {
   // Appends encoded packets; the writer uses the client's byte order.
   WireWriter& out() { return send_.out(); }
 
+  // The egress guard. Once this much output is unsent, the client is
+  // neither read nor dispatched, like a suspended one: a client that does
+  // not read its replies stops being served, and its requests wait in the
+  // kernel. Flushes release it at kOutLowWater.
+  static constexpr size_t kOutHighWater = 1u << 20;
+  static constexpr size_t kOutLowWater = kOutHighWater / 2;
+
   // Writes as much pending output as the socket accepts. Replies, events,
   // and trace payloads that accumulated since the last drain leave together
   // in one write instead of one write each. Returns false on connection
   // failure.
   bool FlushOutput();
   bool HasPendingOutput() const { return send_.unsent() > 0; }
+  // Engages the egress guard once unsent output reaches kOutHighWater
+  // (counted and traced) and releases it at kOutLowWater. FlushOutput
+  // calls it; dispatch calls it after each request.
+  void UpdateEgressGuard();
 
   // --- sequence numbers -------------------------------------------------
 
@@ -151,8 +197,12 @@ class ClientConn {
 
   RecvBuffer in_;
   bool saw_eof_ = false;
+  bool in_pending_ = false;  // the kernel may hold bytes not yet read
+  bool hangup_ = false;      // the peer's hangup was announced
 
   SendBuffer send_;
+  bool out_blocked_ = false;  // the egress guard is engaged
+  bool flush_retry_ = false;  // the last flush met an injected stall
 
   ServerMetrics* metrics_ = nullptr;
   uint64_t faults_synced_ = 0;

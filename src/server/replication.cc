@@ -84,7 +84,7 @@ void ReplicationPrimary::DrainAcksLocked() {
 void ReplicationPrimary::FlushLocked() {
   // kWouldBlock leaves the rest queued; the window check bounds how much
   // can queue up.
-  const IoStatus status = send_.Flush(link_, [](size_t) {});
+  const IoStatus status = send_.Flush(link_, [](size_t) {}).status;
   if (status == IoStatus::kClosed || status == IoStatus::kError) {
     DropLinkLocked();
   }

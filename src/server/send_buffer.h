@@ -29,9 +29,10 @@ class SendBuffer {
 
   // Writes the unsent bytes with plain stream writes, calling
   // on_write(bytes) after each write, until everything is sent (kOk) or
-  // the stream reports kWouldBlock, kClosed or kError, which is returned.
+  // the stream reports kWouldBlock, kClosed or kError: the write that
+  // stopped the flush is returned.
   template <typename OnWrite>
-  IoStatus Flush(FaultStream& stream, OnWrite on_write) {
+  IoResult Flush(FaultStream& stream, OnWrite on_write) {
     while (sent_ < out_.size()) {
       const IoResult r = stream.Write(out_.data().data() + sent_, unsent());
       if (r.status != IoStatus::kOk) {
@@ -39,13 +40,13 @@ class SendBuffer {
           out_.DropFront(sent_);
           sent_ = 0;
         }
-        return r.status;
+        return r;
       }
       sent_ += r.bytes;
       on_write(r.bytes);
     }
     Clear();
-    return IoStatus::kOk;
+    return {IoStatus::kOk};
   }
 
   // Drops everything, sent or not.

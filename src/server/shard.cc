@@ -44,6 +44,11 @@ void TraceInstant(TraceRing& tr, TraceKind kind, uint32_t conn, uint64_t value =
   tr.Record(ev);
 }
 
+// Poller tags. A client's tag is its fd; the wake pipe and the listeners
+// (by index) sit above every fd.
+constexpr uint64_t kWakeTag = uint64_t{1} << 32;
+constexpr uint64_t kListenerTag = uint64_t{2} << 32;
+
 // The aux trailer: when the extension byte flags kRequestExtCorrId, the
 // final 8 bytes of the padded request carry the client's correlation ID.
 uint64_t RequestCorr(const RequestHeader& header, std::span<const uint8_t> request,
@@ -85,7 +90,7 @@ Shard::Shard(AFServer& server, uint32_t index)
   }
   ::fcntl(wake_pipe_[0], F_SETFL, O_NONBLOCK);
   ::fcntl(wake_pipe_[1], F_SETFL, O_NONBLOCK);
-  poller_.Watch(wake_pipe_[0], true, false);
+  poller_.Watch(wake_pipe_[0], kWakeTag, Poller::kRead);
 
   metrics_.poller_backend.Set(1);  // retired slot: the loop always runs on epoll
   metrics_.shards.Set(opts_.num_shards);
@@ -122,7 +127,7 @@ Shard::~Shard() {
 }
 
 void Shard::AddListener(Listener listener, bool hand_off) {
-  poller_.Watch(listener.fd(), true, false);
+  poller_.Watch(listener.fd(), kListenerTag + listeners_.size(), Poller::kRead);
   listeners_.push_back({std::move(listener), hand_off});
 }
 
@@ -232,85 +237,80 @@ bool Shard::RunOnce(int max_timeout_ms) {
   tasks_.RunDue(woke_us);
 
   for (const PollEvent& ev : events) {
-    if (ev.fd == wake_pipe_[0]) {
+    if (ev.tag == kWakeTag) {
       DrainInbox();
       continue;
     }
-    bool is_listener = false;
-    for (ShardListener& l : listeners_) {
-      if (l.listener.fd() == ev.fd) {
-        AcceptPending(l);
-        is_listener = true;
-        break;
-      }
-    }
-    if (is_listener) {
+    if (ev.tag >= kListenerTag) {
+      AcceptPending(listeners_[ev.tag - kListenerTag]);
       continue;
     }
-    const auto it = clients_.find(ev.fd);
+    const auto it = clients_.find(static_cast<int>(ev.tag));
     if (it == clients_.end()) {
-      poller_.Unwatch(ev.fd);
-      continue;
+      continue;  // removed earlier in this batch
     }
     std::shared_ptr<ClientConn> client = it->second;
+    // Client sockets are edge-triggered: an edge on a client the shard may
+    // not read (suspended, flooded, capped) is remembered, not acted on.
     if (ev.readable || ev.closed) {
-      HandleClientReadable(client);
-    }
-    if (ev.writable && clients_.count(ev.fd) != 0) {
-      if (!client->FlushOutput()) {
-        RemoveClient(ev.fd);
+      client->NoteReadable(ev.closed);
+      if (client->WantsRead()) {
+        HandleClientReadable(client);
       }
+    }
+    if (ev.writable && IsLive(client) && !client->FlushOutput()) {
+      RemoveClient(client->fd());
     }
   }
 
-  // Service requests that stayed buffered when the fairness cap cut a
-  // previous sweep short: poll will not fire again for a socket that has
-  // already been drained.
-  std::vector<std::shared_ptr<ClientConn>> with_backlog;
+  // Serve what no edge will announce again: a client the shard may read
+  // again (resumed, its input or egress guard released, or its last read
+  // cut short by a fault schedule) whose socket may still hold bytes, and
+  // complete requests the fairness cap left buffered.
   for (auto& [fd, client] : clients_) {
-    if (!client->suspended() && client->state() == ClientConn::State::kRunning &&
-        client->Buffered().size() >= kRequestHeaderBytes) {
-      with_backlog.push_back(client);
+    if (client->NeedsService()) {
+      backlog_.push_back(client);
     }
   }
-  for (const auto& client : with_backlog) {
-    if (clients_.count(client->fd()) != 0) {
+  for (const auto& client : backlog_) {
+    if (!IsLive(client)) {
+      continue;
+    }
+    if (client->WantsRead()) {
+      HandleClientReadable(client);
+    } else {
       ProcessBufferedRequests(client);
     }
   }
+  backlog_.clear();
 
   // Flush accumulated replies/events and reap finished clients: ones
   // marked closing, and half-closed peers (EOF seen) that have no
-  // complete request left to serve and no output still to deliver. Every
-  // survivor then declares its interest for the next wait. Nothing later
-  // in the iteration can change an interest (neither a flush nor a reap
-  // emits into other clients), and the poller skips unchanged ones.
-  std::vector<int> to_remove;
+  // complete request left to serve and no output still to deliver. A
+  // survivor with work left that no edge will announce (see
+  // ClientConn::NeedsService) makes the next wait a poll.
   for (auto& [fd, client] : clients_) {
     if (!client->FlushOutput()) {
-      to_remove.push_back(fd);
+      reap_.push_back(fd);
       continue;
     }
     if (client->state() == ClientConn::State::kClosing && !client->HasPendingOutput()) {
-      to_remove.push_back(fd);
+      reap_.push_back(fd);
       continue;
     }
     if (client->saw_eof() && !client->suspended() && !client->HasPendingOutput() &&
         !client->HasCompleteRequest()) {
-      to_remove.push_back(fd);
+      reap_.push_back(fd);
       continue;
     }
-    // A suspended client's socket is not read: that is how the server
-    // "blocks the client" - TCP backpressure does the rest. After EOF
-    // there is nothing left to read either.
-    const bool want_read = !client->suspended() &&
-                           client->state() != ClientConn::State::kClosing &&
-                           !client->saw_eof();
-    poller_.Watch(fd, want_read, client->HasPendingOutput());
+    if (client->NeedsService()) {
+      work_pending_ = true;
+    }
   }
-  for (int fd : to_remove) {
+  for (int fd : reap_) {
     RemoveClient(fd);
   }
+  reap_.clear();
 
   return !server_.stop_.load(std::memory_order_relaxed) &&
          !local_stop_.load(std::memory_order_relaxed);
@@ -356,6 +356,12 @@ void Shard::AdoptLocal(FaultStream stream, PeerAddress peer) {
   rec.client = client->client_number();
   EmitOplog(rec);
   clients_.emplace(fd, std::move(client));
+  // Registered once, edge-triggered for both directions: besides new
+  // bytes, the kernel reports write space freed, which on an AF_UNIX
+  // socket means the client just read a reply, so the shard starts waking
+  // while the client is still writing its next request.
+  poller_.Watch(fd, static_cast<uint64_t>(fd),
+                Poller::kRead | Poller::kWrite | Poller::kEdgeTriggered);
   metrics_.clients_accepted.Add();
   client_count_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -387,8 +393,7 @@ void Shard::HandleClientReadable(const std::shared_ptr<ClientConn>& client) {
 
 void Shard::ProcessBufferedRequests(const std::shared_ptr<ClientConn>& client) {
   int processed = 0;
-  while (clients_.count(client->fd()) != 0 && !client->suspended() &&
-         client->state() != ClientConn::State::kClosing) {
+  while (IsLive(client) && client->CanDispatch()) {
     if (client->state() == ClientConn::State::kAwaitingSetup) {
       TrySetup(client);
       if (client->state() == ClientConn::State::kAwaitingSetup) {
@@ -397,11 +402,7 @@ void Shard::ProcessBufferedRequests(const std::shared_ptr<ClientConn>& client) {
       continue;
     }
     if (processed >= opts_.max_requests_per_sweep) {
-      // Fairness: give other clients a turn; remember there is more to do.
-      if (client->Buffered().size() >= kRequestHeaderBytes) {
-        work_pending_ = true;
-      }
-      return;
+      return;  // fairness: other clients get a turn; NeedsService remembers the rest
     }
     const std::span<const uint8_t> buf = client->Buffered();
     if (buf.size() < kRequestHeaderBytes) {
@@ -449,10 +450,11 @@ void Shard::ProcessBufferedRequests(const std::shared_ptr<ClientConn>& client) {
       ev.corr = corr;
       trace_.Record(ev);
     }
-    if (clients_.count(client->fd()) == 0) {
+    if (!IsLive(client)) {
       return;  // dispatch closed the connection
     }
     client->Consume(total);
+    client->UpdateEgressGuard();
     ++processed;
   }
 }

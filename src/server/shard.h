@@ -218,7 +218,12 @@ class Shard {
   std::vector<std::function<void()>> action_scratch_;
   std::atomic<bool> local_stop_{false};
 
+  // Set when work is left that no edge will announce: the next wait polls.
   bool work_pending_ = false;
+  // RunOnce's sweep lists; cleared after each use, so they keep their
+  // capacity and a loop iteration allocates nothing.
+  std::vector<std::shared_ptr<ClientConn>> backlog_;
+  std::vector<int> reap_;
   ServerMetrics metrics_;
   std::atomic<size_t> client_count_{0};
 

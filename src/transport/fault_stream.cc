@@ -1,5 +1,8 @@
 #include "transport/fault_stream.h"
 
+#include <errno.h>
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <cstdio>
 
@@ -8,6 +11,13 @@
 namespace af {
 
 namespace {
+
+// Whether a read of fd would return at once: bytes, an EOF or an error.
+bool ReadWouldNotBlock(int fd) {
+  uint8_t byte;
+  return ::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT) >= 0 ||
+         (errno != EAGAIN && errno != EWOULDBLOCK);
+}
 
 // Smallest fault boundary strictly beyond `offset`, from a sorted vector.
 std::optional<uint64_t> NextBoundary(const std::vector<uint64_t>& splits, uint64_t offset) {
@@ -331,12 +341,15 @@ void FaultSchedule::ConsumeWriteCorruption(uint64_t offset, size_t written) {
 IoResult FaultStream::FaultyRead(void* buf, size_t len) {
   const FaultSchedule::Decision d = schedule_->OnRead(read_offset_, len);
   if (d.status != IoStatus::kOk) {
-    return {d.status, 0};
+    return {d.status, 0,
+            d.status == IoStatus::kWouldBlock && ReadWouldNotBlock(inner_.fd())};
   }
-  const IoResult r = inner_.Read(buf, std::min(len, d.max_len));
+  const size_t n = std::min(len, d.max_len);
+  IoResult r = inner_.Read(buf, n);
   if (r.status == IoStatus::kOk && r.bytes > 0) {
     schedule_->ApplyReadCorruption(read_offset_, static_cast<uint8_t*>(buf), r.bytes);
     read_offset_ += r.bytes;
+    r.injected = n < len && r.bytes == n && ReadWouldNotBlock(inner_.fd());
   }
   return r;
 }
@@ -344,7 +357,7 @@ IoResult FaultStream::FaultyRead(void* buf, size_t len) {
 IoResult FaultStream::FaultyWrite(const void* buf, size_t len) {
   const FaultSchedule::Decision d = schedule_->OnWrite(write_offset_, len);
   if (d.status != IoStatus::kOk) {
-    return {d.status, 0};
+    return {d.status, 0, /*injected=*/d.status == IoStatus::kWouldBlock};
   }
   const size_t n = std::min(len, d.max_len);
   IoResult r;

@@ -11,23 +11,6 @@
 
 namespace af {
 
-namespace {
-
-struct epoll_event EpollEvent(int fd, bool want_read, bool want_write) {
-  struct epoll_event ev;
-  memset(&ev, 0, sizeof(ev));
-  if (want_read) {
-    ev.events |= EPOLLIN;
-  }
-  if (want_write) {
-    ev.events |= EPOLLOUT;
-  }
-  ev.data.fd = fd;
-  return ev;
-}
-
-}  // namespace
-
 Poller::Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)), ready_(64) {
   if (epfd_ < 0) {
     FatalError("Poller: epoll_create1 failed: %s", strerror(errno));
@@ -36,29 +19,27 @@ Poller::Poller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)), ready_(64) {
 
 Poller::~Poller() { ::close(epfd_); }
 
-void Poller::Watch(int fd, bool want_read, bool want_write) {
-  const auto it = interests_.find(fd);
-  if (it == interests_.end()) {
-    interests_[fd] = {want_read, want_write};
-    struct epoll_event ev = EpollEvent(fd, want_read, want_write);
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0 && errno == EEXIST) {
-      ::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
-    }
-    return;
+void Poller::Watch(int fd, uint64_t tag, unsigned interest) {
+  struct epoll_event ev;
+  memset(&ev, 0, sizeof(ev));
+  if (interest & kRead) {
+    ev.events |= EPOLLIN | EPOLLRDHUP;
   }
-  if (it->second.want_read == want_read && it->second.want_write == want_write) {
-    return;  // unchanged: no syscall
+  if (interest & kWrite) {
+    ev.events |= EPOLLOUT;
   }
-  it->second = {want_read, want_write};
-  struct epoll_event ev = EpollEvent(fd, want_read, want_write);
-  if (::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) != 0 && errno == ENOENT) {
-    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
+  if (interest & kEdgeTriggered) {
+    ev.events |= EPOLLET;
+  }
+  ev.data.u64 = tag;
+  if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0) {
+    ++watched_;
   }
 }
 
 void Poller::Unwatch(int fd) {
-  if (interests_.erase(fd) != 0) {
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
+  if (::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr) == 0) {
+    --watched_;
   }
 }
 
@@ -96,14 +77,15 @@ const std::vector<PollEvent>& Poller::Wait(int64_t timeout_ms) {
   for (int i = 0; i < n; ++i) {
     const struct epoll_event& e = ready_[static_cast<size_t>(i)];
     PollEvent ev;
-    ev.fd = e.data.fd;
+    ev.tag = e.data.u64;
     ev.readable = (e.events & EPOLLIN) != 0;
     ev.writable = (e.events & EPOLLOUT) != 0;
-    ev.closed = (e.events & (EPOLLHUP | EPOLLERR)) != 0;
+    ev.closed = (e.events & (EPOLLHUP | EPOLLERR | EPOLLRDHUP)) != 0;
     events_.push_back(ev);
   }
   // A full batch means more fds may be ready; grow so the next wake can
-  // report them all (level-triggered, so nothing is lost meanwhile).
+  // report them all (the kernel keeps the rest on its ready list, so
+  // nothing is lost meanwhile).
   if (static_cast<size_t>(n) == ready_.size()) {
     ready_.resize(ready_.size() * 2);
   }

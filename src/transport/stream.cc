@@ -65,7 +65,7 @@ IoResult FdStream::Read(void* buf, size_t len) {
 IoResult FdStream::Write(const void* buf, size_t len) {
   for (;;) {
     // MSG_NOSIGNAL suppresses SIGPIPE when the peer has gone.
-    const ssize_t n = ::send(fd_, buf, len, MSG_NOSIGNAL);
+    const ssize_t n = ::send(fd_, buf, len, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n >= 0) {
       return {IoStatus::kOk, static_cast<size_t>(n)};
     }

@@ -38,6 +38,12 @@ enum class IoStatus {
 struct IoResult {
   IoStatus status;
   size_t bytes = 0;
+  // Set by a FaultStream when its schedule, not the kernel, ended the
+  // transfer on a ready socket: a read stalled (kWouldBlock) or cut short
+  // while the kernel still holds bytes or an EOF, or a write stalled. Such
+  // a result proves nothing about the socket, and no later edge will
+  // announce what the schedule held back.
+  bool injected = false;
 };
 
 // An owned, connected stream socket. Move-only RAII over the fd.
@@ -55,6 +61,9 @@ class FdStream {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
+  // Read blocks on a blocking fd. Write never blocks (MSG_DONTWAIT): a
+  // full socket reports kWouldBlock in either mode, so a writer can wait
+  // for readability as well.
   IoResult Read(void* buf, size_t len);
   IoResult Write(const void* buf, size_t len);
   // Writes the whole buffer / reads exactly len bytes, waiting in poll(2)

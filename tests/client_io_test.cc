@@ -6,6 +6,8 @@
 //   across steady-state round trips against an in-process server.
 // * ClientSignalTest interrupts blocking and non-blocking waits with a
 //   signal whose handler lacks SA_RESTART; the connection must survive.
+// * ClientFlowTest pipelines past the server's egress guard and both
+//   socket buffers in one Flush, which must read while it waits to write.
 // * ClientFramingTest drives a connection whose reads run through a
 //   FaultStream against a scripted peer, so every byte the "server" sends
 //   is known: each view AwaitReply hands out is compared byte for byte
@@ -16,11 +18,14 @@
 
 #include <pthread.h>
 #include <signal.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <random>
 #include <thread>
@@ -32,6 +37,7 @@
 #include "proto/events.h"
 #include "proto/requests.h"
 #include "proto/setup.h"
+#include "server/client_conn.h"
 #include "transport/fault_stream.h"
 #include "transport/stream.h"
 
@@ -235,6 +241,67 @@ TEST(ClientSignalTest, SignalDuringBlockingRecordKeepsConnection) {
   EXPECT_FALSE(c.broken());
   EXPECT_FALSE(io_error);
   EXPECT_TRUE(c.GetTime(runner->codec_id()).ok());
+}
+
+// --- reading while waiting to write ------------------------------------------
+
+TEST(ClientFlowTest, FlushPastTheEgressGuardAndBothSocketBuffersCompletes) {
+  // The client queues enough InternAtom lookups that their replies pass
+  // the server's egress guard plus both socket buffers twice over, and the
+  // requests themselves outgrow what the server reads before its guard
+  // engages. Then it awaits the last reply, which flushes them all. The
+  // server stops reading once it holds kOutHighWater of unsent replies, so
+  // a Flush that waited for POLLOUT alone would wait forever; this one
+  // reads the replies meanwhile (so here the guard need not even engage).
+  // A watchdog shuts the socket down if the flush has not finished after
+  // 30 s, which fails the await.
+  ServerRunner::Config config;
+  config.realtime = false;
+  config.server.num_shards = 1;
+  auto runner = ServerRunner::Start(std::move(config));
+  ASSERT_NE(runner, nullptr);
+  auto pair = CreateStreamPair();
+  ASSERT_TRUE(pair.ok());
+  int sndbuf = 0;
+  socklen_t len = sizeof(sndbuf);
+  ASSERT_EQ(getsockopt(pair.value().first.fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf, &len), 0);
+  const int client_fd = pair.value().first.fd();
+  runner->server().AdoptClient(std::move(pair.value().second));
+  auto made = AFAudioConn::FromStream(std::move(pair.value().first));
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  AFAudioConn& c = *made.value();
+  c.SetIOErrorHandler([](AFAudioConn&) {});
+
+  const size_t replies =
+      2 * (ClientConn::kOutHighWater + 2 * static_cast<size_t>(sndbuf)) / kReplyBaseBytes;
+  InternAtomReq req;
+  req.only_if_exists = 1;
+  req.name = std::string(100, 'q');
+  uint16_t last = 0;
+  for (size_t i = 0; i < replies; ++i) {
+    last = c.QueueRequest(Opcode::kInternAtom, req);
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(30), [&] { return done; })) {
+      ::shutdown(client_fd, SHUT_RDWR);
+    }
+  });
+  auto reply = c.AwaitReply(last);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    done = true;
+  }
+  cv.notify_one();
+  watchdog.join();
+  ASSERT_TRUE(reply.ok()) << "the flush deadlocked against the egress guard";
+  InternAtomReply decoded;
+  ASSERT_TRUE(InternAtomReply::Decode(reply.value(), c.order(), &decoded));
+  EXPECT_EQ(decoded.atom, kNoAtom);
 }
 
 // --- in-place framing against a scripted peer ------------------------------

@@ -1,8 +1,9 @@
-// The epoll Poller's contract, case by case: interest changes and
-// unwatching, syscall-free re-watch of an unchanged interest, timeout edge
-// cases (negative = forever, 0 = non-blocking, values past INT_MAX), and
-// EINTR retry behaviour - a signal arriving mid-wait must consume the
-// remaining timeout, not surface as a spurious empty wake.
+// The epoll Poller's contract, case by case: each fd registered once,
+// with the tag its events carry back; level- against edge-triggered
+// reporting; unwatching; timeout edge cases (negative = forever, 0 =
+// non-blocking, values past INT_MAX), and EINTR retry behaviour - a signal
+// arriving mid-wait must consume the remaining timeout, not surface as a
+// spurious empty wake.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -20,57 +21,62 @@
 namespace af {
 namespace {
 
-TEST(PollerTest, ReadableWritableAndUnwatch) {
-  auto pair = CreateStreamPair();
-  ASSERT_TRUE(pair.ok());
-  auto& [a, b] = pair.value();
+TEST(PollerTest, EventsCarryTheirTagAndUnwatchStopsThem) {
+  auto first = CreateStreamPair();
+  auto second = CreateStreamPair();
+  ASSERT_TRUE(first.ok() && second.ok());
+  auto& [a1, b1] = first.value();
+  auto& [a2, b2] = second.value();
   Poller poller;
-
-  poller.Watch(b.fd(), true, false);
-  EXPECT_EQ(poller.watched(), 1u);
+  poller.Watch(b1.fd(), 11, Poller::kRead);
+  poller.Watch(b2.fd(), uint64_t{1} << 40, Poller::kRead);
+  EXPECT_EQ(poller.watched(), 2u);
   EXPECT_TRUE(poller.Wait(0).empty());
 
   const char byte = '!';
-  a.WriteAll(&byte, 1);
+  a2.WriteAll(&byte, 1);
   {
     const auto& events = poller.Wait(1000);
     ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0].fd, b.fd());
+    EXPECT_EQ(events[0].tag, uint64_t{1} << 40);
     EXPECT_TRUE(events[0].readable);
     EXPECT_FALSE(events[0].writable);
   }
-
-  // Interest change: the same fd, now write-only. The pending byte must
-  // no longer produce a readable event; the empty socket buffer makes the
-  // fd writable immediately.
-  poller.Watch(b.fd(), false, true);
+  a1.WriteAll(&byte, 1);
+  poller.Unwatch(b2.fd());
   EXPECT_EQ(poller.watched(), 1u);
   {
     const auto& events = poller.Wait(1000);
     ASSERT_EQ(events.size(), 1u);
-    EXPECT_FALSE(events[0].readable);
-    EXPECT_TRUE(events[0].writable);
+    EXPECT_EQ(events[0].tag, 11u);
   }
-
-  poller.Unwatch(b.fd());
+  poller.Unwatch(b1.fd());
   EXPECT_EQ(poller.watched(), 0u);
   EXPECT_TRUE(poller.Wait(0).empty());
 }
 
-TEST(PollerTest, ReWatchSameInterestIsIdempotent) {
-  auto pair = CreateStreamPair();
-  ASSERT_TRUE(pair.ok());
-  auto& [a, b] = pair.value();
+TEST(PollerTest, LevelReportsEveryWaitEdgeReportsOnce) {
+  auto level_pair = CreateStreamPair();
+  auto edge_pair = CreateStreamPair();
+  ASSERT_TRUE(level_pair.ok() && edge_pair.ok());
+  auto& [la, lb] = level_pair.value();
+  auto& [ea, eb] = edge_pair.value();
   Poller poller;
-  // The server re-asserts every interest each loop iteration; doing so
-  // many times over must not duplicate events or grow the watch set.
-  for (int i = 0; i < 100; ++i) {
-    poller.Watch(b.fd(), true, false);
-  }
-  EXPECT_EQ(poller.watched(), 1u);
+  poller.Watch(lb.fd(), 1, Poller::kRead);
+  poller.Watch(eb.fd(), 2, Poller::kRead | Poller::kEdgeTriggered);
   const char byte = 'x';
-  a.WriteAll(&byte, 1);
-  EXPECT_EQ(poller.Wait(1000).size(), 1u);
+  la.WriteAll(&byte, 1);
+  ea.WriteAll(&byte, 1);
+  EXPECT_EQ(poller.Wait(1000).size(), 2u);
+  // Nothing was read: the level-triggered fd is reported again, the
+  // edge-triggered one not until more bytes arrive.
+  for (int i = 0; i < 3; ++i) {
+    const auto& events = poller.Wait(0);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].tag, 1u);
+  }
+  ea.WriteAll(&byte, 1);
+  EXPECT_EQ(poller.Wait(0).size(), 2u);
 }
 
 TEST(PollerTest, TimeoutEdgeCasesWithReadyFd) {
@@ -80,7 +86,7 @@ TEST(PollerTest, TimeoutEdgeCasesWithReadyFd) {
   const char byte = 'r';
   a.WriteAll(&byte, 1);
   Poller poller;
-  poller.Watch(b.fd(), true, false);
+  poller.Watch(b.fd(), 1, Poller::kRead);
   // A ready fd must be reported regardless of how the timeout is spelled:
   // negative (forever), zero (non-blocking), and values past INT_MAX
   // (which would go negative in a naive int cast and spin or block).
@@ -112,7 +118,7 @@ TEST(PollerTest, HugeTimeoutStillWakesOnActivity) {
   ASSERT_TRUE(pair.ok());
   auto& [a, b] = pair.value();
   Poller poller;
-  poller.Watch(b.fd(), true, false);
+  poller.Watch(b.fd(), 1, Poller::kRead);
   std::thread writer([&a] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     const char byte = 'w';
@@ -135,7 +141,7 @@ TEST(PollerTest, SignalDoesNotSurfaceAsEmptyWake) {
   ASSERT_TRUE(pair.ok());
   auto& [a, b] = pair.value();
   Poller poller;
-  poller.Watch(b.fd(), true, false);
+  poller.Watch(b.fd(), 1, Poller::kRead);
 
   // A repeating 20 ms SIGALRM with SA_RESTART off makes the kernel wait
   // return EINTR many times within one logical 200 ms Wait.

@@ -3,9 +3,13 @@
 // control, and protocol-violation handling.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+#include <poll.h>
+
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstring>
 #include <mutex>
 #include <thread>
 
@@ -383,6 +387,179 @@ TEST_F(ServerTest, SuspendedClientDoesNotStallOthers) {
   EXPECT_TRUE(record_done.load());
 }
 
+// --- raw clients with bounded waits --------------------------------------
+
+// One request, in host order.
+template <typename Req>
+std::vector<uint8_t> EncodeRequest(Opcode op, const Req& req) {
+  WireWriter w;
+  const size_t header = BeginRequest(w, op);
+  req.Encode(w);
+  EndRequest(w, header);
+  return w.Take();
+}
+
+// Reads exactly n bytes, waiting at most timeout_ms for each transfer, so
+// a server that never answers fails the test instead of hanging it.
+bool ReadWithin(FdStream& raw, void* buf, size_t n, int timeout_ms) {
+  auto* p = static_cast<uint8_t*>(buf);
+  while (n > 0) {
+    struct pollfd pfd = {};
+    pfd.fd = raw.fd();
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, timeout_ms) <= 0) {
+      return false;
+    }
+    const IoResult r = raw.Read(p, n);
+    if (r.status != IoStatus::kOk) {
+      return false;
+    }
+    p += r.bytes;
+    n -= r.bytes;
+  }
+  return true;
+}
+
+// The next unit the server sent: 32 bytes, plus a reply's extra data.
+bool ReadUnitWithin(FdStream& raw, std::vector<uint8_t>* unit, int timeout_ms = 10000) {
+  unit->resize(kReplyBaseBytes);
+  if (!ReadWithin(raw, unit->data(), kReplyBaseBytes, timeout_ms)) {
+    return false;
+  }
+  if ((*unit)[0] != kReplyPacketType) {
+    return true;
+  }
+  ReplyHeader header;
+  PeekReplyHeader(*unit, HostWireOrder(), &header);
+  unit->resize(kReplyBaseBytes + header.extra_words * 4u);
+  return ReadWithin(raw, unit->data() + kReplyBaseBytes, unit->size() - kReplyBaseBytes,
+                    timeout_ms);
+}
+
+// The setup handshake with bounded waits; the client's resource-id base,
+// or 0 on failure (a real base is never 0).
+uint32_t RawSetupWithin(FdStream& raw, int timeout_ms = 10000) {
+  const auto bytes = SetupRequest().Encode();
+  uint8_t fixed[SetupReply::kFixedBytes];
+  bool success = false;
+  uint32_t additional = 0;
+  if (!raw.WriteAll(bytes.data(), bytes.size()).ok() ||
+      !ReadWithin(raw, fixed, sizeof(fixed), timeout_ms) ||
+      !SetupReply::DecodeFixed(fixed, HostWireOrder(), &success, &additional) || !success) {
+    return 0;
+  }
+  std::vector<uint8_t> variable(additional * 4u);
+  SetupReply reply;
+  if (!ReadWithin(raw, variable.data(), variable.size(), timeout_ms) ||
+      !SetupReply::DecodeVariable(variable, HostWireOrder(), success, &reply)) {
+    return 0;
+  }
+  return reply.resource_id_base;
+}
+
+// Waits (bounded) until the counter reads at least n.
+bool AwaitCount(const Counter& counter, uint64_t n) {
+  for (int i = 0; i < 10000 && counter.Value() < n; ++i) {
+    SleepMicros(1000);
+  }
+  return counter.Value() >= n;
+}
+
+TEST_F(ServerTest, RequestsThatArriveWhileSuspendedAreServedOnResume) {
+  // A blocking record into the future parks the client. Three GetTime
+  // requests arrive while it is parked: the shard meets their edge but
+  // may not read a parked client, so they stay in the kernel. Once the
+  // record completes, the client may be read again and the three are
+  // answered, with no further byte from the client to raise another edge.
+  auto pair = CreateStreamPair();
+  ASSERT_TRUE(pair.ok());
+  FdStream client = std::move(pair.value().first);
+  runner_->server().AdoptClient(std::move(pair.value().second));
+  const uint32_t base = RawSetupWithin(client);
+  ASSERT_NE(base, 0u);
+
+  CreateACReq create;
+  create.ac = base | 1;
+  GetTimeReq get_time;
+  std::vector<uint8_t> bytes = EncodeRequest(Opcode::kCreateAC, create);
+  const std::vector<uint8_t> time_request = EncodeRequest(Opcode::kGetTime, get_time);
+  bytes.insert(bytes.end(), time_request.begin(), time_request.end());
+  ASSERT_TRUE(client.WriteAll(bytes.data(), bytes.size()).ok());
+  std::vector<uint8_t> unit;
+  GetTimeReply now;
+  ASSERT_TRUE(ReadUnitWithin(client, &unit));
+  ASSERT_TRUE(GetTimeReply::Decode(unit, HostWireOrder(), &now));
+
+  RecordSamplesReq record;
+  record.ac = create.ac;
+  record.start_time = now.time;
+  record.nbytes = 400;  // 50 ms of the CODEC, all of it still to come
+  const Counter& suspends = runner_->server().metrics().suspends;
+  const uint64_t suspends_before = suspends.Value();
+  bytes = EncodeRequest(Opcode::kRecordSamples, record);
+  ASSERT_TRUE(client.WriteAll(bytes.data(), bytes.size()).ok());
+  ASSERT_TRUE(AwaitCount(suspends, suspends_before + 1));
+
+  bytes.clear();
+  for (int i = 0; i < 3; ++i) {
+    bytes.insert(bytes.end(), time_request.begin(), time_request.end());
+  }
+  const Counter& dispatched = runner_->server().metrics().requests_dispatched;
+  const uint64_t dispatched_before = dispatched.Value();
+  ASSERT_TRUE(client.WriteAll(bytes.data(), bytes.size()).ok());
+  runner_->RunOnLoop([] {});
+  runner_->RunOnLoop([] {});
+  EXPECT_EQ(dispatched.Value(), dispatched_before) << "a parked client's socket was read";
+
+  // Read nothing until they are served: reading the record's reply would
+  // free buffer space and raise a write edge that wakes the shard anyway.
+  runner_->manual_clock()->Advance(800);
+  ASSERT_TRUE(AwaitCount(dispatched, dispatched_before + 3))
+      << "requests that arrived while the client was parked were never read";
+  ASSERT_TRUE(ReadUnitWithin(client, &unit)) << "the record never completed";
+  ReplyHeader header;
+  ASSERT_TRUE(PeekReplyHeader(unit, HostWireOrder(), &header));
+  EXPECT_EQ(header.seq, 3u);
+  for (uint16_t seq = 4; seq <= 6; ++seq) {
+    ASSERT_TRUE(ReadUnitWithin(client, &unit)) << "request " << seq << " was never served";
+    ASSERT_TRUE(PeekReplyHeader(unit, HostWireOrder(), &header));
+    EXPECT_EQ(header.seq, seq);
+  }
+}
+
+TEST_F(ServerTest, LoneRequestIsAnsweredUnderByteAtATimeReadsAndInjectedStalls) {
+  // The server reads this client one byte per read and meets kWouldBlock
+  // bursts on a socket that is in fact readable, in the setup and inside
+  // the request. Neither kind of read proves the socket drained, so the
+  // shard keeps reading without waiting for another edge: the client
+  // sends its setup, then one request, and only waits.
+  auto faults = std::make_shared<FaultSchedule>();
+  faults->SetMaxReadChunk(1);
+  const uint64_t setup_bytes = SetupRequest().Encode().size();
+  for (const uint64_t at : {uint64_t{0}, uint64_t{5}, setup_bytes, setup_bytes + 3,
+                            setup_bytes + 7}) {
+    faults->WouldBlockReadAt(at, 3);
+  }
+  auto pair = CreateStreamPair();
+  ASSERT_TRUE(pair.ok());
+  FdStream client = std::move(pair.value().first);
+  runner_->server().AdoptClient(std::move(pair.value().second), faults);
+  ASSERT_NE(RawSetupWithin(client), 0u) << faults->TraceString();
+
+  for (uint32_t round = 0; round < 2; ++round) {
+    runner_->manual_clock()->Set(1000 + round);
+    const std::vector<uint8_t> bytes = EncodeRequest(Opcode::kGetTime, GetTimeReq());
+    ASSERT_TRUE(client.WriteAll(bytes.data(), bytes.size()).ok());
+    std::vector<uint8_t> unit;
+    ASSERT_TRUE(ReadUnitWithin(client, &unit)) << "round " << round << ": "
+                                               << faults->TraceString();
+    GetTimeReply reply;
+    ASSERT_TRUE(GetTimeReply::Decode(unit, HostWireOrder(), &reply));
+    EXPECT_EQ(reply.time, 1000 + round);
+  }
+  EXPECT_GE(faults->faults_applied(), 15u);
+}
+
 TEST_F(ServerTest, StatsCount) {
   conn_->NoOp();
   conn_->Sync();
@@ -512,7 +689,7 @@ struct FaultedSendBuffer {
     return buf.Flush(stream, [this](size_t bytes) {
       sent += bytes;
       stops.push_back(sent);
-    });
+    }).status;
   }
 
   FaultStream stream;
@@ -684,6 +861,90 @@ TEST(ServerFloodTest, PipelinedFloodPastTheHighWaterMarkIsServedInFull) {
   ASSERT_TRUE(stats.ok());
   EXPECT_GT(stats.value().counters[ServerCounterSlot("highwater_hits")], 0u);
   EXPECT_EQ(stats.value().opcodes[static_cast<size_t>(Opcode::kInternAtom)].count, count);
+}
+
+// Heap bytes in use: the malloc arenas plus mmapped chunks.
+size_t HeapInUse() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+TEST(ServerFloodTest, ClientThatNeverReadsIsCappedAndLosesNothing) {
+  // A raw client pipelines 512k InternAtom lookups (16 MiB of 32-byte
+  // replies) and reads nothing. Once the shard holds kOutHighWater of
+  // unsent replies for it, the egress guard stops reading and dispatching
+  // it, so the writer stalls in the kernel. What the shard holds for the
+  // connection stays inside the budget: its input buffer (at most twice
+  // the 1 MiB flood mark) and its send buffer (at most twice the unsent
+  // cap), where an uncapped server held every reply. A bystander is
+  // served meanwhile. When the client reads, every reply arrives, in
+  // order. (Under a sanitizer the allocator keeps its own books, so the
+  // heap reads flat.)
+  constexpr size_t kRequests = 512 * 1024;
+  constexpr size_t kBudgetBytes = 6u << 20;
+  ServerRunner::Config config;
+  config.realtime = false;
+  config.server.num_shards = 1;
+  auto runner = ServerRunner::Start(config);
+  ASSERT_NE(runner, nullptr);
+  auto pair = CreateStreamPair();
+  ASSERT_TRUE(pair.ok());
+  FdStream client = std::move(pair.value().first);
+  runner->server().AdoptClient(std::move(pair.value().second));
+  ASSERT_NE(RawSetupWithin(client), 0u);
+
+  WireWriter w;
+  InternAtomReq req;
+  req.only_if_exists = 1;
+  req.name = "egress";
+  for (size_t i = 0; i < kRequests; ++i) {
+    const size_t header = BeginRequest(w, Opcode::kInternAtom);
+    req.Encode(w);
+    EndRequest(w, header);
+  }
+  const std::vector<uint8_t> flood = w.Take();
+
+  const size_t heap_before = HeapInUse();
+  std::thread writer([&] { EXPECT_TRUE(client.WriteAll(flood.data(), flood.size()).ok()); });
+  const Counter& hits = runner->server().metrics().egress_highwater_hits;
+  ASSERT_TRUE(AwaitCount(hits, 1)) << "the egress guard never engaged";
+  runner->RunOnLoop([] {});
+  runner->RunOnLoop([] {});
+  const size_t heap_after = HeapInUse();
+  const size_t growth = heap_after > heap_before ? heap_after - heap_before : 0;
+  EXPECT_LT(growth, kBudgetBytes);
+  const uint64_t dispatched = runner->server().metrics().requests_dispatched.Value();
+  EXPECT_LT(dispatched, kRequests / 4);
+
+  auto bystander = runner->ConnectInProcess();
+  ASSERT_TRUE(bystander.ok());
+  EXPECT_TRUE(bystander.value()->GetTime(0).ok());
+
+  std::vector<uint8_t> buf(64 * 1024);
+  size_t have = 0;
+  size_t replies = 0;
+  while (replies < kRequests) {
+    const IoResult r = client.Read(buf.data() + have, buf.size() - have);
+    ASSERT_EQ(r.status, IoStatus::kOk) << "after " << replies << " replies";
+    have += r.bytes;
+    size_t off = 0;
+    for (; have - off >= kReplyBaseBytes; off += kReplyBaseBytes, ++replies) {
+      const std::span<const uint8_t> unit(buf.data() + off, kReplyBaseBytes);
+      ReplyHeader header;
+      InternAtomReply reply;
+      ASSERT_TRUE(PeekReplyHeader(unit, HostWireOrder(), &header)) << "reply " << replies;
+      ASSERT_EQ(header.seq, static_cast<uint16_t>(replies + 1)) << "reply " << replies;
+      ASSERT_TRUE(InternAtomReply::Decode(unit, HostWireOrder(), &reply)) << "reply " << replies;
+      ASSERT_EQ(reply.atom, kNoAtom) << "reply " << replies;
+    }
+    std::memmove(buf.data(), buf.data() + off, have - off);
+    have -= off;
+  }
+  writer.join();
+  EXPECT_EQ(have, 0u);
+  auto stats = bystander.value()->GetServerStats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_GT(stats.value().counters[ServerCounterSlot("egress_highwater_hits")], 0u);
 }
 
 }  // namespace

@@ -700,5 +700,46 @@ TEST(ShardAllocTest, CrossShardPlayAllocatesLikeALocalOne) {
                            << " times, shard-0 plays " << local;
 }
 
+TEST(ShardAllocTest, PipelinedBurstsPastTheFairnessCapAllocateNothing) {
+  // Each burst is four fairness caps of NoOps in one write, then a Sync:
+  // the shard serves a cap per sweep and carries the rest over to its
+  // backlog sweep, loop iteration after loop iteration. None of that may
+  // allocate once the connection's buffers have reached size.
+  ServerRunner::Config config;
+  config.realtime = false;
+  config.server.num_shards = 1;
+  auto runner = ServerRunner::Start(std::move(config));
+  ASSERT_NE(runner, nullptr);
+  RunOnShard(runner->server(), 0, [] { t_shard_thread = true; });
+  auto conn = runner->ConnectInProcess();
+  ASSERT_TRUE(conn.ok());
+  const int burst = 4 * runner->server().options().max_requests_per_sweep;
+  const uint64_t iterations_before = runner->server().metrics().loop_iterations.Value();
+  const auto bursts = [&](int n) {
+    for (int b = 0; b < n; ++b) {
+      for (int i = 0; i < burst; ++i) {
+        conn.value()->NoOp();
+      }
+      conn.value()->Sync();
+    }
+  };
+  bursts(20);  // warm-up: buffers reach size
+  // The periodic device updates allocate on their first runs (see above).
+  const Counter& updates = runner->codec()->metrics().updates;
+  const uint64_t updates_seen = updates.Value();
+  while (updates.Value() < updates_seen + 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  g_shard_allocs.store(0);
+  g_count_shard_allocs.store(true);
+  bursts(100);
+  g_count_shard_allocs.store(false);
+  EXPECT_EQ(g_shard_allocs.load(), 0u);
+  // A loop iteration serves at most two caps (the read, then the backlog
+  // sweep), so every burst spanned several iterations.
+  EXPECT_GE(runner->server().metrics().loop_iterations.Value() - iterations_before, 120u * 2);
+}
+
 }  // namespace
 }  // namespace af

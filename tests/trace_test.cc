@@ -109,7 +109,7 @@ TEST(TraceRingTest, ClearForgetsWithoutCountingDrops) {
 }
 
 TEST(TraceKindTest, EveryKindHasAName) {
-  for (int k = 0; k <= static_cast<int>(TraceKind::kTraceGap); ++k) {
+  for (int k = 0; k <= static_cast<int>(kLastTraceKind); ++k) {
     const char* name = TraceKindName(static_cast<TraceKind>(k));
     ASSERT_NE(name, nullptr) << "kind " << k;
     EXPECT_NE(std::strcmp(name, "?"), 0) << "kind " << k;

@@ -289,16 +289,52 @@ TEST(PollerTest, DetectsReadable) {
   ASSERT_TRUE(pair.ok());
   auto& [a, b] = pair.value();
   Poller poller;
-  poller.Watch(b.fd(), true, false);
+  poller.Watch(b.fd(), 7, Poller::kRead);
   EXPECT_TRUE(poller.Wait(0).empty());
   const char byte = '!';
   a.WriteAll(&byte, 1);
   const auto events = poller.Wait(1000);
   ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].fd, b.fd());
+  EXPECT_EQ(events[0].tag, 7u);
   EXPECT_TRUE(events[0].readable);
   poller.Unwatch(b.fd());
   EXPECT_EQ(poller.watched(), 0u);
+}
+
+// The server's pre-wake. An AF_UNIX end registered edge-triggered for
+// read and write reports its initial write space once and then nothing,
+// not even after it writes; when the peer reads what it wrote, the freed
+// buffer space raises a write edge on it. Registered without kWrite, the
+// same end reports nothing.
+TEST(PollerTest, PeerReadingRaisesTheWriteSpaceEdge) {
+  for (const bool with_write : {true, false}) {
+    SCOPED_TRACE(with_write ? "read|write|edge" : "read|edge");
+    auto pair = CreateStreamPair();
+    ASSERT_TRUE(pair.ok());
+    auto& [a, b] = pair.value();
+    Poller poller;
+    poller.Watch(a.fd(), 1, Poller::kRead | Poller::kEdgeTriggered |
+                                (with_write ? Poller::kWrite : 0u));
+    poller.Wait(0);  // the initial edge, if any
+    EXPECT_TRUE(poller.Wait(0).empty());
+
+    const char msg[32] = "a reply";
+    ASSERT_TRUE(a.WriteAll(msg, sizeof(msg)).ok());
+    EXPECT_TRUE(poller.Wait(0).empty());
+
+    char got[sizeof(msg)];
+    ASSERT_TRUE(b.ReadAll(got, sizeof(got)).ok());
+    const auto& events = poller.Wait(0);
+    if (with_write) {
+      ASSERT_EQ(events.size(), 1u);
+      EXPECT_EQ(events[0].tag, 1u);
+      EXPECT_TRUE(events[0].writable);
+      EXPECT_FALSE(events[0].readable);
+    } else {
+      EXPECT_TRUE(events.empty());
+    }
+    EXPECT_TRUE(poller.Wait(0).empty());
+  }
 }
 
 TEST(SimDatagramTest, LosslessDelivery) {
