@@ -192,6 +192,17 @@ printf '%s\n' "$ASNIFF_OUT" | grep -q 'CreateAC len=[0-9]* .*enc=' || {
     echo "asniff: no decoded 'CreateAC ... enc=' line" >&2
     exit 1
 }
+# The server direction is framed by its own function (proto/framing.h):
+# the setup reply and the replies must decode too, or a broken
+# server-to-client framer in the live relay would pass.
+printf '%s\n' "$ASNIFF_OUT" | grep -q '^s->c SetupReply ok' || {
+    echo "asniff: no decoded 's->c SetupReply ok' line" >&2
+    exit 1
+}
+printf '%s\n' "$ASNIFF_OUT" | grep -q '^s->c Reply seq=' || {
+    echo "asniff: no decoded 's->c Reply seq=' line" >&2
+    exit 1
+}
 echo "asniff field decode OK"
 
 echo "== astat --json against a live server =="

@@ -10,6 +10,7 @@
 #include "client/audio_context.h"
 #include "common/clock.h"
 #include "common/log.h"
+#include "proto/framing.h"
 
 namespace af {
 
@@ -83,25 +84,26 @@ Status AFAudioConn::DoSetup() {
     return s;
   }
 
-  uint8_t fixed[SetupReply::kFixedBytes];
-  s = stream_.ReadAll(fixed, sizeof(fixed));
-  if (!s.ok()) {
-    return s;
+  // The reply is read into the receive buffer and framed there, like every
+  // later packet.
+  size_t total = kFrameNeedMore;
+  while ((total = FrameServerMessage(in_.Buffered(), /*setup_done=*/false, order_)) ==
+         kFrameNeedMore) {
+    const std::span<uint8_t> tail = in_.Tail();
+    const IoResult r = stream_.Read(tail.data(), tail.size());
+    if (r.status == IoStatus::kOk) {
+      in_.Commit(r.bytes);
+    } else if (r.status != IoStatus::kWouldBlock ||
+               !WaitForFd(stream_.fd(), /*for_read=*/true).ok()) {
+      return Status(AfError::kConnectionLost, "read failed");
+    }
   }
-  bool success = false;
-  uint32_t additional_words = 0;
-  if (!SetupReply::DecodeFixed(fixed, order_, &success, &additional_words)) {
+  const bool decoded = SetupReply::Decode(in_.Buffered().first(total), order_, &setup_);
+  in_.Consume(total);
+  if (!decoded) {
     return Status(AfError::kConnectionLost, "malformed setup reply");
   }
-  std::vector<uint8_t> variable(additional_words * 4u);
-  s = stream_.ReadAll(variable.data(), variable.size());
-  if (!s.ok()) {
-    return s;
-  }
-  if (!SetupReply::DecodeVariable(variable, order_, success, &setup_)) {
-    return Status(AfError::kConnectionLost, "malformed setup reply body");
-  }
-  if (!success) {
+  if (!setup_.success) {
     return Status(AfError::kBadAccess, "server refused connection: " + setup_.failure_reason);
   }
   return Status::Ok();
@@ -305,20 +307,12 @@ Status AFAudioConn::FillFromSocket(bool block) {
 
 std::optional<std::span<const uint8_t>> AFAudioConn::TakePacket() {
   const std::span<const uint8_t> buf = in_.Buffered();
-  if (buf.size() < kReplyBaseBytes) {
+  const size_t total = FrameServerMessage(buf, /*setup_done=*/true, order_);
+  if (total == kFrameNeedMore) {
     return std::nullopt;
   }
-  size_t need = kReplyBaseBytes;
-  if (buf[0] == kReplyPacketType) {
-    ReplyHeader header;
-    PeekReplyHeader(buf.first(kReplyBaseBytes), order_, &header);
-    need += static_cast<size_t>(header.extra_words) * 4u;
-    if (buf.size() < need) {
-      return std::nullopt;
-    }
-  }
-  in_.Consume(need);
-  return buf.first(need);
+  in_.Consume(total);
+  return buf.first(total);
 }
 
 void AFAudioConn::RouteBufferedPackets() {

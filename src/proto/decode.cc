@@ -10,6 +10,7 @@
 
 #include "common/error.h"
 #include "proto/events.h"
+#include "proto/framing.h"
 #include "proto/requests.h"
 #include "proto/setup.h"
 #include "proto/types.h"
@@ -179,100 +180,31 @@ std::string DecodeServerLine(std::span<const uint8_t> msg, WireOrder order) {
 
 std::string DecodeSetupRequestLine(std::span<const uint8_t> msg) {
   SetupRequest req;
-  uint16_t name_len = 0;
-  uint16_t data_len = 0;
-  if (!SetupRequest::DecodeFixed(msg, &req, &name_len, &data_len)) {
+  if (!SetupRequest::Decode(msg, &req)) {
     return "Setup <truncated>";
   }
   std::string line;
-  Appendf(&line, "Setup order=%s proto=%u.%u auth_name=%u auth_data=%u",
-          req.order == WireOrder::kLittle ? "l" : "B", req.proto_major,
-          req.proto_minor, name_len, data_len);
+  Appendf(&line, "Setup order=%s proto=%u.%u auth_name=%zu auth_data=%zu",
+          req.order == WireOrder::kLittle ? "l" : "B", req.proto_major, req.proto_minor,
+          req.auth_name.size(), req.auth_data.size());
   return line;
 }
 
 std::string DecodeSetupReplyLine(std::span<const uint8_t> msg, WireOrder order) {
-  bool success = false;
-  uint32_t additional_words = 0;
-  if (!SetupReply::DecodeFixed(msg, order, &success, &additional_words)) {
+  SetupReply reply;
+  if (!SetupReply::Decode(msg, order, &reply)) {
     return "SetupReply <truncated>";
   }
   std::string line;
-  SetupReply reply;
-  if (msg.size() >= SetupReply::kFixedBytes + size_t{additional_words} * 4 &&
-      SetupReply::DecodeVariable(msg.subspan(SetupReply::kFixedBytes), order, success,
-                                 &reply)) {
-    if (success) {
-      Appendf(&line, "SetupReply ok vendor=");
-      AppendQuoted(&line, reply.vendor);
-      Appendf(&line, " devices=%zu id_base=0x%x", reply.devices.size(),
-              reply.resource_id_base);
-    } else {
-      Appendf(&line, "SetupReply failed reason=");
-      AppendQuoted(&line, reply.failure_reason);
-    }
-    return line;
+  if (reply.success) {
+    Appendf(&line, "SetupReply ok vendor=");
+    AppendQuoted(&line, reply.vendor);
+    Appendf(&line, " devices=%zu id_base=0x%x", reply.devices.size(), reply.resource_id_base);
+  } else {
+    Appendf(&line, "SetupReply failed reason=");
+    AppendQuoted(&line, reply.failure_reason);
   }
-  Appendf(&line, "SetupReply %s extra=%u words <truncated>", success ? "ok" : "failed",
-          additional_words);
   return line;
-}
-
-size_t StreamDecoder::FrameLength() const {
-  if (dir_ == Dir::kClientToServer) {
-    if (!setup_done_) {
-      if (buf_.size() < SetupRequest::kFixedBytes) {
-        return 0;
-      }
-      SetupRequest req;
-      uint16_t name_len = 0;
-      uint16_t data_len = 0;
-      if (!SetupRequest::DecodeFixed(buf_, &req, &name_len, &data_len)) {
-        return SIZE_MAX;
-      }
-      return SetupRequest::kFixedBytes + Pad4(name_len) + Pad4(data_len);
-    }
-    if (buf_.size() < kRequestHeaderBytes) {
-      return 0;
-    }
-    WireReader r(buf_, order_);
-    RequestHeader header;
-    if (!DecodeRequestHeader(r, &header) || header.length_words == 0) {
-      return SIZE_MAX;
-    }
-    return header.TotalBytes();
-  }
-  // Server to client.
-  if (!setup_done_) {
-    if (buf_.size() < SetupReply::kFixedBytes) {
-      return 0;
-    }
-    bool success = false;
-    uint32_t additional_words = 0;
-    if (!SetupReply::DecodeFixed(buf_, order_, &success, &additional_words)) {
-      return SIZE_MAX;
-    }
-    return SetupReply::kFixedBytes + size_t{additional_words} * 4;
-  }
-  if (buf_.empty()) {
-    return 0;
-  }
-  const uint8_t type = buf_[0];
-  if (type == kReplyPacketType) {
-    if (buf_.size() < kReplyBaseBytes) {
-      return 0;
-    }
-    ReplyHeader rh;
-    if (!PeekReplyHeader(std::span<const uint8_t>(buf_).first(kReplyBaseBytes), order_,
-                         &rh)) {
-      return SIZE_MAX;
-    }
-    return kReplyBaseBytes + size_t{rh.extra_words} * 4;
-  }
-  if (type == kErrorPacketType || (type >= kMinEventType && type <= kMaxEventType)) {
-    return buf_.size() < kReplyBaseBytes ? 0 : kReplyBaseBytes;
-  }
-  return SIZE_MAX;
 }
 
 void StreamDecoder::Feed(std::span<const uint8_t> data, const Sink& sink) {
@@ -280,39 +212,33 @@ void StreamDecoder::Feed(std::span<const uint8_t> data, const Sink& sink) {
     return;  // stream already declared undecodable
   }
   buf_.insert(buf_.end(), data.begin(), data.end());
+  const bool to_server = dir_ == Dir::kClientToServer;
   for (;;) {
-    const size_t total = FrameLength();
-    if (total == 0 || buf_.size() < total) {
-      if (total == SIZE_MAX) {
-        saw_error_ = true;
-        sink("<undecodable stream; sniffing stopped>");
-        buf_.clear();
-      }
+    const size_t total = to_server ? FrameClientMessage(buf_, setup_done_, order_)
+                                   : FrameServerMessage(buf_, setup_done_, order_);
+    if (total == kFrameNeedMore) {
+      return;
+    }
+    if (total == kFrameMalformed) {
+      saw_error_ = true;
+      sink("<undecodable stream; sniffing stopped>");
+      buf_.clear();
       return;
     }
     const std::span<const uint8_t> msg(buf_.data(), total);
     std::string line;
-    if (dir_ == Dir::kClientToServer) {
-      if (!setup_done_) {
-        line = DecodeSetupRequestLine(msg);
-        SetupRequest req;
-        uint16_t nl = 0;
-        uint16_t dl = 0;
-        if (SetupRequest::DecodeFixed(msg, &req, &nl, &dl)) {
-          SetOrder(req.order);
-        }
-        setup_done_ = true;
-      } else {
-        line = DecodeRequestLine(msg, order_);
+    if (setup_done_) {
+      line = to_server ? DecodeRequestLine(msg, order_) : DecodeServerLine(msg, order_);
+    } else if (to_server) {
+      line = DecodeSetupRequestLine(msg);
+      SetupRequest req;
+      if (SetupRequest::Decode(msg, &req)) {
+        SetOrder(req.order);
       }
     } else {
-      if (!setup_done_) {
-        line = DecodeSetupReplyLine(msg, order_);
-        setup_done_ = true;
-      } else {
-        line = DecodeServerLine(msg, order_);
-      }
+      line = DecodeSetupReplyLine(msg, order_);
     }
+    setup_done_ = true;
     ++messages_;
     sink(line);
     buf_.erase(buf_.begin(), buf_.begin() + static_cast<ptrdiff_t>(total));

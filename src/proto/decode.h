@@ -33,12 +33,15 @@ std::string DecodeSetupReplyLine(std::span<const uint8_t> msg, WireOrder order);
 // raw bytes as they pass; it frames messages (setup first, then requests
 // or reply/error/event units) and emits one decoded line per message.
 //
-// The client-to-server direction learns the byte order from the setup
+// Messages are framed by the function for the decoder's direction
+// (proto/framing.h), as the server and the client library frame them. The
+// client-to-server direction learns the byte order from the setup
 // byte-order mark; a sniffer propagates it to the paired server-to-client
-// decoder via SetOrder. Once framing becomes undecodable (a zero-length
-// request, an unknown packet type) the decoder reports it once, sets
-// saw_error(), and swallows the rest of the stream — a sniffer must not
-// die just because the traffic did.
+// decoder via SetOrder. Once the client-to-server framing is malformed (a
+// bad byte-order mark, a zero-length request) the decoder reports it once,
+// sets saw_error(), and swallows the rest of the stream — a sniffer must
+// not die just because the traffic did. The server-to-client framing never
+// is: an unknown packet type is a bare unit, decoded as such.
 class StreamDecoder {
  public:
   enum class Dir { kClientToServer, kServerToClient };
@@ -58,10 +61,6 @@ class StreamDecoder {
   uint64_t messages() const { return messages_; }
 
  private:
-  // Returns the total length of the message at the head of buf_, 0 if more
-  // bytes are needed, or SIZE_MAX if the stream is undecodable.
-  size_t FrameLength() const;
-
   Dir dir_;
   std::vector<uint8_t> buf_;
   WireOrder order_ = HostWireOrder();

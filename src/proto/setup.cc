@@ -16,25 +16,20 @@ std::vector<uint8_t> SetupRequest::Encode() const {
   return w.Take();
 }
 
-bool SetupRequest::DecodeFixed(std::span<const uint8_t> data, SetupRequest* out,
-                               uint16_t* auth_name_len, uint16_t* auth_data_len) {
-  if (data.size() < kFixedBytes) {
+bool SetupRequest::Decode(std::span<const uint8_t> msg, SetupRequest* out) {
+  if (msg.empty() || (msg[0] != kLittleEndianMark && msg[0] != kBigEndianMark)) {
     return false;
   }
-  if (data[0] == kLittleEndianMark) {
-    out->order = WireOrder::kLittle;
-  } else if (data[0] == kBigEndianMark) {
-    out->order = WireOrder::kBig;
-  } else {
-    return false;
-  }
-  WireReader r(data, out->order);
+  out->order = msg[0] == kLittleEndianMark ? WireOrder::kLittle : WireOrder::kBig;
+  WireReader r(msg, out->order);
   r.Skip(2);
   out->proto_major = r.U16();
   out->proto_minor = r.U16();
-  *auth_name_len = r.U16();
-  *auth_data_len = r.U16();
+  const uint16_t name_len = r.U16();
+  const uint16_t data_len = r.U16();
   r.Skip(2);
+  out->auth_name = r.PaddedString(name_len);
+  out->auth_data = r.PaddedString(data_len);
   return r.ok();
 }
 
@@ -65,25 +60,14 @@ std::vector<uint8_t> SetupReply::Encode(WireOrder order) const {
   return w.Take();
 }
 
-bool SetupReply::DecodeFixed(std::span<const uint8_t> data, WireOrder order, bool* success,
-                             uint32_t* additional_words) {
-  if (data.size() < kFixedBytes) {
-    return false;
-  }
-  WireReader r(data, order);
-  *success = r.U8() != 0;
+bool SetupReply::Decode(std::span<const uint8_t> msg, WireOrder order, SetupReply* out) {
+  WireReader r(msg, order);
+  out->success = r.U8() != 0;
   r.Skip(1);
-  r.U16();  // proto_major
-  r.U16();  // proto_minor
-  *additional_words = r.U16();
-  return r.ok();
-}
-
-bool SetupReply::DecodeVariable(std::span<const uint8_t> data, WireOrder order, bool success,
-                                SetupReply* out) {
-  out->success = success;
-  WireReader r(data, order);
-  if (!success) {
+  out->proto_major = r.U16();
+  out->proto_minor = r.U16();
+  r.U16();  // the additional length in words, which framed msg
+  if (!out->success) {
     const uint32_t len = r.U32();
     out->failure_reason = r.PaddedString(len);
     return r.ok();

@@ -30,9 +30,9 @@ struct SetupRequest {
   std::vector<uint8_t> Encode() const;
   // Fixed prefix length before the variable auth strings.
   static constexpr size_t kFixedBytes = 12;
-  // Decodes the fixed prefix (from byte 0); auth lengths out via pointers.
-  static bool DecodeFixed(std::span<const uint8_t> data, SetupRequest* out,
-                          uint16_t* auth_name_len, uint16_t* auth_data_len);
+  // Decodes a whole request, framed by FrameClientMessage (proto/framing.h),
+  // from its byte-order mark on. False on a bad mark or a short message.
+  static bool Decode(std::span<const uint8_t> msg, SetupRequest* out);
 };
 
 // One abstract audio device, as described at connection setup. Mirrors the
@@ -93,11 +93,9 @@ struct SetupReply {
   std::vector<uint8_t> Encode(WireOrder order) const;
   // Fixed 8-byte prefix: status, versions, additional length in words.
   static constexpr size_t kFixedBytes = 8;
-  static bool DecodeFixed(std::span<const uint8_t> data, WireOrder order, bool* success,
-                          uint32_t* additional_words);
-  // Decodes the variable part (everything after the fixed prefix).
-  static bool DecodeVariable(std::span<const uint8_t> data, WireOrder order, bool success,
-                             SetupReply* out);
+  // Decodes a whole reply, framed by FrameServerMessage (proto/framing.h).
+  // False on a short message.
+  static bool Decode(std::span<const uint8_t> msg, WireOrder order, SetupReply* out);
 };
 
 }  // namespace af

@@ -4,7 +4,7 @@
 
 #include "common/clock.h"
 #include "common/trace.h"
-#include "proto/setup.h"
+#include "proto/framing.h"
 #include "server/server_metrics.h"
 
 namespace af {
@@ -91,28 +91,8 @@ bool ClientConn::ReadAvailable() {
 }
 
 bool ClientConn::HasCompleteRequest() const {
-  const std::span<const uint8_t> buf = Buffered();
-  if (state_ == State::kAwaitingSetup) {
-    uint16_t auth_name_len = 0;
-    uint16_t auth_data_len = 0;
-    SetupRequest req;
-    if (buf.size() < SetupRequest::kFixedBytes ||
-        !SetupRequest::DecodeFixed(buf, &req, &auth_name_len, &auth_data_len)) {
-      return false;
-    }
-    return buf.size() >= SetupRequest::kFixedBytes + Pad4(auth_name_len) + Pad4(auth_data_len);
-  }
-  if (buf.size() < kRequestHeaderBytes) {
-    return false;
-  }
-  WireReader reader(buf, order_);
-  RequestHeader header;
-  if (!DecodeRequestHeader(reader, &header) || header.length_words == 0) {
-    // A malformed header counts as "complete": the dispatcher must see it
-    // (and close the connection) rather than the reaper skipping it.
-    return true;
-  }
-  return buf.size() >= header.TotalBytes();
+  return FrameClientMessage(Buffered(), state_ != State::kAwaitingSetup, order_) !=
+         kFrameNeedMore;
 }
 
 bool ClientConn::FlushOutput() {

@@ -125,8 +125,10 @@ class ClientConn {
   bool saw_eof() const { return saw_eof_; }
 
   // Whether the buffer holds at least one complete request (or, before
-  // setup, a complete setup packet). After EOF, a client with no complete
-  // request left can never make progress and is reaped.
+  // setup, a complete setup packet), or a malformed one: the dispatcher
+  // must see that and close the connection rather than the reaper skip it.
+  // After EOF, a client with no complete request left can never make
+  // progress and is reaped.
   bool HasCompleteRequest() const;
 
   // Bytes currently buffered and unconsumed. The view stays valid until

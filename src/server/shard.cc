@@ -17,6 +17,7 @@
 #include "common/clock.h"
 #include "common/flight_recorder.h"
 #include "common/log.h"
+#include "proto/framing.h"
 
 namespace af {
 
@@ -394,31 +395,28 @@ void Shard::HandleClientReadable(const std::shared_ptr<ClientConn>& client) {
 void Shard::ProcessBufferedRequests(const std::shared_ptr<ClientConn>& client) {
   int processed = 0;
   while (IsLive(client) && client->CanDispatch()) {
-    if (client->state() == ClientConn::State::kAwaitingSetup) {
-      TrySetup(client);
-      if (client->state() == ClientConn::State::kAwaitingSetup) {
-        return;  // need more bytes
-      }
-      continue;
-    }
     if (processed >= opts_.max_requests_per_sweep) {
       return;  // fairness: other clients get a turn; NeedsService remembers the rest
     }
+    const bool setup_done = client->state() != ClientConn::State::kAwaitingSetup;
     const std::span<const uint8_t> buf = client->Buffered();
-    if (buf.size() < kRequestHeaderBytes) {
-      return;
+    const size_t total = FrameClientMessage(buf, setup_done, client->order());
+    if (total == kFrameNeedMore) {
+      return;  // message not fully received yet
     }
-    WireReader header_reader(buf, client->order());
-    RequestHeader header;
-    if (!DecodeRequestHeader(header_reader, &header) || header.length_words == 0) {
-      ErrorF("client %u: malformed request header; closing", client->client_number());
+    if (total == kFrameMalformed) {
+      ErrorF("client %u: malformed %s; closing", client->client_number(),
+             setup_done ? "request header" : "setup prefix");
       RemoveClient(client->fd());
       return;
     }
-    const size_t total = header.TotalBytes();
-    if (buf.size() < total) {
-      return;  // request not fully received yet
+    if (!setup_done) {
+      HandleSetup(client, buf.first(total));
+      continue;
     }
+    RequestHeader header;
+    WireReader header_reader(buf, client->order());
+    DecodeRequestHeader(header_reader, &header);
     client->BumpSeq();
     metrics_.requests_dispatched.Add();
     metrics_.bytes_in.Add(total);
@@ -459,24 +457,16 @@ void Shard::ProcessBufferedRequests(const std::shared_ptr<ClientConn>& client) {
   }
 }
 
-void Shard::TrySetup(const std::shared_ptr<ClientConn>& client) {
-  const std::span<const uint8_t> buf = client->Buffered();
-  if (buf.size() < SetupRequest::kFixedBytes) {
-    return;
-  }
+void Shard::HandleSetup(const std::shared_ptr<ClientConn>& client,
+                        std::span<const uint8_t> msg) {
   SetupRequest req;
-  uint16_t auth_name_len = 0;
-  uint16_t auth_data_len = 0;
-  if (!SetupRequest::DecodeFixed(buf, &req, &auth_name_len, &auth_data_len)) {
-    ErrorF("client %u: bad setup prefix; closing", client->client_number());
+  if (!SetupRequest::Decode(msg, &req)) {
+    ErrorF("client %u: malformed setup request; closing", client->client_number());
     RemoveClient(client->fd());
     return;
   }
-  const size_t total = SetupRequest::kFixedBytes + Pad4(auth_name_len) + Pad4(auth_data_len);
-  if (buf.size() < total) {
-    return;
-  }
   client->set_order(req.order);
+  client->Consume(msg.size());
 
   bool authorized;
   {
@@ -488,7 +478,6 @@ void Shard::TrySetup(const std::shared_ptr<ClientConn>& client) {
     reply.success = false;
     reply.failure_reason = "host not authorized to connect";
     client->out().Bytes(reply.Encode(req.order));
-    client->Consume(total);
     client->set_state(ClientConn::State::kClosing);
     return;
   }
@@ -501,7 +490,6 @@ void Shard::TrySetup(const std::shared_ptr<ClientConn>& client) {
     reply.devices.push_back(dev->desc());
   }
   client->out().Bytes(reply.Encode(req.order));
-  client->Consume(total);
   client->set_state(ClientConn::State::kRunning);
 }
 

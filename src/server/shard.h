@@ -118,7 +118,8 @@ class Shard {
   void AdoptLocal(FaultStream stream, PeerAddress peer);
   void HandleClientReadable(const std::shared_ptr<ClientConn>& client);
   void ProcessBufferedRequests(const std::shared_ptr<ClientConn>& client);
-  void TrySetup(const std::shared_ptr<ClientConn>& client);
+  // Answers a framed setup request (msg, still buffered) and consumes it.
+  void HandleSetup(const std::shared_ptr<ClientConn>& client, std::span<const uint8_t> msg);
   void RemoveClient(int fd);
   void DrainInbox();
   // True while `client` is still the connection this shard serves on its fd.

@@ -225,6 +225,32 @@ TEST(StreamDecoderTest, FramesServerDirectionUnits) {
   EXPECT_TRUE(Contains(lines[3], "Event")) << lines[3];
 }
 
+TEST(StreamDecoderTest, UnknownServerPacketTypeIsABareUnit) {
+  // The client library frames a type byte it does not know as a bare
+  // 32-byte unit and drops it. asniff frames it the same way, names it, and
+  // keeps decoding what follows.
+  SetupReply reply;
+  reply.success = true;
+  std::vector<uint8_t> stream = reply.Encode(HostWireOrder());
+  std::vector<uint8_t> unknown(kReplyBaseBytes, 0);
+  unknown[0] = 99;
+  stream.insert(stream.end(), unknown.begin(), unknown.end());
+  WireWriter w;
+  AEvent ev;
+  ev.type = EventType::kPhoneRing;
+  ev.Encode(w);
+  stream.insert(stream.end(), w.data().begin(), w.data().end());
+
+  StreamDecoder dec(StreamDecoder::Dir::kServerToClient);
+  dec.SetOrder(HostWireOrder());
+  const auto lines = FeedByByte(dec, stream);
+  EXPECT_FALSE(dec.saw_error());
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_TRUE(Contains(lines[0], "SetupReply ok")) << lines[0];
+  EXPECT_EQ(lines[1], "<unknown packet type 99>");
+  EXPECT_TRUE(Contains(lines[2], "Event PhoneRing")) << lines[2];
+}
+
 TEST(StreamDecoderTest, UndecodableStreamReportsOnceAndStops) {
   SetupRequest setup;
   std::vector<uint8_t> stream = setup.Encode();

@@ -24,6 +24,7 @@
 #include "common/flight_recorder.h"
 #include "proto/decode.h"
 #include "proto/events.h"
+#include "proto/framing.h"
 #include "proto/oplog.h"
 #include "proto/stats.h"
 #include "torture_util.h"
@@ -341,72 +342,148 @@ void FeedInPieces(Rng& rng, StreamDecoder& dec, const std::vector<uint8_t>& stre
   EXPECT_EQ(lines, dec.messages() + (dec.saw_error() ? 1 : 0));
 }
 
+// Client-to-server traffic: a setup, then requests, some of them damaged.
+std::vector<uint8_t> ClientTraffic(Rng& rng, WireOrder order) {
+  SetupRequest setup;
+  setup.order = order;
+  std::vector<uint8_t> up = setup.Encode();
+  for (int i = 0; i < 8; ++i) {
+    std::vector<uint8_t> req = RandomRequest(rng, order);
+    if (rng() % 4 == 0) {
+      req = Damage(rng, std::move(req));
+    }
+    up.insert(up.end(), req.begin(), req.end());
+  }
+  return up;
+}
+
+// Server-to-client traffic: a setup reply, then errors, replies, events and
+// random units, some of them damaged.
+std::vector<uint8_t> ServerTraffic(Rng& rng, WireOrder order) {
+  SetupReply reply;
+  reply.success = true;
+  reply.vendor = "fuzz";
+  reply.devices.resize(1 + rng() % 3);
+  std::vector<uint8_t> down = reply.Encode(order);
+  for (int i = 0; i < 8; ++i) {
+    WireWriter w(order);
+    switch (rng() % 4) {
+      case 0: {
+        ErrorPacket err;
+        err.code = static_cast<AfError>(rng() % 16);
+        err.opcode = static_cast<Opcode>(rng());
+        err.Encode(w);
+        break;
+      }
+      case 1: {
+        RecordSamplesReply rec;
+        rec.data = RandomBytes(rng, kMaxFieldBytes);
+        rec.Encode(w, static_cast<uint16_t>(rng()));
+        break;
+      }
+      case 2: {
+        AEvent ev;
+        ev.type = static_cast<EventType>(kMinEventType + rng() % 5);
+        ev.device = rng() % 4;
+        ev.Encode(w);
+        break;
+      }
+      default: {
+        std::vector<uint8_t> unit = RandomBytes(rng, 2 * kReplyBaseBytes);
+        w.Bytes(unit);
+        break;
+      }
+    }
+    std::vector<uint8_t> unit = w.Take();
+    if (rng() % 4 == 0) {
+      unit = Damage(rng, std::move(unit));
+    }
+    down.insert(down.end(), unit.begin(), unit.end());
+  }
+  return down;
+}
+
 TEST(DecoderFuzzTest, StreamDecodersSurviveDamagedTraffic) {
   Rng rng(kDecoderFuzzSeed);
   for (int round = 0; round < kStreamRounds; ++round) {
     const WireOrder order = rng() % 2 == 0 ? WireOrder::kLittle : WireOrder::kBig;
 
-    // Client to server: a setup, then requests, some of them damaged.
-    SetupRequest setup;
-    setup.order = order;
-    std::vector<uint8_t> up = setup.Encode();
-    for (int i = 0; i < 8; ++i) {
-      std::vector<uint8_t> req = RandomRequest(rng, order);
-      if (rng() % 4 == 0) {
-        req = Damage(rng, std::move(req));
-      }
-      up.insert(up.end(), req.begin(), req.end());
-    }
     StreamDecoder client(StreamDecoder::Dir::kClientToServer);
-    FeedInPieces(rng, client, up);
+    FeedInPieces(rng, client, ClientTraffic(rng, order));
     EXPECT_TRUE(client.have_order()) << "round " << round;
     EXPECT_EQ(client.order(), order) << "round " << round;
 
-    // Server to client: a setup reply, then errors, replies and events,
-    // some of them damaged.
-    SetupReply reply;
-    reply.success = true;
-    reply.vendor = "fuzz";
-    reply.devices.resize(1 + rng() % 3);
-    std::vector<uint8_t> down = reply.Encode(order);
-    for (int i = 0; i < 8; ++i) {
-      WireWriter w(order);
-      switch (rng() % 4) {
-        case 0: {
-          ErrorPacket err;
-          err.code = static_cast<AfError>(rng() % 16);
-          err.opcode = static_cast<Opcode>(rng());
-          err.Encode(w);
-          break;
-        }
-        case 1: {
-          RecordSamplesReply rec;
-          rec.data = RandomBytes(rng, kMaxFieldBytes);
-          rec.Encode(w, static_cast<uint16_t>(rng()));
-          break;
-        }
-        case 2: {
-          AEvent ev;
-          ev.type = static_cast<EventType>(kMinEventType + rng() % 5);
-          ev.device = rng() % 4;
-          ev.Encode(w);
-          break;
-        }
-        default: {
-          std::vector<uint8_t> unit = RandomBytes(rng, 2 * kReplyBaseBytes);
-          w.Bytes(unit);
-          break;
-        }
-      }
-      std::vector<uint8_t> unit = w.Take();
-      if (rng() % 4 == 0) {
-        unit = Damage(rng, std::move(unit));
-      }
-      down.insert(down.end(), unit.begin(), unit.end());
-    }
     StreamDecoder server(StreamDecoder::Dir::kServerToClient);
     server.SetOrder(order);
-    FeedInPieces(rng, server, down);
+    FeedInPieces(rng, server, ServerTraffic(rng, order));
+  }
+}
+
+// Frames `stream` message by message from its start, as a reader does,
+// handing each message's framing function every prefix of the bytes from
+// that message on. Returns the first breach of the functions' contract, or
+// "" if there is none. The contract: a prefix shorter than the message
+// frames as kFrameNeedMore; the first prefix that frames gives its own
+// length, a multiple of 4 and at least the shortest message there, or
+// kFrameMalformed, which the server-to-client direction never gives; and
+// every longer prefix frames the same.
+std::string FramingBreach(bool to_server, WireOrder order, bool setup_done,
+                          std::span<const uint8_t> stream) {
+  for (size_t at = 0; at < stream.size();) {
+    const size_t shortest =
+        to_server ? (setup_done ? kRequestHeaderBytes : SetupRequest::kFixedBytes)
+                  : (setup_done ? kReplyBaseBytes : SetupReply::kFixedBytes);
+    size_t framed = kFrameNeedMore;
+    for (size_t n = 0; at + n <= stream.size(); ++n) {
+      const std::span<const uint8_t> prefix = stream.subspan(at, n);
+      const size_t got = to_server ? FrameClientMessage(prefix, setup_done, order)
+                                   : FrameServerMessage(prefix, setup_done, order);
+      const auto breach = [&](const char* what) {
+        return std::string(what) + ": " + std::to_string(got) + " for " + std::to_string(n) +
+               " bytes at " + std::to_string(at) + (setup_done ? "" : " (setup)");
+      };
+      if (framed != kFrameNeedMore) {
+        if (got != framed) {
+          return breach("a longer prefix framed differently");
+        }
+      } else if (got == kFrameMalformed) {
+        if (!to_server) {
+          return breach("server-to-client framing was malformed");
+        }
+        framed = got;
+      } else if (got != kFrameNeedMore) {
+        if (got != n || got % 4 != 0 || got < shortest) {
+          return breach("bad length");
+        }
+        framed = got;
+      }
+    }
+    if (framed == kFrameNeedMore || framed == kFrameMalformed) {
+      break;
+    }
+    at += framed;
+    setup_done = true;
+  }
+  return "";
+}
+
+TEST(DecoderFuzzTest, FramingFunctionsKeepTheirContract) {
+  Rng rng(kDecoderFuzzSeed);
+  for (int round = 0; round < kStreamRounds; ++round) {
+    for (const WireOrder order : {WireOrder::kLittle, WireOrder::kBig}) {
+      const std::string where = "round " + std::to_string(round) +
+                                (order == WireOrder::kLittle ? " little" : " big");
+      const std::vector<uint8_t> up = ClientTraffic(rng, order);
+      const std::vector<uint8_t> down = ServerTraffic(rng, order);
+      EXPECT_EQ(FramingBreach(true, order, false, up), "") << where;
+      EXPECT_EQ(FramingBreach(true, order, false, Damage(rng, up)), "") << where;
+      EXPECT_EQ(FramingBreach(false, order, false, down), "") << where;
+      EXPECT_EQ(FramingBreach(false, order, false, Damage(rng, down)), "") << where;
+      for (const bool setup_done : {false, true}) {
+        EXPECT_EQ(FramingBreach(true, order, setup_done, RandomBytes(rng, 256)), "") << where;
+        EXPECT_EQ(FramingBreach(false, order, setup_done, RandomBytes(rng, 256)), "") << where;
+      }
+    }
   }
 }
 
@@ -478,18 +555,11 @@ TEST(DecoderFuzzTest, BlockDecodersSurviveDamagedBlocks) {
     };
     const auto decode_setup = [](std::span<const uint8_t> b) {
       SetupRequest out;
-      uint16_t name_len = 0;
-      uint16_t data_len = 0;
-      return SetupRequest::DecodeFixed(b, &out, &name_len, &data_len);
+      return SetupRequest::Decode(b, &out);
     };
     const auto decode_reply = [order](std::span<const uint8_t> b) {
-      bool success = false;
-      uint32_t words = 0;
       SetupReply out;
-      return SetupReply::DecodeFixed(b, order, &success, &words) &&
-             b.size() >= SetupReply::kFixedBytes &&
-             SetupReply::DecodeVariable(b.subspan(SetupReply::kFixedBytes), order, success,
-                                        &out);
+      return SetupReply::Decode(b, order, &out);
     };
     const auto decode_event = [order](std::span<const uint8_t> b) {
       AEvent out;

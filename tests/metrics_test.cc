@@ -9,6 +9,7 @@
 #include "clients/cores.h"
 #include "clients/server_runner.h"
 #include "common/metrics.h"
+#include "proto/framing.h"
 #include "proto/requests.h"
 #include "proto/stats.h"
 
@@ -121,8 +122,8 @@ TEST(StatsWireTest, EncodeDecodeRoundTrip) {
   in.Encode(w, /*seq=*/42);
   const auto& bytes = w.data();
   ASSERT_GT(bytes.size(), size_t{32});
-  // Replies are a 32-byte unit plus extra_words * 4 bytes of extra data.
-  EXPECT_EQ((bytes.size() - 32) % 4, 0u);
+  // A reply is one 32-byte unit and the extra data its header counts.
+  EXPECT_EQ(FrameServerMessage(bytes, /*setup_done=*/true, HostWireOrder()), bytes.size());
 
   ServerStatsWire out;
   ASSERT_TRUE(ServerStatsWire::Decode(bytes, HostWireOrder(), &out));

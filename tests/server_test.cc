@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <malloc.h>
-#include <poll.h>
 
 #include <algorithm>
 #include <atomic>
@@ -16,6 +15,7 @@
 #include "client/audio_context.h"
 #include "clients/server_runner.h"
 #include "server/send_buffer.h"
+#include "torture_util.h"
 
 namespace af {
 namespace {
@@ -321,21 +321,8 @@ TEST_F(ServerTest, OppositeEndianClientIsServed) {
   runner_->server().AdoptClient(std::move(server_end));
 
   const WireOrder order = HostIsLittleEndian() ? WireOrder::kBig : WireOrder::kLittle;
-  SetupRequest setup;
-  setup.order = order;
-  const auto setup_bytes = setup.Encode();
-  ASSERT_TRUE(client_end.WriteAll(setup_bytes.data(), setup_bytes.size()).ok());
-
-  uint8_t fixed[SetupReply::kFixedBytes];
-  ASSERT_TRUE(client_end.ReadAll(fixed, sizeof(fixed)).ok());
-  bool success = false;
-  uint32_t additional = 0;
-  ASSERT_TRUE(SetupReply::DecodeFixed(fixed, order, &success, &additional));
-  ASSERT_TRUE(success);
-  std::vector<uint8_t> variable(additional * 4);
-  ASSERT_TRUE(client_end.ReadAll(variable.data(), variable.size()).ok());
   SetupReply reply;
-  ASSERT_TRUE(SetupReply::DecodeVariable(variable, order, success, &reply));
+  ASSERT_TRUE(torture::RawSetup(client_end, &reply, order));
   ASSERT_EQ(reply.devices.size(), 2u);
   EXPECT_EQ(reply.devices[0].play_sample_rate, 8000u);
 
@@ -399,64 +386,6 @@ std::vector<uint8_t> EncodeRequest(Opcode op, const Req& req) {
   return w.Take();
 }
 
-// Reads exactly n bytes, waiting at most timeout_ms for each transfer, so
-// a server that never answers fails the test instead of hanging it.
-bool ReadWithin(FdStream& raw, void* buf, size_t n, int timeout_ms) {
-  auto* p = static_cast<uint8_t*>(buf);
-  while (n > 0) {
-    struct pollfd pfd = {};
-    pfd.fd = raw.fd();
-    pfd.events = POLLIN;
-    if (::poll(&pfd, 1, timeout_ms) <= 0) {
-      return false;
-    }
-    const IoResult r = raw.Read(p, n);
-    if (r.status != IoStatus::kOk) {
-      return false;
-    }
-    p += r.bytes;
-    n -= r.bytes;
-  }
-  return true;
-}
-
-// The next unit the server sent: 32 bytes, plus a reply's extra data.
-bool ReadUnitWithin(FdStream& raw, std::vector<uint8_t>* unit, int timeout_ms = 10000) {
-  unit->resize(kReplyBaseBytes);
-  if (!ReadWithin(raw, unit->data(), kReplyBaseBytes, timeout_ms)) {
-    return false;
-  }
-  if ((*unit)[0] != kReplyPacketType) {
-    return true;
-  }
-  ReplyHeader header;
-  PeekReplyHeader(*unit, HostWireOrder(), &header);
-  unit->resize(kReplyBaseBytes + header.extra_words * 4u);
-  return ReadWithin(raw, unit->data() + kReplyBaseBytes, unit->size() - kReplyBaseBytes,
-                    timeout_ms);
-}
-
-// The setup handshake with bounded waits; the client's resource-id base,
-// or 0 on failure (a real base is never 0).
-uint32_t RawSetupWithin(FdStream& raw, int timeout_ms = 10000) {
-  const auto bytes = SetupRequest().Encode();
-  uint8_t fixed[SetupReply::kFixedBytes];
-  bool success = false;
-  uint32_t additional = 0;
-  if (!raw.WriteAll(bytes.data(), bytes.size()).ok() ||
-      !ReadWithin(raw, fixed, sizeof(fixed), timeout_ms) ||
-      !SetupReply::DecodeFixed(fixed, HostWireOrder(), &success, &additional) || !success) {
-    return 0;
-  }
-  std::vector<uint8_t> variable(additional * 4u);
-  SetupReply reply;
-  if (!ReadWithin(raw, variable.data(), variable.size(), timeout_ms) ||
-      !SetupReply::DecodeVariable(variable, HostWireOrder(), success, &reply)) {
-    return 0;
-  }
-  return reply.resource_id_base;
-}
-
 // Waits (bounded) until the counter reads at least n.
 bool AwaitCount(const Counter& counter, uint64_t n) {
   for (int i = 0; i < 10000 && counter.Value() < n; ++i) {
@@ -475,8 +404,9 @@ TEST_F(ServerTest, RequestsThatArriveWhileSuspendedAreServedOnResume) {
   ASSERT_TRUE(pair.ok());
   FdStream client = std::move(pair.value().first);
   runner_->server().AdoptClient(std::move(pair.value().second));
-  const uint32_t base = RawSetupWithin(client);
-  ASSERT_NE(base, 0u);
+  SetupReply setup;
+  ASSERT_TRUE(torture::RawSetup(client, &setup));
+  const uint32_t base = setup.resource_id_base;
 
   CreateACReq create;
   create.ac = base | 1;
@@ -487,7 +417,7 @@ TEST_F(ServerTest, RequestsThatArriveWhileSuspendedAreServedOnResume) {
   ASSERT_TRUE(client.WriteAll(bytes.data(), bytes.size()).ok());
   std::vector<uint8_t> unit;
   GetTimeReply now;
-  ASSERT_TRUE(ReadUnitWithin(client, &unit));
+  ASSERT_TRUE(torture::ReadServerMessage(client, /*setup_done=*/true, &unit));
   ASSERT_TRUE(GetTimeReply::Decode(unit, HostWireOrder(), &now));
 
   RecordSamplesReq record;
@@ -516,12 +446,14 @@ TEST_F(ServerTest, RequestsThatArriveWhileSuspendedAreServedOnResume) {
   runner_->manual_clock()->Advance(800);
   ASSERT_TRUE(AwaitCount(dispatched, dispatched_before + 3))
       << "requests that arrived while the client was parked were never read";
-  ASSERT_TRUE(ReadUnitWithin(client, &unit)) << "the record never completed";
+  ASSERT_TRUE(torture::ReadServerMessage(client, /*setup_done=*/true, &unit))
+      << "the record never completed";
   ReplyHeader header;
   ASSERT_TRUE(PeekReplyHeader(unit, HostWireOrder(), &header));
   EXPECT_EQ(header.seq, 3u);
   for (uint16_t seq = 4; seq <= 6; ++seq) {
-    ASSERT_TRUE(ReadUnitWithin(client, &unit)) << "request " << seq << " was never served";
+    ASSERT_TRUE(torture::ReadServerMessage(client, /*setup_done=*/true, &unit))
+        << "request " << seq << " was never served";
     ASSERT_TRUE(PeekReplyHeader(unit, HostWireOrder(), &header));
     EXPECT_EQ(header.seq, seq);
   }
@@ -544,15 +476,15 @@ TEST_F(ServerTest, LoneRequestIsAnsweredUnderByteAtATimeReadsAndInjectedStalls) 
   ASSERT_TRUE(pair.ok());
   FdStream client = std::move(pair.value().first);
   runner_->server().AdoptClient(std::move(pair.value().second), faults);
-  ASSERT_NE(RawSetupWithin(client), 0u) << faults->TraceString();
+  ASSERT_TRUE(torture::RawSetup(client)) << faults->TraceString();
 
   for (uint32_t round = 0; round < 2; ++round) {
     runner_->manual_clock()->Set(1000 + round);
     const std::vector<uint8_t> bytes = EncodeRequest(Opcode::kGetTime, GetTimeReq());
     ASSERT_TRUE(client.WriteAll(bytes.data(), bytes.size()).ok());
     std::vector<uint8_t> unit;
-    ASSERT_TRUE(ReadUnitWithin(client, &unit)) << "round " << round << ": "
-                                               << faults->TraceString();
+    ASSERT_TRUE(torture::ReadServerMessage(client, /*setup_done=*/true, &unit))
+        << "round " << round << ": " << faults->TraceString();
     GetTimeReply reply;
     ASSERT_TRUE(GetTimeReply::Decode(unit, HostWireOrder(), &reply));
     EXPECT_EQ(reply.time, 1000 + round);
@@ -626,16 +558,18 @@ TEST(ClientConnTest, BufferedInputStopsAtTheHighWaterMark) {
   // flood, and consumes it.
   const auto take_one = [&] {
     const std::span<const uint8_t> buf = conn.Buffered();
+    const size_t total = FrameClientMessage(buf, /*setup_done=*/true, HostWireOrder());
     WireReader head(buf);
     RequestHeader header;
     InternAtomReq req;
-    intact = DecodeRequestHeader(head, &header) && header.opcode == Opcode::kInternAtom;
+    intact = total != kFrameNeedMore && total != kFrameMalformed &&
+             DecodeRequestHeader(head, &header) && header.opcode == Opcode::kInternAtom;
     if (intact) {
-      WireReader body(buf.subspan(kRequestHeaderBytes, header.TotalBytes() - kRequestHeaderBytes));
+      WireReader body(buf.subspan(kRequestHeaderBytes, total - kRequestHeaderBytes));
       intact = InternAtomReq::Decode(body, &req) && req.name == FloodName(framed);
     }
     if (intact) {
-      conn.Consume(header.TotalBytes());
+      conn.Consume(total);
       ++framed;
     }
   };
@@ -789,17 +723,7 @@ TEST(ServerFloodTest, PipelinedFloodPastTheHighWaterMarkIsServedInFull) {
   FdStream client = std::move(pair.value().first);
   runner->server().AdoptClient(std::move(pair.value().second));
 
-  SetupRequest setup;
-  const auto setup_bytes = setup.Encode();
-  ASSERT_TRUE(client.WriteAll(setup_bytes.data(), setup_bytes.size()).ok());
-  uint8_t fixed[SetupReply::kFixedBytes];
-  ASSERT_TRUE(client.ReadAll(fixed, sizeof(fixed)).ok());
-  bool success = false;
-  uint32_t additional = 0;
-  ASSERT_TRUE(SetupReply::DecodeFixed(fixed, HostWireOrder(), &success, &additional));
-  ASSERT_TRUE(success);
-  std::vector<uint8_t> variable(additional * 4);
-  ASSERT_TRUE(client.ReadAll(variable.data(), variable.size()).ok());
+  ASSERT_TRUE(torture::RawSetup(client));
 
   size_t count = 0;
   const std::vector<uint8_t> flood = EncodeFlood(3 * ClientConn::kInHighWater / 2, &count);
@@ -891,7 +815,7 @@ TEST(ServerFloodTest, ClientThatNeverReadsIsCappedAndLosesNothing) {
   ASSERT_TRUE(pair.ok());
   FdStream client = std::move(pair.value().first);
   runner->server().AdoptClient(std::move(pair.value().second));
-  ASSERT_NE(RawSetupWithin(client), 0u);
+  ASSERT_TRUE(torture::RawSetup(client));
 
   WireWriter w;
   InternAtomReq req;

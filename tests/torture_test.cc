@@ -252,9 +252,9 @@ std::string Answer(FdStream& raw, const std::vector<uint8_t>& req, uint16_t* seq
     return "<write failed>";
   }
   std::string answer;
+  std::vector<uint8_t> unit;
   for (;;) {
-    uint8_t unit[kReplyBaseBytes];
-    if (!raw.ReadAll(unit, sizeof(unit)).ok()) {
+    if (!torture::ReadServerMessage(raw, /*setup_done=*/true, &unit)) {
       return answer + "<closed>";
     }
     if (unit[0] == kErrorPacketType) {
@@ -268,10 +268,6 @@ std::string Answer(FdStream& raw, const std::vector<uint8_t>& req, uint16_t* seq
     } else if (unit[0] == kReplyPacketType) {
       ReplyHeader header;
       EXPECT_TRUE(PeekReplyHeader(unit, HostWireOrder(), &header));
-      std::vector<uint8_t> extra(size_t{header.extra_words} * 4);
-      if (!raw.ReadAll(extra.data(), extra.size()).ok()) {
-        return answer + "<closed>";
-      }
       if (header.seq == sync_seq) {
         return answer.empty() ? "none" : answer;
       }

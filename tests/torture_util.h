@@ -5,6 +5,9 @@
 #ifndef AF_TESTS_TORTURE_UTIL_H_
 #define AF_TESTS_TORTURE_UTIL_H_
 
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +17,7 @@
 
 #include "clients/server_runner.h"
 #include "server/shard.h"
+#include "proto/framing.h"
 #include "proto/requests.h"
 #include "proto/setup.h"
 #include "proto/trace_wire.h"
@@ -213,25 +217,62 @@ inline size_t DrainToClientCount(ServerRunner& runner, size_t expected,
   return count;
 }
 
-// Writes a setup request on a raw (library-bypassing) stream and consumes
-// the success reply. Returns false on any transport or decode failure.
-inline bool RawSetup(FdStream& raw) {
+// Reads the next whole server-to-client message on a raw
+// (library-bypassing) stream into *msg, framed by FrameServerMessage: the
+// setup reply unless setup_done, else a unit with any extra data. Each wait
+// for bytes lasts at most timeout_ms, so a server that never answers fails
+// the test instead of hanging it. It peeks before it reads and never reads
+// past the message, so the next call starts at the next one. False on a
+// timeout, EOF or error.
+inline bool ReadServerMessage(FdStream& raw, bool setup_done, std::vector<uint8_t>* msg,
+                              WireOrder order = HostWireOrder(), int timeout_ms = 10000) {
+  constexpr size_t kPeekBytes = 65536;
+  msg->clear();
+  for (;;) {
+    struct pollfd pfd = {raw.fd(), POLLIN, 0};
+    if (::poll(&pfd, 1, timeout_ms) <= 0) {
+      return false;
+    }
+    const size_t had = msg->size();
+    msg->resize(had + kPeekBytes);
+    const ssize_t peeked = ::recv(raw.fd(), msg->data() + had, kPeekBytes, MSG_PEEK);
+    if (peeked <= 0) {
+      return false;
+    }
+    msg->resize(had + static_cast<size_t>(peeked));
+    // While the message is incomplete, every byte there belongs to it.
+    const size_t total = FrameServerMessage(*msg, setup_done, order);
+    if (total != kFrameNeedMore) {
+      msg->resize(total);
+    }
+    if (!raw.ReadAll(msg->data() + had, msg->size() - had).ok()) {
+      return false;
+    }
+    if (total != kFrameNeedMore) {
+      return true;
+    }
+  }
+}
+
+// Writes a setup request in `order` on a raw stream and reads the reply
+// through ReadServerMessage. True when the server accepted; the decoded
+// reply lands in *reply when one is given.
+inline bool RawSetup(FdStream& raw, SetupReply* reply = nullptr,
+                     WireOrder order = HostWireOrder()) {
   SetupRequest setup;
+  setup.order = order;
   const auto bytes = setup.Encode();
-  if (!raw.WriteAll(bytes.data(), bytes.size()).ok()) {
+  std::vector<uint8_t> msg;
+  SetupReply decoded;
+  if (!raw.WriteAll(bytes.data(), bytes.size()).ok() ||
+      !ReadServerMessage(raw, /*setup_done=*/false, &msg, order) ||
+      !SetupReply::Decode(msg, order, &decoded)) {
     return false;
   }
-  uint8_t fixed[SetupReply::kFixedBytes];
-  if (!raw.ReadAll(fixed, sizeof(fixed)).ok()) {
-    return false;
+  if (reply != nullptr) {
+    *reply = decoded;
   }
-  bool success = false;
-  uint32_t additional = 0;
-  if (!SetupReply::DecodeFixed(fixed, HostWireOrder(), &success, &additional) || !success) {
-    return false;
-  }
-  std::vector<uint8_t> rest(additional * 4u);
-  return raw.ReadAll(rest.data(), rest.size()).ok();
+  return decoded.success;
 }
 
 // Soak depth knobs: scripts/ci.sh raises AF_TORTURE_ROUNDS for the

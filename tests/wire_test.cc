@@ -7,6 +7,7 @@
 
 #include "proto/atoms.h"
 #include "proto/events.h"
+#include "proto/framing.h"
 #include "proto/oplog.h"
 #include "proto/requests.h"
 #include "proto/setup.h"
@@ -32,7 +33,7 @@ class WireOrderTest : public ::testing::TestWithParam<WireOrder> {
     RequestHeader decoded_header;
     EXPECT_TRUE(DecodeRequestHeader(r, &decoded_header));
     EXPECT_EQ(decoded_header.opcode, op);
-    EXPECT_EQ(decoded_header.TotalBytes(), w.size());
+    EXPECT_EQ(FrameClientMessage(w.data(), /*setup_done=*/true, order()), w.size());
     Req out;
     EXPECT_TRUE(Req::Decode(r, &out));
     return out;
@@ -265,14 +266,14 @@ TEST_P(WireOrderTest, SetupHandshake) {
   request.auth_data = "xyzzy";
   const auto bytes = request.Encode();
 
+  // The 12-byte prefix, then "MIT-MAGIC" padded to 12 bytes and "xyzzy" to 8.
+  EXPECT_EQ(bytes.size(), 32u);
+  EXPECT_EQ(FrameClientMessage(bytes, /*setup_done=*/false, order()), bytes.size());
   SetupRequest decoded;
-  uint16_t name_len = 0;
-  uint16_t data_len = 0;
-  ASSERT_TRUE(SetupRequest::DecodeFixed(bytes, &decoded, &name_len, &data_len));
+  ASSERT_TRUE(SetupRequest::Decode(bytes, &decoded));
   EXPECT_EQ(decoded.order, order());
-  EXPECT_EQ(name_len, 9);
-  EXPECT_EQ(data_len, 5);
-  EXPECT_EQ(bytes.size(), SetupRequest::kFixedBytes + Pad4(9) + Pad4(5));
+  EXPECT_EQ(decoded.auth_name, "MIT-MAGIC");
+  EXPECT_EQ(decoded.auth_data, "xyzzy");
 
   SetupReply reply;
   reply.success = true;
@@ -287,18 +288,10 @@ TEST_P(WireOrderTest, SetupHandshake) {
   reply.devices.push_back(dev);
   const auto reply_bytes = reply.Encode(order());
 
-  bool success = false;
-  uint32_t additional = 0;
-  ASSERT_TRUE(SetupReply::DecodeFixed(
-      std::span<const uint8_t>(reply_bytes).first(SetupReply::kFixedBytes), order(),
-      &success, &additional));
-  EXPECT_TRUE(success);
-  EXPECT_EQ(reply_bytes.size(), SetupReply::kFixedBytes + additional * 4);
-
+  EXPECT_EQ(FrameServerMessage(reply_bytes, /*setup_done=*/false, order()), reply_bytes.size());
   SetupReply decoded_reply;
-  ASSERT_TRUE(SetupReply::DecodeVariable(
-      std::span<const uint8_t>(reply_bytes).subspan(SetupReply::kFixedBytes), order(),
-      success, &decoded_reply));
+  ASSERT_TRUE(SetupReply::Decode(reply_bytes, order(), &decoded_reply));
+  EXPECT_TRUE(decoded_reply.success);
   EXPECT_EQ(decoded_reply.vendor, "AudioFile test");
   ASSERT_EQ(decoded_reply.devices.size(), 1u);
   EXPECT_EQ(decoded_reply.devices[0].play_buffer_samples, 32768u);
@@ -311,14 +304,11 @@ TEST_P(WireOrderTest, SetupFailureReply) {
   reply.success = false;
   reply.failure_reason = "host not authorized to connect";
   const auto bytes = reply.Encode(order());
-  bool success = true;
-  uint32_t additional = 0;
-  ASSERT_TRUE(SetupReply::DecodeFixed(bytes, order(), &success, &additional));
-  EXPECT_FALSE(success);
+  EXPECT_EQ(FrameServerMessage(bytes, /*setup_done=*/false, order()), bytes.size());
   SetupReply decoded;
-  ASSERT_TRUE(SetupReply::DecodeVariable(
-      std::span<const uint8_t>(bytes).subspan(SetupReply::kFixedBytes), order(), success,
-      &decoded));
+  decoded.success = true;
+  ASSERT_TRUE(SetupReply::Decode(bytes, order(), &decoded));
+  EXPECT_FALSE(decoded.success);
   EXPECT_EQ(decoded.failure_reason, "host not authorized to connect");
 }
 
@@ -615,13 +605,9 @@ UnitGolden SetupReplyGolden(const char* name, SetupReply reply, const char* litt
                             const char* big) {
   return {name, [reply](WireOrder order) { return reply.Encode(order); },
           [](std::span<const uint8_t> bytes, WireOrder order) {
-            bool success = false;
-            uint32_t words = 0;
             SetupReply out;
-            if (!SetupReply::DecodeFixed(bytes, order, &success, &words) ||
-                bytes.size() != SetupReply::kFixedBytes + size_t{words} * 4 ||
-                !SetupReply::DecodeVariable(bytes.subspan(SetupReply::kFixedBytes), order,
-                                            success, &out)) {
+            if (FrameServerMessage(bytes, /*setup_done=*/false, order) != bytes.size() ||
+                !SetupReply::Decode(bytes, order, &out)) {
               return std::vector<uint8_t>{};
             }
             return out.Encode(order);
