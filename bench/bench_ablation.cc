@@ -13,6 +13,7 @@
 // variable is the buffering algorithm; B runs through the full client/
 // server path.
 #include "bench/harness.h"
+#include "bench/mix_functional.h"
 #include "devices/codec_device.h"
 #include "devices/hifi_device.h"
 #include "dsp/g711.h"

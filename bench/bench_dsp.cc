@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "bench/mix_functional.h"
 #include "dsp/dtmf.h"
 #include "dsp/fft.h"
 #include "dsp/g711.h"
@@ -66,7 +67,7 @@ void BM_MixMulawFunctional(benchmark::State& state) {
   auto a = MakeMulawTone(static_cast<size_t>(state.range(0)));
   const auto b = MakeMulawTone(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    MixMulawBlockFunctional(a, b);
+    bench::MixMulawBlockFunctional(a, b);
     benchmark::DoNotOptimize(a.data());
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(a.size()));

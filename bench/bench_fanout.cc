@@ -29,6 +29,12 @@
 // ACs to shard 0's device instead, pricing requests against another
 // shard's device (its device lock) per request.
 //
+// Memory: each cell also reports the resident KiB one connected client
+// adds (VmRSS across the connect + CreateAC loop, divided by N, client and
+// server sides together): the per-connection baseline before any play
+// grows a buffer. Only a process's first cell starts from a cold heap;
+// later cells can reuse pages an earlier one freed and read lower.
+//
 // Flags: --json out.json (machine-readable), --quick (N = 8 smoke for CI,
 // optimized only), --shards-smoke (4096 clients across 4 shards, shard
 // configs only).
@@ -137,6 +143,7 @@ bool RunFanout(const FanoutConfig& config, int n, int total, FanoutResult* out,
   std::vector<AC*> acs;
   conns.reserve(n);
   acs.reserve(n);
+  const uint64_t rss_before_kib = ResidentKiB();
   for (int i = 0; i < n; ++i) {
     // Sharded runs pin clients to shards in balanced contiguous blocks -
     // the even spread a SO_REUSEPORT accept array converges to - and, in
@@ -168,6 +175,11 @@ bool RunFanout(const FanoutConfig& config, int n, int total, FanoutResult* out,
       return false;
     }
     acs.push_back(ac.value());
+  }
+  const uint64_t rss_after_kib = ResidentKiB();
+  if (rss_after_kib > rss_before_kib) {
+    out->server.rss_kib_per_client =
+        static_cast<double>(rss_after_kib - rss_before_kib) / n;
   }
 
   std::vector<uint8_t> data(IsShardSweepConfig(config) ? kSweepPlayBytes
@@ -266,7 +278,7 @@ int main(int argc, char** argv) {
 
   PrintHeader("Fan-out: per-request play latency (usec)",
               {"clients", "config", "p50", "p95", "burst p50", "burst p95",
-               "sys/req", "iter/req"});
+               "sys/req", "iter/req", "KiB/client"});
   bool ok = true;
   const auto run_one = [&](const FanoutConfig& config, int n,
                            bool burst_phase = true) {
@@ -303,6 +315,7 @@ int main(int argc, char** argv) {
     const uint64_t dispatched = std::max<uint64_t>(result.server.requests_dispatched, 1);
     PrintCell(static_cast<double>(result.server.writev_calls) / dispatched, "%.3f");
     PrintCell(static_cast<double>(result.server.loop_iterations) / dispatched, "%.3f");
+    PrintCell(result.server.rss_kib_per_client, "%.1f");
     EndRow();
   };
 
@@ -334,7 +347,8 @@ int main(int argc, char** argv) {
     run_one(kCrossShard, 256);
   }
   std::printf("\nsys/req counts egress write syscalls per dispatched request; iter/req\n"
-              "counts server loop iterations per dispatched request.\n");
+              "counts server loop iterations per dispatched request; KiB/client is the\n"
+              "resident memory each connect + CreateAC added (client and server sides).\n");
 
   if (!ok) {
     return 1;

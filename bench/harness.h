@@ -201,6 +201,23 @@ inline double MeanMicros(int iters, const std::function<void()>& fn) {
   return static_cast<double>(HostMicros() - start) / iters;
 }
 
+// This process's resident set size (VmRSS) in KiB; 0 if unreadable.
+inline uint64_t ResidentKiB() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  char line[256];
+  unsigned long long kib = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmRSS: %llu kB", &kib) == 1) {
+      break;
+    }
+  }
+  std::fclose(f);
+  return kib;
+}
+
 // Per-call latency distribution of one measurement (microseconds).
 struct Stats {
   int iters = 0;
@@ -305,6 +322,10 @@ struct ServerSide {
   uint64_t mailbox_depth_hw = 0;
   uint64_t cross_shard_plays = 0;
   std::vector<ShardSide> shards;  // empty on a single-shard server
+  // Resident memory each connected client added to the process (client
+  // and server sides of an in-process connection, with one AC each); 0 =
+  // not measured. Set by the bench, not read from the server's stats.
+  double rss_kib_per_client = 0;
 };
 
 inline bool FetchServerSide(AFAudioConn& conn, ServerSide* out) {
@@ -495,6 +516,9 @@ class JsonReport {
                          j + 1 < s.shards.size() ? ", " : "");
           }
           std::fprintf(f, "]");
+        }
+        if (s.rss_kib_per_client > 0) {
+          std::fprintf(f, ", \"rss_kib_per_client\": %.1f", s.rss_kib_per_client);
         }
         std::fprintf(f, "}%s\n", ++i < server_.size() ? "," : "");
       }

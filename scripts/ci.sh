@@ -394,7 +394,7 @@ for key in ("writev_calls", "writev_iovecs", "poller_backend",
         sys.exit(f"fanout smoke: server block lacks {key}")
 if server["poller_backend"] != 1:
     sys.exit(f"fanout smoke: poller_backend={server['poller_backend']}, wanted 1")
-if server["watched_fds"] != 9:  # 8 clients + the wake pipe
+if server["watched_fds"] != 9:  # 8 clients + the wake eventfd
     sys.exit(f"fanout smoke: watched_fds={server['watched_fds']}, wanted 9")
 
 committed = json.load(open("BENCH_fanout.json"))
@@ -455,8 +455,12 @@ fi
 echo "== 4096-client fanout smoke (4 shards) =="
 # The widest fan-out the artifact claims, live: 4096 clients across a
 # 4-shard server, play phase only. Validates the deployment shape (even
-# accept spread, populated per-shard percentiles), not the numbers - the
-# committed artifact above carries those.
+# accept spread, populated per-shard percentiles), not the latencies - the
+# committed artifact above carries those. It does gate memory: each idle
+# connection (client and server sides, one AC) may add at most 24 KiB of
+# resident memory. Trace rings that tracing has not written cost nothing;
+# a ring whose slots are resident from construction alone costs 56 KiB
+# per client and fails here.
 if command -v python3 >/dev/null 2>&1; then
     ./build/bench/bench_fanout --shards-smoke --json build/fanout_shards_smoke.json >/dev/null 2>&1
     python3 - <<'EOF'
@@ -477,9 +481,15 @@ row = next((r for r in fresh["rows"]
             if r["config"] == "shards4" and r["case"] == "play/N=4096"), None)
 if row is None or row["p95_us"] <= 0:
     sys.exit("shards smoke: missing play row")
+kib = server.get("rss_kib_per_client")
+if kib is None:
+    sys.exit("shards smoke: server block lacks rss_kib_per_client")
+if kib > 24:
+    sys.exit(f"shards smoke: {kib} KiB resident per client, budget 24 KiB")
 print(f"shards smoke OK: 4096 clients spread {accepted}, "
       f"play p95 {row['p95_us']}us, per-shard dispatch p95 "
-      f"{[s['dispatch_p95_us'] for s in shards]}us")
+      f"{[s['dispatch_p95_us'] for s in shards]}us, "
+      f"{kib} KiB resident per client (budget 24)")
 EOF
 fi
 

@@ -1,8 +1,14 @@
 #include "common/trace.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <bit>
+#include <cerrno>
+#include <cstring>
 
 #include "common/clock.h"
+#include "common/log.h"
 
 namespace af {
 
@@ -62,8 +68,22 @@ void TraceDeviceEvent(TraceKind kind, uint32_t device_index, uint32_t dev_time,
 TraceRing::TraceRing(size_t capacity) {
   capacity_ = std::bit_ceil(capacity < 2 ? size_t{2} : capacity);
   mask_ = capacity_ - 1;
-  events_.resize(capacity_);
+  // Untouched anonymous pages cost nothing (see trace.h). No huge pages:
+  // neighbouring rings' mappings can merge, and one fault would then make
+  // 2 MiB of them resident.
+  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  mapped_bytes_ = (capacity_ * sizeof(TraceEvent) + page - 1) / page * page;
+  void* slots = ::mmap(nullptr, mapped_bytes_, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (slots == MAP_FAILED) {
+    FatalError("TraceRing: cannot map %zu bytes of slots: %s", mapped_bytes_,
+               strerror(errno));
+  }
+  ::madvise(slots, mapped_bytes_, MADV_NOHUGEPAGE);
+  events_ = static_cast<TraceEvent*>(slots);
 }
+
+TraceRing::~TraceRing() { ::munmap(events_, mapped_bytes_); }
 
 size_t TraceRing::Drain(std::vector<TraceEvent>* out) {
   const uint64_t head = seq_.load(std::memory_order_relaxed);

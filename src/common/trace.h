@@ -11,6 +11,14 @@
 // preallocated slot, and one relaxed load for overwrite detection. The
 // zero-allocation golden test runs with tracing live to enforce this.
 //
+// Memory: a ring's slots are one private anonymous mapping that nothing
+// touches at construction, so a ring costs no resident memory until
+// tracing writes to it; each page of slots faults in on its first record
+// and stays until the ring is destroyed. Drain() and the flight recorder
+// read only the live span, so they never touch an unwritten page. Never
+// value-initialise or clear the slot array: that makes every page of every
+// ring resident whether tracing runs or not.
+//
 // Threading: each ring has one writer thread. A server shard owns one
 // ring and records into it from its loop thread (dispatch, the device
 // calls it makes, update tasks, and transport callbacks all run there);
@@ -106,12 +114,17 @@ struct TraceEvent {
 };
 
 // Fixed-capacity single-writer ring. Capacity is rounded up to a power of
-// two at construction (the only allocation this class ever performs).
+// two at construction, which maps the slot array (the only memory this
+// class ever obtains; a failed mapping is fatal). Not copyable: the ring
+// owns its mapping.
 class TraceRing {
  public:
   static constexpr size_t kDefaultCapacity = 4096;
 
   explicit TraceRing(size_t capacity = kDefaultCapacity);
+  ~TraceRing();
+  TraceRing(const TraceRing&) = delete;
+  TraceRing& operator=(const TraceRing&) = delete;
 
   // With a generation gate attached (sharded server), Enable() flips the
   // shared counter's parity with a CAS — odd = capturing — so the first
@@ -192,7 +205,8 @@ class TraceRing {
   // Raw slot storage, for the flight recorder's signal handler: the handler
   // may only call async-signal-safe functions, so it reads the preallocated
   // slot array directly (recorded() picks the live span) instead of Drain().
-  const TraceEvent* raw_slots() const { return events_.data(); }
+  // capacity() slots long.
+  const TraceEvent* raw_slots() const { return events_; }
 
  private:
   void Put(const TraceEvent& ev) {
@@ -211,7 +225,8 @@ class TraceRing {
 
   size_t capacity_;
   size_t mask_;
-  std::vector<TraceEvent> events_;
+  size_t mapped_bytes_;
+  TraceEvent* events_;  // capacity_ slots in an anonymous mapping
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> seq_{0};       // next record's sequence number
   std::atomic<uint64_t> read_seq_{0};  // first undrained sequence number

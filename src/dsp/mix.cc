@@ -101,20 +101,6 @@ void MixAlawBlock(std::span<uint8_t> dst, std::span<const uint8_t> src) {
   MixTableBlock(AlawMixTable(), dst.data(), src.data(), n);
 }
 
-void MixMulawBlockFunctional(std::span<uint8_t> dst, std::span<const uint8_t> src) {
-  const size_t n = std::min(dst.size(), src.size());
-  for (size_t i = 0; i < n; ++i) {
-    dst[i] = MixMulaw(dst[i], src[i]);
-  }
-}
-
-void MixAlawBlockFunctional(std::span<uint8_t> dst, std::span<const uint8_t> src) {
-  const size_t n = std::min(dst.size(), src.size());
-  for (size_t i = 0; i < n; ++i) {
-    dst[i] = MixAlaw(dst[i], src[i]);
-  }
-}
-
 void MixLin16BlockScalar(std::span<int16_t> dst, std::span<const int16_t> src) {
   const size_t n = std::min(dst.size(), src.size());
   for (size_t i = 0; i < n; ++i) {

@@ -3,9 +3,10 @@
 // The server mixes play data from multiple clients into a common buffer by
 // default (CRL 93/8 Section 7.2); preemptive play overwrites instead. For
 // companded data the correct mix is decode-add-saturate-reencode; the paper
-// provides a 64K two-operand lookup table (AF_mix_u / AF_mix_a) for speed,
-// and we supply both the functional and the table form so the benchmark
-// suite can compare them.
+// provides a 64K two-operand lookup table (AF_mix_u / AF_mix_a) for speed.
+// The block forms mix through the tables; the per-sample functional form
+// (MixMulaw/MixAlaw) builds them, and bench/mix_functional.h runs it over
+// whole blocks for the table-versus-functional comparison.
 #ifndef AF_DSP_MIX_H_
 #define AF_DSP_MIX_H_
 
@@ -35,11 +36,6 @@ void MixLin16Block(std::span<int16_t> dst, std::span<const int16_t> src);
 
 // The plain-loop reference the SIMD form must match bit for bit.
 void MixLin16BlockScalar(std::span<int16_t> dst, std::span<const int16_t> src);
-
-// Functional (decode-add-encode per sample) block forms. Slower than the
-// table forms; kept as correctness oracles and for the ablation benchmark.
-void MixMulawBlockFunctional(std::span<uint8_t> dst, std::span<const uint8_t> src);
-void MixAlawBlockFunctional(std::span<uint8_t> dst, std::span<const uint8_t> src);
 
 // Fused per-source gain + mix: dst[i] = mix(dst[i], gain(src[i])) in one
 // walk over the region, with no staging copy of the scaled source. This is

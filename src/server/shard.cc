@@ -4,8 +4,8 @@
 // fan-out, trace gather) are PR 6 additions.
 #include "server/shard.h"
 
-#include <fcntl.h>
 #include <signal.h>
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -45,7 +45,7 @@ void TraceInstant(TraceRing& tr, TraceKind kind, uint32_t conn, uint64_t value =
   tr.Record(ev);
 }
 
-// Poller tags. A client's tag is its fd; the wake pipe and the listeners
+// Poller tags. A client's tag is its fd; the wake eventfd and the listeners
 // (by index) sit above every fd.
 constexpr uint64_t kWakeTag = uint64_t{1} << 32;
 constexpr uint64_t kListenerTag = uint64_t{2} << 32;
@@ -85,13 +85,12 @@ Shard::Shard(AFServer& server, uint32_t index)
       atoms_(server.atoms_),
       access_(server.access_),
       shared_mu_(server.shared_mu_),
-      next_client_number_(index + 1) {
-  if (::pipe(wake_pipe_) != 0) {
-    FatalError("Shard: cannot create wake pipe");
+      next_client_number_(index + 1),
+      wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (wake_fd_ < 0) {
+    FatalError("Shard: cannot create wake eventfd");
   }
-  ::fcntl(wake_pipe_[0], F_SETFL, O_NONBLOCK);
-  ::fcntl(wake_pipe_[1], F_SETFL, O_NONBLOCK);
-  poller_.Watch(wake_pipe_[0], kWakeTag, Poller::kRead);
+  poller_.Watch(wake_fd_, kWakeTag, Poller::kRead);
 
   metrics_.poller_backend.Set(1);  // retired slot: the loop always runs on epoll
   metrics_.shards.Set(opts_.num_shards);
@@ -120,11 +119,7 @@ Shard::Shard(AFServer& server, uint32_t index)
 
 Shard::~Shard() {
   FlightRecorderUnregisterRing(flight_slot_);
-  for (int i = 0; i < 2; ++i) {
-    if (wake_pipe_[i] >= 0) {
-      ::close(wake_pipe_[i]);
-    }
-  }
+  ::close(wake_fd_);
 }
 
 void Shard::AddListener(Listener listener, bool hand_off) {
@@ -188,8 +183,8 @@ void Shard::StopLocal() {
 }
 
 void Shard::Wake() {
-  const char byte = 'w';
-  [[maybe_unused]] const ssize_t n = ::write(wake_pipe_[1], &byte, 1);
+  const uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
 Shard* Shard::Running() { return t_running_shard; }
@@ -318,9 +313,9 @@ bool Shard::RunOnce(int max_timeout_ms) {
 }
 
 void Shard::DrainInbox() {
-  char buf[64];
-  while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
-  }
+  // One read returns and resets the counter however many Wake()s it holds.
+  uint64_t wakes = 0;
+  [[maybe_unused]] const ssize_t got = ::read(wake_fd_, &wakes, sizeof(wakes));
   {
     std::lock_guard<std::mutex> lock(inbox_mu_);
     adoption_scratch_.swap(pending_adoptions_);
@@ -328,7 +323,7 @@ void Shard::DrainInbox() {
   }
   const size_t n = adoption_scratch_.size() + action_scratch_.size();
   if (n == 0) {
-    return;  // a Wake() with no message (stop, or a byte of a batch drained earlier)
+    return;  // a Wake() with no message (stop, or a wake of a batch drained earlier)
   }
   metrics_.mailbox_wakes.Add();
   metrics_.cross_shard_drained.Add(n);

@@ -24,7 +24,7 @@
 // Everything else that crosses shards - device and property events,
 // handed-off accepts, GetTrace gathers, AFServer::Post, promotion applies -
 // goes through the shard's inbox: a mutexed list drained by the loop
-// thread after a byte on the wake pipe. The inbox is FIFO per producer.
+// thread when its wake eventfd fires. The inbox is FIFO per producer.
 #ifndef AF_SERVER_SHARD_H_
 #define AF_SERVER_SHARD_H_
 
@@ -208,10 +208,11 @@ class Shard {
   std::map<ACId, ServerAC> acs_;
   uint32_t next_client_number_;  // starts at index+1, strides by shard count
 
-  // The inbox. Producers append under inbox_mu_ and write the wake pipe;
-  // the loop swaps the lists out into the scratch pair (which keeps the
-  // capacity, so steady traffic allocates nothing) and runs them.
-  int wake_pipe_[2] = {-1, -1};
+  // The inbox. Producers append under inbox_mu_ and add 1 to the wake
+  // eventfd; the loop reads the counter once (resetting it), swaps the
+  // lists out into the scratch pair (which keeps the capacity, so steady
+  // traffic allocates nothing) and runs them.
+  int wake_fd_ = -1;
   std::mutex inbox_mu_;
   std::vector<std::pair<FaultStream, PeerAddress>> pending_adoptions_;
   std::vector<std::function<void()>> pending_actions_;

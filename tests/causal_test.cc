@@ -349,7 +349,7 @@ TEST(MergeClientServerTraceTest, RecoversAKnownClockSkew) {
 // fresh generation), and wrap-around drop counting allocate nothing.
 TEST(CausalZeroAllocTest, GatedRecordPathDoesNotAllocate) {
   std::atomic<uint64_t> gate{0};
-  TraceRing ring(64);  // the ring's one allocation happens here
+  TraceRing ring(64);  // the ring maps its slots here, before arming
   ring.AttachGenerationGate(&gate);
   ring.Enable(true);
 

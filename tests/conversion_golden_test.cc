@@ -494,7 +494,7 @@ TEST(ZeroAllocation, SteadyStatePlayRecordDoesNotAllocate) {
   // Tracing also rides the hot path (device-timeline instants from the
   // play/update code); run the armed region with the global ring live so
   // "allocation-free" provably includes TraceRing::Record. The ring itself
-  // is constructed (its one allocation) by this call, before arming.
+  // is constructed (its slots mapped) by this call, before arming.
   GlobalTrace().Clear();
   GlobalTrace().Enable(true);
   const uint64_t traced_before = GlobalTrace().recorded();

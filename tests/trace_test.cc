@@ -2,15 +2,20 @@
 // GetTrace request end to end.
 //
 // The ring tests pin down the overwrite contract (oldest records lost,
-// every loss counted in dropped() and the attached Counter). The wire
-// tests round-trip a snapshot through TraceWire and then damage it every
-// way the decoder guards against: truncation at every byte, an absurd
-// event count, an undersized per-event size. The end-to-end test drives a
-// real connection through a fault-injecting transport and checks that the
-// drained window contains the request spans and transport instants the
-// workload must have produced.
+// every loss counted in dropped() and the attached Counter) and the
+// storage contract (a slot page is resident only once a record lands in
+// it). The wire tests round-trip a snapshot through TraceWire and then
+// damage it every way the decoder guards against: truncation at every
+// byte, an absurd event count, an undersized per-event size. The
+// end-to-end test drives a real connection through a fault-injecting
+// transport and checks that the drained window contains the request spans
+// and transport instants the workload must have produced.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -106,6 +111,35 @@ TEST(TraceRingTest, ClearForgetsWithoutCountingDrops) {
   EXPECT_EQ(ring.dropped(), 0u);
   std::vector<TraceEvent> out;
   EXPECT_EQ(ring.Drain(&out), 0u);
+}
+
+// A ring costs no resident memory until tracing writes it: a fresh ring
+// has no slot page resident, and after k records exactly the pages that
+// hold slots 0..k-1 are. Residency is read with mincore(2) over the pages
+// the slot array spans.
+TEST(TraceRingTest, SlotsBecomeResidentOnlyWhenWritten) {
+  const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  TraceRing ring(4096);
+  const uintptr_t begin = reinterpret_cast<uintptr_t>(ring.raw_slots());
+  const uintptr_t base = begin & ~(page - 1);
+  const uintptr_t end = begin + ring.capacity() * sizeof(TraceEvent);
+  const size_t pages = (end - base + page - 1) / page;
+  std::vector<unsigned char> resident(pages);
+  size_t recorded = 0;
+  ring.Enable(true);
+  for (const size_t k : {size_t{0}, size_t{1}, size_t{73}, size_t{74}, size_t{1000}}) {
+    for (; recorded < k; ++recorded) {
+      ring.Record(MakeEvent(TraceKind::kRead, recorded));
+    }
+    ASSERT_EQ(mincore(reinterpret_cast<void*>(base), end - base, resident.data()), 0)
+        << std::strerror(errno);
+    const uintptr_t written_end = begin + k * sizeof(TraceEvent);
+    for (size_t p = 0; p < pages; ++p) {
+      const uintptr_t lo = base + p * page;
+      const bool written = lo < written_end && lo + page > begin;
+      EXPECT_EQ((resident[p] & 1) != 0, written) << "page " << p << " after " << k << " records";
+    }
+  }
 }
 
 TEST(TraceKindTest, EveryKindHasAName) {
