@@ -10,8 +10,9 @@
 // egress syscalls per request (writev_calls / requests_dispatched), loop
 // iterations per request (loop_iterations / requests_dispatched, where a
 // client socket's write-space edge that wakes the shard before the next
-// request arrives costs an extra one), and wake-to-drain latency (the
-// poll_wake histogram percentiles).
+// request arrives costs an extra one), wake-to-drain latency (the
+// poll_wake histogram percentiles), and the share of the loop's spinning
+// waits that found work before blocking (spin_hits / spin_waits).
 //
 // The server runs its one configuration: epoll readiness, one send buffer
 // per connection, SIMD kernels ("optimized"). The committed
@@ -278,7 +279,7 @@ int main(int argc, char** argv) {
 
   PrintHeader("Fan-out: per-request play latency (usec)",
               {"clients", "config", "p50", "p95", "burst p50", "burst p95",
-               "sys/req", "iter/req", "KiB/client"});
+               "sys/req", "iter/req", "spin hit", "KiB/client"});
   bool ok = true;
   const auto run_one = [&](const FanoutConfig& config, int n,
                            bool burst_phase = true) {
@@ -315,6 +316,9 @@ int main(int argc, char** argv) {
     const uint64_t dispatched = std::max<uint64_t>(result.server.requests_dispatched, 1);
     PrintCell(static_cast<double>(result.server.writev_calls) / dispatched, "%.3f");
     PrintCell(static_cast<double>(result.server.loop_iterations) / dispatched, "%.3f");
+    PrintCell(static_cast<double>(result.server.spin_hits) /
+                  static_cast<double>(std::max<uint64_t>(result.server.spin_waits, 1)),
+              "%.2f");
     PrintCell(result.server.rss_kib_per_client, "%.1f");
     EndRow();
   };
@@ -347,8 +351,10 @@ int main(int argc, char** argv) {
     run_one(kCrossShard, 256);
   }
   std::printf("\nsys/req counts egress write syscalls per dispatched request; iter/req\n"
-              "counts server loop iterations per dispatched request; KiB/client is the\n"
-              "resident memory each connect + CreateAC added (client and server sides).\n");
+              "counts server loop iterations per dispatched request; spin hit is the\n"
+              "share of the loop's spinning waits that found work before blocking\n"
+              "(spin_hits / spin_waits); KiB/client is the resident memory each\n"
+              "connect + CreateAC added (client and server sides).\n");
 
   if (!ok) {
     return 1;

@@ -304,6 +304,8 @@ struct ServerSide {
   uint64_t watched_fds = 0;    // interest-set size (gauge sample)
   uint64_t poll_wake_p50_us = 0;  // readiness wake latency past the timeout
   uint64_t poll_wake_p95_us = 0;
+  uint64_t spin_waits = 0;  // loop waits that spun before blocking
+  uint64_t spin_hits = 0;   // of those, ones an event ended before blocking
   // Fan-in view for the conference-bridge bench (summed over devices;
   // mix_fanin_hw is the max over devices). play_discarded_frames is the
   // samples-lost axis: play frames clipped to the past and never buffered.
@@ -353,6 +355,8 @@ inline bool FetchServerSide(AFAudioConn& conn, ServerSide* out) {
   out->poller_backend = counter("poller_backend");
   out->cross_shard_plays = counter("cross_shard_plays");
   out->watched_fds = counter("watched_fds");
+  out->spin_waits = counter("spin_waits");
+  out->spin_hits = counter("spin_hits");
   out->poll_wake_p50_us = HistogramQuantile(s.poll_wake.buckets, 0.50);
   out->poll_wake_p95_us = HistogramQuantile(s.poll_wake.buckets, 0.95);
   for (const DeviceStatsWire& d : s.devices) {
@@ -457,7 +461,8 @@ class JsonReport {
                      "\"loop_iterations\": %llu, \"writev_calls\": %llu, "
                      "\"writev_iovecs\": %llu, \"poller_backend\": %llu, "
                      "\"watched_fds\": %llu, \"poll_wake_p50_us\": %llu, "
-                     "\"poll_wake_p95_us\": %llu",
+                     "\"poll_wake_p95_us\": %llu, \"spin_waits\": %llu, "
+                     "\"spin_hits\": %llu",
                      config.c_str(),
                      static_cast<unsigned long long>(s.requests_dispatched),
                      static_cast<unsigned long long>(s.play_underruns),
@@ -472,7 +477,9 @@ class JsonReport {
                      static_cast<unsigned long long>(s.poller_backend),
                      static_cast<unsigned long long>(s.watched_fds),
                      static_cast<unsigned long long>(s.poll_wake_p50_us),
-                     static_cast<unsigned long long>(s.poll_wake_p95_us));
+                     static_cast<unsigned long long>(s.poll_wake_p95_us),
+                     static_cast<unsigned long long>(s.spin_waits),
+                     static_cast<unsigned long long>(s.spin_hits));
         std::fprintf(f,
                      ", \"mixed_writes\": %llu, \"preempt_writes\": %llu, "
                      "\"mix_shared_writes\": %llu, \"preempt_clobber_writes\": %llu, "

@@ -19,6 +19,12 @@ cmake --build build -j"$JOBS"
 echo "== full suite (plain) =="
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
+echo "== real-time stress cases, five times over =="
+# stress_test's real-time cases (eight mixing clients, the LineServer over
+# real sockets) are the ones most sensitive to how the server and client
+# wait; repeated so a rare failure shows up with its output.
+ctest --test-dir build -R '^stress_test$' --repeat until-fail:5 --output-on-failure
+
 echo "== observability suite =="
 ctest --test-dir build -L metrics --output-on-failure
 
@@ -389,7 +395,8 @@ server = fresh["server"].get("optimized/N=8")
 if server is None:
     sys.exit("fanout smoke: missing optimized server block")
 for key in ("writev_calls", "writev_iovecs", "poller_backend",
-            "watched_fds", "poll_wake_p95_us", "requests_dispatched"):
+            "watched_fds", "poll_wake_p95_us", "requests_dispatched",
+            "spin_waits", "spin_hits"):
     if key not in server:
         sys.exit(f"fanout smoke: server block lacks {key}")
 if server["poller_backend"] != 1:

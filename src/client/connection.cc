@@ -2,6 +2,7 @@
 
 #include <errno.h>
 #include <poll.h>
+#include <sched.h>
 #include <stdlib.h>
 
 #include <cstdio>
@@ -76,6 +77,11 @@ Result<std::unique_ptr<AFAudioConn>> AFAudioConn::FromStream(
 }
 
 Status AFAudioConn::DoSetup() {
+  // Every wait on the socket is a kWouldBlock handled here, in WriteQueued
+  // or in FillFromSocket, which spins before it blocks.
+  if (Status nb = stream_.SetNonBlocking(true); !nb.ok()) {
+    return nb;
+  }
   SetupRequest request;
   request.order = HostWireOrder();
   const std::vector<uint8_t> bytes = request.Encode();
@@ -281,6 +287,11 @@ Status AFAudioConn::FillFromSocket(bool block) {
       return Status::Ok();  // nothing available and not blocking
     }
   }
+  // A blocking fill first rereads the socket, yielding the CPU between
+  // reads, for kSpinBudgetUs: a reply that lands within one wake-up's cost
+  // is read without one. Only then does it sleep in poll(POLLIN), which
+  // incoming bytes end and the server draining our request does not.
+  uint64_t spin_end_us = 0;
   for (;;) {
     const std::span<uint8_t> tail = in_.Tail();
     const IoResult r = stream_.Read(tail.data(), tail.size());
@@ -288,15 +299,24 @@ Status AFAudioConn::FillFromSocket(bool block) {
       case IoStatus::kOk:
         in_.Commit(r.bytes);
         return Status::Ok();
-      case IoStatus::kWouldBlock:
+      case IoStatus::kWouldBlock: {
         if (!block) {
           return Status::Ok();
+        }
+        const uint64_t now_us = HostMicros();
+        if (spin_end_us == 0) {
+          spin_end_us = now_us + kSpinBudgetUs;
+        }
+        if (now_us < spin_end_us) {
+          ::sched_yield();
+          continue;
         }
         if (!WaitForFd(stream_.fd(), /*for_read=*/true).ok()) {
           IOError();
           return Status(AfError::kConnectionLost);
         }
         continue;
+      }
       case IoStatus::kClosed:
       case IoStatus::kError:
         IOError();

@@ -297,9 +297,11 @@ class AFAudioConn {
   // POLLOUT alone would deadlock against it. What it reads waits in the
   // receive buffer for the next await.
   bool WriteQueued();
-  // One read into the receive buffer. Blocking: read(2) directly, waiting
-  // for the fd only when the stream reports kWouldBlock. Non-blocking: a
-  // zero-timeout poll first, and nothing read when nothing is there.
+  // One read into the receive buffer (the socket is non-blocking).
+  // Blocking: while the stream reports kWouldBlock, reread for
+  // kSpinBudgetUs, yielding between reads, then wait in poll(POLLIN).
+  // Non-blocking: a zero-timeout poll first, and nothing read when nothing
+  // is there.
   Status FillFromSocket(bool block);
   // Frames one complete packet in place at the head of the receive buffer,
   // if present. The view is valid until the next FillFromSocket.

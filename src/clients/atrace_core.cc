@@ -303,7 +303,9 @@ std::vector<LatencyBudgetRow> ComputeLatencyBudget(const TraceWire& merged) {
   // corr-stamped (one flush covers every queued request; the transport
   // layer has no request context), so they match positionally: the first
   // client flush at or after the enqueue, and the last socket read on the
-  // request's connection at or before dispatch start.
+  // request's connection at or before dispatch start. The events are in
+  // host_us order, so the flush list and each connection's read list are
+  // too, and each match is one binary search.
   struct Pieces {
     const TraceEvent* enqueue = nullptr;
     const TraceEvent* reply = nullptr;
@@ -311,14 +313,14 @@ std::vector<LatencyBudgetRow> ComputeLatencyBudget(const TraceWire& merged) {
   };
   std::map<uint64_t, Pieces> by_corr;
   std::vector<const TraceEvent*> flushes;
-  std::vector<const TraceEvent*> reads;
+  std::map<uint32_t, std::vector<const TraceEvent*>> reads_by_conn;
   for (const TraceEvent& ev : merged.events) {
     switch (static_cast<TraceKind>(ev.kind)) {
       case TraceKind::kClientFlush:
         flushes.push_back(&ev);
         break;
       case TraceKind::kRead:
-        reads.push_back(&ev);
+        reads_by_conn[ev.conn].push_back(&ev);
         break;
       case TraceKind::kClientEnqueue:
         if (ev.corr != 0 && by_corr[ev.corr].enqueue == nullptr) {
@@ -339,6 +341,7 @@ std::vector<LatencyBudgetRow> ComputeLatencyBudget(const TraceWire& merged) {
         break;
     }
   }
+  const auto at_us = [](const TraceEvent* ev) { return static_cast<int64_t>(ev->host_us); };
 
   std::vector<LatencyBudgetRow> rows;
   for (const auto& [corr, p] : by_corr) {
@@ -353,24 +356,22 @@ std::vector<LatencyBudgetRow> ComputeLatencyBudget(const TraceWire& merged) {
 
     // The flush that carried this request out, and the read that brought
     // it in. Fall back to the adjacent boundary (zero-width component)
-    // when the transport record is outside the window.
-    int64_t t_flush = t_enq;
-    for (const TraceEvent* f : flushes) {
-      if (static_cast<int64_t>(f->host_us) >= t_enq) {
-        t_flush = static_cast<int64_t>(f->host_us);
-        break;
+    // when the transport record is outside the window: without a flush
+    // the queue collapses to zero, without a read the poll wake does and
+    // the wire absorbs the gap.
+    const auto flush = std::lower_bound(
+        flushes.begin(), flushes.end(), t_enq,
+        [&](const TraceEvent* f, int64_t t) { return at_us(f) < t; });
+    const int64_t t_flush = flush == flushes.end() ? t_enq : at_us(*flush);
+    int64_t t_read = s0;
+    if (const auto it = reads_by_conn.find(p.request->conn); it != reads_by_conn.end()) {
+      const std::vector<const TraceEvent*>& reads = it->second;
+      const auto after = std::upper_bound(
+          reads.begin(), reads.end(), s0,
+          [&](int64_t t, const TraceEvent* r) { return t < at_us(r); });
+      if (after != reads.begin()) {
+        t_read = at_us(*(after - 1));
       }
-    }
-    int64_t t_read = t_flush;
-    bool read_found = false;
-    for (const TraceEvent* r : reads) {
-      if (r->conn == p.request->conn && static_cast<int64_t>(r->host_us) <= s0) {
-        t_read = static_cast<int64_t>(r->host_us);
-        read_found = true;
-      }
-    }
-    if (!read_found) {
-      t_read = s0;  // poll-wake collapses to zero, wire absorbs the gap
     }
 
     LatencyBudgetRow row;

@@ -320,6 +320,8 @@ struct LatencyBudgetRow {
 
 // Builds one row per correlation ID that has both client enqueue/reply
 // records and a server kRequest span in the merged trace, sorted by total.
+// The events must be in host_us order, as MergeClientServerTrace and the
+// server's GetTrace gather leave them. O(n log n) in the window's events.
 std::vector<LatencyBudgetRow> ComputeLatencyBudget(const TraceWire& merged);
 
 // The human-readable budget table: per-component p50 column plus the

@@ -159,6 +159,24 @@ class ClientConn {
   // calls it; dispatch calls it after each request.
   void UpdateEgressGuard();
 
+  // --- pacing ---------------------------------------------------------
+  //
+  // Dispatch stamps each request's start and end. From them the connection
+  // keeps when its last request was answered and when the next one should
+  // start: one measured answer-to-request interval after that answer.
+  void NoteDispatched(uint64_t start_us, uint64_t end_us) {
+    if (answered_us_ != 0) {
+      next_due_us_ = end_us + (start_us - answered_us_);
+    }
+    answered_us_ = end_us;
+  }
+  // The next request is predicted within kSpinBudgetUs of now_us, so a
+  // wait that spins that long may catch it (Shard::RunOnce).
+  bool RequestDue(uint64_t now_us) const {
+    return next_due_us_ != 0 && now_us + kSpinBudgetUs >= next_due_us_ &&
+           now_us <= next_due_us_ + kSpinBudgetUs;
+  }
+
   // --- sequence numbers -------------------------------------------------
 
   uint16_t seq() const { return seq_; }
@@ -201,6 +219,8 @@ class ClientConn {
   bool saw_eof_ = false;
   bool in_pending_ = false;  // the kernel may hold bytes not yet read
   bool hangup_ = false;      // the peer's hangup was announced
+  uint64_t answered_us_ = 0;  // last request's dispatch end; 0 = none yet
+  uint64_t next_due_us_ = 0;  // predicted start of the next; 0 = unknown
 
   SendBuffer send_;
   bool out_blocked_ = false;  // the egress guard is engaged

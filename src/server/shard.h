@@ -121,6 +121,9 @@ class Shard {
   // Answers a framed setup request (msg, still buffered) and consumes it.
   void HandleSetup(const std::shared_ptr<ClientConn>& client, std::span<const uint8_t> msg);
   void RemoveClient(int fd);
+  // The loop's wait: poller_.Wait(timeout), after a spin when a client is
+  // due (client_due_).
+  const std::vector<PollEvent>& SpinThenWait(uint64_t now_us, int timeout);
   void DrainInbox();
   // True while `client` is still the connection this shard serves on its fd.
   bool IsLive(const std::shared_ptr<ClientConn>& client) const {
@@ -222,6 +225,9 @@ class Shard {
 
   // Set when work is left that no edge will announce: the next wait polls.
   bool work_pending_ = false;
+  // Set by the flush sweep when some client's next request is due
+  // (ClientConn::RequestDue): the next wait spins before it blocks.
+  bool client_due_ = false;
   // RunOnce's sweep lists; cleared after each use, so they keep their
   // capacity and a loop iteration allocates nothing.
   std::vector<std::shared_ptr<ClientConn>> backlog_;

@@ -27,6 +27,10 @@ class TaskQueue {
   // Milliseconds the caller may sleep before the next task is due;
   // -1 when no tasks are pending (sleep until I/O).
   int NextTimeoutMs(uint64_t now_us) const;
+  // When the next task is due; UINT64_MAX when no tasks are pending.
+  uint64_t NextDeadlineUs() const {
+    return heap_.empty() ? UINT64_MAX : heap_.top().run_at_us;
+  }
 
   // Runs every task whose deadline has passed. Tasks added while running
   // (e.g. an update task rescheduling itself) are not run until their own

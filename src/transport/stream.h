@@ -124,6 +124,16 @@ Result<std::pair<FdStream, FdStream>> CreateStreamPair();
 // only when poll itself does; EINTR resumes the wait.
 Status WaitForFd(int fd, bool for_read);
 
+// How long either end of a round trip polls, yielding its CPU between
+// polls, before it blocks: the client awaiting a reply
+// (AFAudioConn::FillFromSocket) and a shard whose client is due
+// (Shard::RunOnce). It is about one cross-CPU wake-up on the 4-vCPU host
+// EXPERIMENTS.md measures (a traced round trip's wire and egress spans,
+// each mostly a wake, read 5-8 us). A spin as long as blocking costs keeps
+// a waiter within twice the better choice's cost (Karlin et al., SOSP
+// 1991).
+constexpr uint64_t kSpinBudgetUs = 10;
+
 enum class IoDir { kRead, kWrite };
 
 // The blocking loop behind ReadAll and WriteAll of FdStream and

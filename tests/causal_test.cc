@@ -11,12 +11,15 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <new>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -342,6 +345,173 @@ TEST(MergeClientServerTraceTest, RecoversAKnownClockSkew) {
   ASSERT_EQ(server.events.size(), 2u);
   // Events come back sorted on the merged clock.
   EXPECT_LE(server.events[0].host_us, server.events[1].host_us);
+}
+
+// The latency budget as it was computed before the binary searches: for
+// every row, a scan of every flush and of every read. Kept as the
+// reference the fast version must match row for row.
+std::vector<LatencyBudgetRow> ScanLatencyBudget(const TraceWire& merged) {
+  struct Pieces {
+    const TraceEvent* enqueue = nullptr;
+    const TraceEvent* reply = nullptr;
+    const TraceEvent* request = nullptr;
+  };
+  std::map<uint64_t, Pieces> by_corr;
+  std::vector<const TraceEvent*> flushes;
+  std::vector<const TraceEvent*> reads;
+  for (const TraceEvent& ev : merged.events) {
+    switch (static_cast<TraceKind>(ev.kind)) {
+      case TraceKind::kClientFlush:
+        flushes.push_back(&ev);
+        break;
+      case TraceKind::kRead:
+        reads.push_back(&ev);
+        break;
+      case TraceKind::kClientEnqueue:
+        if (ev.corr != 0 && by_corr[ev.corr].enqueue == nullptr) {
+          by_corr[ev.corr].enqueue = &ev;
+        }
+        break;
+      case TraceKind::kClientReply:
+        if (ev.corr != 0 && by_corr[ev.corr].reply == nullptr) {
+          by_corr[ev.corr].reply = &ev;
+        }
+        break;
+      case TraceKind::kRequest:
+        if (ev.corr != 0 && by_corr[ev.corr].request == nullptr) {
+          by_corr[ev.corr].request = &ev;
+        }
+        break;
+      default:
+        break;
+    }
+  }
+  std::vector<LatencyBudgetRow> rows;
+  for (const auto& [corr, p] : by_corr) {
+    if (p.enqueue == nullptr || p.reply == nullptr || p.request == nullptr) {
+      continue;
+    }
+    const int64_t t_enq = static_cast<int64_t>(p.enqueue->host_us);
+    const int64_t s0 = static_cast<int64_t>(p.request->host_us);
+    const int64_t s1 = s0 + p.request->dur_us;
+    const int64_t r1 = static_cast<int64_t>(p.reply->host_us) + p.reply->dur_us;
+    int64_t t_flush = t_enq;
+    for (const TraceEvent* f : flushes) {
+      if (static_cast<int64_t>(f->host_us) >= t_enq) {
+        t_flush = static_cast<int64_t>(f->host_us);
+        break;
+      }
+    }
+    int64_t t_read = t_flush;
+    bool read_found = false;
+    for (const TraceEvent* r : reads) {
+      if (r->conn == p.request->conn && static_cast<int64_t>(r->host_us) <= s0) {
+        t_read = static_cast<int64_t>(r->host_us);
+        read_found = true;
+      }
+    }
+    if (!read_found) {
+      t_read = s0;
+    }
+    LatencyBudgetRow row;
+    row.corr = corr;
+    row.opcode = p.request->arg;
+    row.client_queue_us = t_flush - t_enq;
+    row.wire_us = t_read - t_flush;
+    row.poll_wake_us = s0 - t_read;
+    row.dispatch_us = s1 - s0;
+    row.egress_us = r1 - s1;
+    row.total_us = r1 - t_enq;
+    rows.push_back(row);
+  }
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const LatencyBudgetRow& a, const LatencyBudgetRow& b) {
+                     return a.total_us < b.total_us;
+                   });
+  return rows;
+}
+
+// A synthetic merged window of 10,000 overlapping round trips on four
+// connections: a new one starts every 7 us and each lasts 10-40 us, so
+// flushes and reads of neighbouring round trips interleave and often share
+// a timestamp. A few lack their flush, their read, their server span or
+// their reply, and some requests take two reads. The budget must match
+// the scan row for row.
+TEST(LatencyBudgetTest, BinarySearchesMatchTheScanOnTenThousandRoundTrips) {
+  constexpr int kRoundTrips = 10'000;
+  std::mt19937 rng(2718);
+  const auto between = [&](int lo, int hi) {
+    return static_cast<uint64_t>(lo + static_cast<int>(rng() % (hi - lo + 1)));
+  };
+  const auto event = [](TraceKind kind, uint64_t host_us, uint64_t corr, uint32_t conn) {
+    TraceEvent ev;
+    ev.kind = static_cast<uint8_t>(kind);
+    ev.host_us = host_us;
+    ev.corr = corr;
+    ev.conn = conn;
+    return ev;
+  };
+  TraceWire merged;
+  for (int i = 0; i < kRoundTrips; ++i) {
+    const uint64_t corr = static_cast<uint64_t>(i) + 1;
+    const uint32_t conn = static_cast<uint32_t>(i % 4) + 1;
+    const uint64_t enq = 1'000'000 + static_cast<uint64_t>(i) * 7 + between(0, 3);
+    TraceEvent enqueue = event(TraceKind::kClientEnqueue, enq, corr, 0);
+    enqueue.arg = static_cast<uint8_t>(Opcode::kGetTime);
+    merged.events.push_back(enqueue);
+    const uint64_t flush = enq + between(0, 3);
+    if (rng() % 32 != 0) {
+      merged.events.push_back(event(TraceKind::kClientFlush, flush, 0, 0));
+    }
+    const uint64_t read = flush + between(1, 8);
+    if (rng() % 32 != 0) {
+      merged.events.push_back(event(TraceKind::kRead, read, 0, conn));
+      if (rng() % 8 == 0) {
+        merged.events.push_back(event(TraceKind::kRead, read + between(0, 2), 0, conn));
+      }
+    }
+    TraceEvent request = event(TraceKind::kRequest, read + between(0, 4), corr, conn);
+    request.arg = static_cast<uint8_t>(Opcode::kGetTime);
+    request.dur_us = static_cast<uint32_t>(between(0, 5));
+    if (rng() % 64 != 0) {
+      merged.events.push_back(request);
+    }
+    TraceEvent reply = event(TraceKind::kClientReply, enq, corr, 0);
+    reply.dur_us =
+        static_cast<uint32_t>(request.host_us + request.dur_us + between(2, 20) - enq);
+    if (rng() % 64 != 0) {
+      merged.events.push_back(reply);
+    }
+  }
+  std::stable_sort(merged.events.begin(), merged.events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.host_us < b.host_us;
+                   });
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<LatencyBudgetRow> want = ScanLatencyBudget(merged);
+  const auto t1 = std::chrono::steady_clock::now();
+  const std::vector<LatencyBudgetRow> got = ComputeLatencyBudget(merged);
+  const auto t2 = std::chrono::steady_clock::now();
+  const auto ms = [](auto d) { return std::chrono::duration<double, std::milli>(d).count(); };
+  std::printf("budget of %zu rows: scan %.1f ms, binary search %.1f ms\n", want.size(),
+              ms(t1 - t0), ms(t2 - t1));
+
+  ASSERT_GE(want.size(), 9'500u);  // the round trips that have all four records
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const LatencyBudgetRow& a = want[i];
+    const LatencyBudgetRow& b = got[i];
+    ASSERT_TRUE(a.corr == b.corr && a.opcode == b.opcode &&
+                a.client_queue_us == b.client_queue_us && a.wire_us == b.wire_us &&
+                a.poll_wake_us == b.poll_wake_us && a.dispatch_us == b.dispatch_us &&
+                a.mailbox_us == b.mailbox_us && a.mix_us == b.mix_us &&
+                a.egress_us == b.egress_us && a.total_us == b.total_us)
+        << "row " << i << ": corr " << a.corr << " vs " << b.corr << ", queue "
+        << a.client_queue_us << " vs " << b.client_queue_us << ", wire " << a.wire_us
+        << " vs " << b.wire_us << ", poll wake " << a.poll_wake_us << " vs "
+        << b.poll_wake_us;
+  }
 }
 
 // The generation-gated ring keeps the hot-path contract: enabling through

@@ -175,7 +175,7 @@ TEST(StatsWireTest, LayoutGolden) {
       "mailbox_wakes",       "mailbox_spills",      "mailbox_depth_hw",
       "shards",              "oplog_records",       "resyncs",
       "oplog_acked",         "repl_overflows",      "failovers_promoted",
-      "egress_highwater_hits",
+      "egress_highwater_hits", "spin_waits",        "spin_hits",
   };
   const std::vector<std::string> device = {
       "play_underruns",        "play_underrun_samples", "record_overruns",

@@ -526,6 +526,23 @@ std::vector<uint8_t> EncodeFlood(size_t min_bytes, size_t* count) {
   return w.Take();
 }
 
+TEST(ClientConnTest, NextRequestIsDueOneMeasuredIntervalAfterTheAnswer) {
+  auto pair = CreateStreamPair();
+  ASSERT_TRUE(pair.ok());
+  ClientConn conn(std::move(pair.value().second), PeerAddress{}, 1);
+  const uint64_t t = 1'000'000;
+  conn.NoteDispatched(t, t + 2);  // the first answer: no interval measured yet
+  EXPECT_FALSE(conn.RequestDue(t + 2));
+  conn.NoteDispatched(t + 8, t + 9);  // started 6 us after it: next due at t + 15
+  EXPECT_TRUE(conn.RequestDue(t + 9));
+  EXPECT_TRUE(conn.RequestDue(t + 15 + kSpinBudgetUs));
+  EXPECT_FALSE(conn.RequestDue(t + 16 + kSpinBudgetUs));
+  conn.NoteDispatched(t + 2009, t + 2010);  // 2 ms later: next due at t + 4010
+  EXPECT_FALSE(conn.RequestDue(t + 2010));
+  EXPECT_FALSE(conn.RequestDue(t + 3999 - kSpinBudgetUs));
+  EXPECT_TRUE(conn.RequestDue(t + 4010 - kSpinBudgetUs));
+}
+
 TEST(ClientConnTest, BufferedInputStopsAtTheHighWaterMark) {
   // The flood guard on one connection, driven by hand while the peer
   // pipelines twice the high-water mark of complete requests. Nothing is

@@ -741,5 +741,34 @@ TEST(ShardAllocTest, PipelinedBurstsPastTheFairnessCapAllocateNothing) {
   EXPECT_GE(runner->server().metrics().loop_iterations.Value() - iterations_before, 120u * 2);
 }
 
+// The shard spins before a wait only while some client's next request is
+// due within the spin budget. A client pacing its round trips 2 ms apart
+// is predicted milliseconds away at every wait, so it never makes the
+// shard spin. That holds only if every wake is one of its requests, after
+// which the prediction moves on: so the server has no device, whose update
+// task would wake the loop at times of its own, and the client connects
+// over TCP, where reading a reply raises no write-space edge (on a loaded
+// host either wake can land right at a predicted arrival).
+TEST(ShardSpinTest, PacedClientNeverMakesItsShardSpin) {
+  constexpr uint16_t kPort = 17952;
+  ServerRunner::Config config;
+  config.with_codec = false;
+  config.tcp_port = kPort;
+  config.server.num_shards = 1;
+  auto runner = ServerRunner::Start(std::move(config));
+  ASSERT_NE(runner, nullptr);
+  auto conn = AFAudioConn::Open("127.0.0.1:" + std::to_string(kPort - kAudioFileBasePort));
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  const ServerMetrics& metrics = runner->server().metrics();
+  const uint64_t spins_before = metrics.spin_waits.Value();
+  const uint64_t dispatched_before = metrics.requests_dispatched.Value();
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(conn.value()->GetServerStats().ok()) << "round trip " << i;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(metrics.spin_waits.Value() - spins_before, 0u);
+  EXPECT_EQ(metrics.requests_dispatched.Value() - dispatched_before, 50u);
+}
+
 }  // namespace
 }  // namespace af
